@@ -13,6 +13,9 @@ replication seeding stays in one place.
 
 from __future__ import annotations
 
+import functools
+import numbers
+import typing
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Mapping
 
@@ -77,6 +80,30 @@ class ScenarioConfig:
         return wl
 
 
+@functools.cache
+def _float_fields(cls) -> frozenset[str]:
+    hints = typing.get_type_hints(cls)
+    return frozenset(f.name for f in fields(cls) if hints[f.name] in (float, float | None))
+
+
+def _coerce_floats(cls, data: Mapping[str, Any], path: str) -> dict:
+    """data with every value of a float-typed field of cls made a float.
+
+    JSON has a single number type, so ``2`` and ``2.0`` must give the same
+    run (the event times are hashed as floats); a boolean or a string is
+    not a number here."""
+    floats = _float_fields(cls)
+    out = dict(data)
+    for key, value in data.items():
+        if key not in floats or value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{path + '.' if path else ''}{key}: expected a number, "
+                              f"got {value!r}")
+        out[key] = float(value)
+    return out
+
+
 def _build(cls, data: Mapping[str, Any], path: str, base: dict | None = None):
     if not isinstance(data, Mapping):
         raise ConfigError(f"{path or 'config'}: expected an object")
@@ -86,7 +113,7 @@ def _build(cls, data: Mapping[str, Any], path: str, base: dict | None = None):
             raise ConfigError(f"unknown key {path + '.' if path else ''}{key} "
                               f"(allowed: {', '.join(sorted(allowed))})")
     kwargs = dict(base or {})
-    kwargs.update(data)
+    kwargs.update(_coerce_floats(cls, data, path))
     try:
         return cls(**kwargs)
     except TypeError as exc:
@@ -167,9 +194,10 @@ def from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
                                    presets.SWITCH_POWER[role])
         for role in SWITCH_ROLES
     }
-    scalars = {k: data[k] for k in ("label", "target_load", "horizon_s", "seed",
-                                    "replications", "pue_overhead", "price_per_kwh")
-               if k in data}
+    scalars = _coerce_floats(ScenarioConfig, {
+        k: data[k] for k in ("label", "target_load", "horizon_s", "seed",
+                             "replications", "pue_overhead", "price_per_kwh")
+        if k in data}, "")
     cfg = ScenarioConfig(architecture=arch, workload=workload, policy=policy,
                          server_power=server_power, switch_power=switch_power,
                          **scalars)

@@ -10,6 +10,14 @@ the set of flows or a link capacity changes.  Only the connected component
 of flows sharing links with the change is recomputed; allocations outside
 it cannot move.
 
+Each transfer is routed once.  Its path is an equal-cost path picked by a
+hash of the job id; while any switch is dark the pick is made among the
+paths whose switches are all up (Topology.live_path counts and decodes
+them directly, in the same order as the full enumeration).  A job that
+starts the moment it is placed reuses the paths placement chose; only a
+job that waited for a wake, or whose internal peer went away, is routed
+again.
+
 Completion events for compute phases and transfers are provisional: a
 rate or frequency drop leaves the scheduled event in place and the pop
 re-arms from live state, while a rise pushes an earlier event.  Stale
@@ -47,7 +55,9 @@ CLASS_NAMES = ("servers", "core", "aggregation", "access")
 _ROLE_TO_CLS = {ROLE_CORE: CLS_CORE, ROLE_AGG: CLS_AGG, ROLE_ACCESS: CLS_ACCESS}
 _ROLE_KEY = {ROLE_CORE: "core", ROLE_AGG: "aggregation", ROLE_ACCESS: "access"}
 
-# event kinds, in trace order
+# event kinds, in trace order.  Kind numbers are hashed into the trace, so
+# EV_RECOMPUTE keeps its slot although nothing pushes it any more: a flow
+# rate change is recomputed inside the event that causes it.
 (EV_ARRIVAL, EV_COMPUTE_END, EV_RECOMPUTE, EV_FLOW_END, EV_TRANSITION,
  EV_TICK, EV_STATS, EV_RELEASE, EV_END) = range(9)
 EVENT_NAMES = ("JobArrival", "ComputePhaseEnd", "FlowRateRecompute",
@@ -209,6 +219,10 @@ class SimState:
         # to stay up so every placed job keeps a usable route.  The gateway
         # core fronts the external uplink and is pinned awake.
         self.dark_switches = 0        # switches not fully up (routing filter)
+        # per switch id: fully up, neither asleep nor in a transition.  It
+        # flips only where dark_switches moves: a sleep request and a wake
+        # completion.
+        self.switch_live = [True] * topo.server_ids.start
         self.agg_partner: dict[int, int] = {}
         self.agg_pod: dict[int, int] = {}
         self.pod_of_acc: dict[int, int] = {}
@@ -380,32 +394,18 @@ class SimState:
             idx += 1
         return awake[idx]
 
-    def _switch_live(self, nid: int) -> bool:
-        sw = self.switches[nid]
-        return not sw.asleep and sw.transition_until is None
-
     def route(self, src: int, dst: int, salt: int) -> Path:
         """Equal-cost path for a transfer, hashed uniformly; with some
-        switches dark, hash over the fully-live paths instead.  Pure: the
-        caller decides whether to wake anything (see ensure_path_live)."""
+        switches dark, hash over the fully-live paths instead, and fall back
+        to the uniform pick when none is live.  Pure: the caller decides
+        whether to wake anything (see ensure_path_live)."""
         topo = self.topology
-        count = topo.path_count(src, dst)
         k = splitmix64(salt)
-        if self.dark_switches == 0:
-            return topo.kth_path(src, dst, k % count)
-        roles = topo.roles
-        live = []
-        fallback = None
-        for i in range(count):
-            p = topo.kth_path(src, dst, i)
-            if i == k % count:
-                fallback = p
-            if all(self._switch_live(n) for n in p.nodes
-                   if roles[n] != ROLE_SERVER):
-                live.append(p)
-        if live:
-            return live[k % len(live)]
-        return fallback
+        if self.dark_switches:
+            path = topo.live_path(src, dst, k, self.switch_live)
+            if path is not None:
+                return path
+        return topo.kth_path(src, dst, k % topo.path_count(src, dst))
 
     def path_congested(self, path: Path, threshold: float) -> bool:
         nodes = path.nodes
@@ -439,7 +439,7 @@ class SimState:
             return True
         if self.pod_active_racks[pod] == 0:
             return True
-        return self._switch_live(self.agg_partner[nid])
+        return self.switch_live[self.agg_partner[nid]]
 
     def sleepable_spine(self, cutoff: float) -> list[int]:
         """Spine switches idle long enough to be put to sleep."""
@@ -657,11 +657,6 @@ def _recompute(state: SimState, seed_dirs) -> None:
                 f"directed link {d} oversubscribed: {state.dir_sum[d]} > {state.cap[d]}")
 
 
-def recompute_flow_rates(state: SimState) -> None:
-    """Global max-min recomputation over every active flow."""
-    _recompute(state, [d for d, fids in enumerate(state.dir_flows) if fids])
-
-
 def _touch_endpoints(state: SimState, fl: _Flow, delta: int) -> None:
     """Maintain per-node flow counts (and idle stamps) along a flow's path."""
     now = state.clock
@@ -720,7 +715,14 @@ def _remove_flow(state: SimState, fl: _Flow) -> None:
 # job lifecycle
 # ---------------------------------------------------------------------------
 
-def _start_flows(state: SimState, jr: _JobRun) -> None:
+def _start_flows(state: SimState, jr: _JobRun, path_int: Path | None = None,
+                 path_ext: Path | None = None) -> None:
+    """Start a job's transfers over the given paths, routing any not given.
+
+    A job that starts the moment it is placed passes the placement's paths:
+    nothing in between changes switch liveness (a wake request only starts
+    a transition on a switch that is already dark), so routing again would
+    pick the same ones.  A job that waited for a wake is routed afresh."""
     job = jr.job
     if job.comm_internal_bytes > 0.0:
         dst = jr.dst
@@ -731,15 +733,18 @@ def _start_flows(state: SimState, jr: _JobRun) -> None:
         if dst is None:
             # the placement-time peer went away; re-resolve among awake servers
             dst = state.internal_dst(job.id, jr.server)
+            path_int = None
         if dst is not None:
-            path = state.route(jr.server, dst, job.id * 2)
-            state.ensure_path_live(path)
-            _add_flow(state, jr, path, job.comm_internal_bytes)
+            if path_int is None:
+                path_int = state.route(jr.server, dst, job.id * 2)
+            state.ensure_path_live(path_int)
+            _add_flow(state, jr, path_int, job.comm_internal_bytes)
         # with no possible peer the exchange degenerates to a local copy
     if job.comm_external_bytes > 0.0:
-        path = state.route(jr.server, state.topology.gateway, job.id * 2 + 1)
-        state.ensure_path_live(path)
-        _add_flow(state, jr, path, job.comm_external_bytes)
+        if path_ext is None:
+            path_ext = state.route(jr.server, state.topology.gateway, job.id * 2 + 1)
+        state.ensure_path_live(path_ext)
+        _add_flow(state, jr, path_ext, job.comm_external_bytes)
 
 
 def _job_piece_done(state: SimState, jr: _JobRun) -> None:
@@ -778,7 +783,7 @@ def _begin_wake(state: SimState, sid: int) -> None:
     if topo.pod_count:
         pod = state.pod_of_acc[acc]
         pair = topo.aggs_of_pod(pod)
-        if not any(state._switch_live(a)
+        if not any(state.switch_live[a]
                    or (state.switches[a].asleep
                        and state.switches[a].transition_until is not None)
                    for a in pair):
@@ -821,7 +826,7 @@ def _handle_arrival(state: SimState, jid: int) -> None:
         srv.pending.append(jid)
         return
     _enqueue_compute(state, srv, jr, now)
-    _start_flows(state, jr)
+    _start_flows(state, jr, decision.path_internal, decision.path_external)
 
 
 def _maybe_release(state: SimState, srv: _Server, jr: _JobRun) -> None:
@@ -925,6 +930,7 @@ def _handle_transition(state: SimState, comp: int, nid: int) -> None:
             sw.port_w = 0.0
             state._set_switch_power(sw, sw.base_w)
             state.dark_switches -= 1
+            state.switch_live[nid] = True
             for _nbr, lid in topo.adj[nid]:
                 state._refresh_link_state(lid)   # re-adds port power per up link
             # flows that stalled on this switch's links can move again
@@ -969,6 +975,7 @@ def _apply_sleeps(state: SimState, requests: list[tuple[str, int]]) -> None:
                 continue   # an earlier request this tick took the partner down
             sw.transition_until = now + TRANSITION_SECONDS
             state.dark_switches += 1
+            state.switch_live[nid] = False
             state.push(sw.transition_until, EV_TRANSITION, 1, nid)
 
 
@@ -1100,8 +1107,6 @@ def run(cfg: ScenarioConfig, jobs: list[Job] | None = None,
             _maybe_release(state, state.servers[a], state.jobs[b])
         elif kind == EV_END:
             break
-        elif kind == EV_RECOMPUTE:
-            _recompute(state, [a])
 
     # settle in-flight work at the horizon; a job still running counts as
     # missed only once its deadline has actually passed

@@ -10,9 +10,11 @@ server fits, a server in wake-up gets a chance, then the lowest-numbered
 sleeping server is woken; wake latency counts against the deadline.
 
 Frequency setpoints track current load with a headroom factor, and the
-sleep policy puts servers (and fully idle access switches) to sleep after
-an idle timeout.  Core and aggregation switches are never slept; their
-links only rate-scale.
+sleep policy (dns_tick) puts to sleep servers idle past a timeout, access
+switches whose whole rack sleeps with no traffic, and core and aggregation
+switches idle past the timeout (sleepable_spine).  The engine's
+connectivity rule keeps one aggregation switch of every pod with active
+racks and the gateway core awake; links of awake switches rate-scale.
 """
 
 from __future__ import annotations

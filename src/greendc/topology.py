@@ -9,6 +9,16 @@ Node ids are assigned layer-major: cores first, then aggregation, then
 access switches, then servers.  Link ids follow build order, which is a
 fixed function of the spec, so two builds of the same spec are identical.
 External traffic terminates at the gateway, which is core switch 0.
+
+Equal-cost paths come from one breadth-first search per root switch, run
+over the switches and trunk links only: servers are leaves, so the server
+hop at either end of a path is added afterwards.  The search keeps, per
+switch, the number of shortest paths from the root and the predecessors
+(with the link to each); the k-th path is decoded by walking backward from
+the destination.  Paths that avoid dark switches are picked the same way,
+with the counts replaced by live-path counts from a small DP over the
+destination's predecessors, so they keep their order in the full
+enumeration.
 """
 
 from __future__ import annotations
@@ -130,13 +140,16 @@ class Topology:
         self._build()
         for nbrs in self.adj:
             nbrs.sort()
-        # per-source BFS caches for shortest-path queries, and link endpoint
-        # arrays used to vectorize the predecessor extraction
-        self._sp_cache: dict[int, tuple[list[int], list[int], list[int], list[int]]] = {}
-        self._la = np.fromiter((ln.a for ln in self.links), dtype=np.int64,
-                               count=len(self.links))
-        self._lb = np.fromiter((ln.b for ln in self.links), dtype=np.int64,
-                               count=len(self.links))
+        # per-root BFS caches for shortest-path queries over the switch
+        # layer, and the trunk links' endpoint arrays used to vectorize the
+        # predecessor extraction.  Server links come last, one per server in
+        # id order, so they are found by arithmetic.
+        self._n_switches = self.server_ids.start
+        self._server_link0 = len(self.links) - spec.server_count
+        self._sp_cache: dict[int, tuple[list[int], ...]] = {}
+        trunks = self.links[:self._server_link0]
+        self._la = np.fromiter((ln.a for ln in trunks), dtype=np.int64, count=len(trunks))
+        self._lb = np.fromiter((ln.b for ln in trunks), dtype=np.int64, count=len(trunks))
 
     # -- construction -----------------------------------------------------
 
@@ -216,28 +229,34 @@ class Topology:
 
     # -- shortest-path machinery ------------------------------------------
 
-    def _bfs(self, src: int) -> tuple[list[int], list[int], list[int], list[int]]:
-        """Shortest-path layers from one source.
+    def _bfs(self, root: int) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+        """Shortest-path layers from one switch, over the switch layer only.
 
-        Returns (dist, path_count, pred_offsets, pred_flat) where the last
-        two encode, per node, the neighbors one hop closer to the source.
-        Everything is cached per source; plain lists keep the decode loop in
+        Servers are leaves, so no shortest path between switches passes
+        through one; the server hop at either end is added by the callers.
+        Returns (dist, path_count, pred_offsets, pred_flat, pred_link) over
+        switch ids, where the last three encode, per switch, the neighbors
+        one hop closer to the root and the link to each.  Predecessors are
+        listed in link-id order, links whose b end is the switch first.
+        Everything is cached per root; plain lists keep the decode loop in
         fast-path Python.
         """
-        cached = self._sp_cache.get(src)
+        cached = self._sp_cache.get(root)
         if cached is not None:
             return cached
-        n = self.n_nodes
+        n = self._n_switches
         dist = [-1] * n
         cnt = [0] * n
-        dist[src] = 0
-        cnt[src] = 1
-        q = deque([src])
+        dist[root] = 0
+        cnt[root] = 1
+        q = deque([root])
         adj = self.adj
         while q:
             v = q.popleft()
             dv = dist[v]
             for w, _lid in adj[v]:
+                if w >= n:
+                    continue   # a server: a leaf, never on the way to a switch
                 if dist[w] < 0:
                     dist[w] = dv + 1
                     cnt[w] = cnt[v]
@@ -250,11 +269,12 @@ class Topology:
         bwd = (db >= 0) & (db + 1 == da)
         child = np.concatenate((self._lb[fwd], self._la[bwd]))
         parent = np.concatenate((self._la[fwd], self._lb[bwd]))
+        lids = np.concatenate((np.flatnonzero(fwd), np.flatnonzero(bwd)))
         order = np.argsort(child, kind="stable")
         off = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(child, minlength=n), out=off[1:])
-        entry = (dist, cnt, off.tolist(), parent[order].tolist())
-        self._sp_cache[src] = entry
+        entry = (dist, cnt, off.tolist(), parent[order].tolist(), lids[order].tolist())
+        self._sp_cache[root] = entry
         return entry
 
     def _endpoints(self, src: int, dst: int) -> None:
@@ -265,50 +285,97 @@ class Topology:
         if src == dst:
             raise ValueError("src and dst must differ")
 
-    def path_count(self, src: int, dst: int) -> int:
-        """Number of equal-cost (minimum-hop) paths between endpoints."""
+    def _anchor(self, node: int) -> int:
+        """The switch a path endpoint attaches through: its rack switch for
+        a server, the endpoint itself for the gateway."""
+        return self.access_of_server(node) if self.roles[node] == ROLE_SERVER else node
+
+    def _tree(self, src: int, dst: int):
+        """Validated endpoints -> (root, dst's switch, BFS entry of root)."""
         self._endpoints(src, dst)
         # all shortest paths from a server leave through its access switch,
-        # so the BFS cache only needs switch-layer sources
-        root = self.access_of_server(src) if self.roles[src] == ROLE_SERVER else src
-        dist, cnt, _off, _flat = self._bfs(root)
-        if dist[dst] < 0:
+        # so the BFS cache only needs switch-layer roots
+        root = self._anchor(src)
+        end = self._anchor(dst)
+        entry = self._bfs(root)
+        if entry[0][end] < 0:
             raise Unreachable(f"no path from {src} to {dst}")
-        return cnt[dst]
+        return root, end, entry
 
-    def kth_path(self, src: int, dst: int, k: int) -> Path:
-        """The k-th equal-cost path, in a fixed deterministic order."""
-        self._endpoints(src, dst)
-        if self.roles[src] == ROLE_SERVER:
-            root = self.access_of_server(src)
-            prefix = [src]
-        else:
-            root = src
-            prefix = []
-        dist, cnt, off, flat = self._bfs(root)
-        if dist[dst] < 0:
-            raise Unreachable(f"no path from {src} to {dst}")
-        if not 0 <= k < cnt[dst]:
-            raise IndexError(f"path index {k} out of range ({cnt[dst]} paths)")
-        # walk backward from dst; predecessor choices partition the index
-        rev = [dst]
-        node = dst
+    def _walk(self, src: int, dst: int, root: int, end: int, entry, k: int, count) -> Path:
+        """Decode the k-th path, walking backward from dst: predecessor
+        choices partition the index by count[pred], the number of paths
+        (of the kind being enumerated) from the root to that predecessor."""
+        _dist, _cnt, off, pred, plink = entry
+        nodes = [dst]
+        links = []
+        if end != dst:
+            nodes.append(end)
+            links.append(self._server_link0 + dst - self.server_ids.start)
+        node = end
         while node != root:
             for i in range(off[node], off[node + 1]):
-                w = flat[i]
-                c = cnt[w]
+                w = pred[i]
+                c = count[w]
                 if k < c:
-                    rev.append(w)
+                    nodes.append(w)
+                    links.append(plink[i])
                     node = w
                     break
                 k -= c
             else:
                 raise Unreachable(f"broken predecessor chain at node {node}")
-        return self._as_path(prefix + rev[::-1])
+        if root != src:
+            nodes.append(src)
+            links.append(self._server_link0 + src - self.server_ids.start)
+        nodes.reverse()
+        links.reverse()
+        return Path(tuple(nodes), tuple(links))
 
-    def _as_path(self, nodes: list[int]) -> Path:
-        links = tuple(self.link_between(u, v) for u, v in zip(nodes, nodes[1:]))
-        return Path(tuple(nodes), links)
+    def path_count(self, src: int, dst: int) -> int:
+        """Number of equal-cost (minimum-hop) paths between endpoints."""
+        _root, end, entry = self._tree(src, dst)
+        return entry[1][end]
+
+    def kth_path(self, src: int, dst: int, k: int) -> Path:
+        """The k-th equal-cost path, in a fixed deterministic order."""
+        root, end, entry = self._tree(src, dst)
+        cnt = entry[1]
+        if not 0 <= k < cnt[end]:
+            raise IndexError(f"path index {k} out of range ({cnt[end]} paths)")
+        return self._walk(src, dst, root, end, entry, k, cnt)
+
+    def live_path(self, src: int, dst: int, k: int, live: Sequence[bool]) -> Path | None:
+        """The (k mod m)-th of the m equal-cost paths whose switches are all
+        live (live[switch id] true), or None when m is 0.
+
+        Live paths keep their order in the full enumeration, so this equals
+        ``[p for p in equal_cost_paths(src, dst) if <p is live>][k % m]``.
+        The live-path counts are a memoised DP over the ancestors of dst's
+        switch only, a handful of nodes, so no dead path is decoded.
+        """
+        root, end, entry = self._tree(src, dst)
+        _dist, _cnt, off, pred, _plink = entry
+        memo: dict[int, int] = {}
+
+        def count(v: int) -> int:
+            m = memo.get(v)
+            if m is None:
+                if not live[v]:
+                    m = 0
+                elif v == root:
+                    m = 1
+                else:
+                    m = 0
+                    for i in range(off[v], off[v + 1]):
+                        m += count(pred[i])
+                memo[v] = m
+            return m
+
+        m = count(end)
+        if m == 0:
+            return None
+        return self._walk(src, dst, root, end, entry, k % m, memo)
 
     def equal_cost_paths(self, src: int, dst: int) -> list[Path]:
         """Exhaustive set of minimum-hop paths between two endpoints."""

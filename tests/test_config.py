@@ -6,6 +6,7 @@ from greendc.config import (
     ConfigError, ScenarioConfig, from_dict, scenario_preset, to_dict,
 )
 from greendc.presets import ARCHITECTURES, SCENARIOS
+from greendc.report import run_scenario
 
 from conftest import small_scenario
 
@@ -83,6 +84,29 @@ def test_scalar_bounds():
         from_dict({"pue_overhead": 0.9})
     with pytest.raises(ConfigError, match="price_per_kwh"):
         from_dict({"price_per_kwh": -0.1})
+
+
+def test_integral_time_fields_run_like_floats():
+    # JSON has one number type: 2 and 2.0 must be the same scenario and run
+    as_int = from_dict(small_scenario(horizon_s=2, policy={"scheme": "dvfs+dns",
+                                                         "stats_interval_s": 1}))
+    as_float = from_dict(small_scenario(horizon_s=2.0, policy={"scheme": "dvfs+dns",
+                                                             "stats_interval_s": 1.0}))
+    assert as_int == as_float
+    assert isinstance(as_int.horizon_s, float)
+    assert isinstance(as_int.policy.stats_interval_s, float)
+    assert run_scenario(as_int).trace_hash == run_scenario(as_float).trace_hash
+
+
+def test_float_fields_reject_booleans_and_strings():
+    with pytest.raises(ConfigError, match="horizon_s"):
+        from_dict({"horizon_s": True})
+    with pytest.raises(ConfigError, match="horizon_s"):
+        from_dict({"horizon_s": "60"})
+    with pytest.raises(ConfigError, match="policy.stats_interval_s"):
+        from_dict({"policy": {"stats_interval_s": False}})
+    with pytest.raises(ConfigError, match="workload.mean_compute"):
+        from_dict({"workload": {"mean_compute": "1"}})
 
 
 def test_workload_inconsistency_reported_as_config_error():

@@ -6,13 +6,14 @@ full scale.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 networkx = pytest.importorskip("networkx")
 
 from greendc.presets import ARCHITECTURES
 from greendc.topology import (
-    THREE_TIER, TWO_TIER, ArchitectureSpec, InvalidSpec, Path, build_topology,
-    select_path, splitmix64,
+    THREE_TIER, THREE_TIER_HS, TWO_TIER, ArchitectureSpec, InvalidSpec, Path,
+    build_topology, select_path, splitmix64,
 )
 
 
@@ -98,18 +99,34 @@ def test_invalid_specs_rejected():
 
 # -- shortest paths against networkx ---------------------------------------
 
+# one pocket fabric of each kind; the three-tier ones have two pods
+POCKET_FABRICS = {
+    THREE_TIER: small_three_tier(),
+    TWO_TIER: ArchitectureSpec(kind=TWO_TIER, core_count=3, agg_count=0,
+                               access_count=4, servers_per_access=2),
+    THREE_TIER_HS: ArchitectureSpec(kind=THREE_TIER_HS, core_count=2, agg_count=4,
+                                    access_count=6, servers_per_access=2,
+                                    access_uplink_bps=1e10, agg_core_bps=1e11),
+}
+POCKET_TOPOLOGIES = {kind: build_topology(spec) for kind, spec in POCKET_FABRICS.items()}
+
+
 def test_equal_cost_paths_match_networkx_on_small_fabric():
-    topo = build_topology(small_three_tier())
-    g = as_nx(topo)
-    servers = list(topo.server_ids)
-    pairs = [(servers[0], topo.gateway)]
-    pairs += [(servers[0], s) for s in servers[1:]]
-    pairs += [(servers[5], servers[9]), (servers[2], topo.gateway)]
-    for src, dst in pairs:
-        want = {tuple(p) for p in networkx.all_shortest_paths(g, src, dst)}
-        got = {p.nodes for p in topo.equal_cost_paths(src, dst)}
-        assert got == want, (src, dst)
-        assert topo.path_count(src, dst) == len(want)
+    # every endpoint pair of a pocket fabric of each kind
+    for kind, topo in POCKET_TOPOLOGIES.items():
+        g = as_nx(topo)
+        ends = [*topo.server_ids, topo.gateway]
+        for src in ends:
+            for dst in ends:
+                if src == dst:
+                    continue
+                want = {tuple(p) for p in networkx.all_shortest_paths(g, src, dst)}
+                paths = topo.equal_cost_paths(src, dst)
+                assert {p.nodes for p in paths} == want, (kind, src, dst)
+                assert topo.path_count(src, dst) == len(want)
+                for p in paths:
+                    assert list(p.links) == [topo.link_between(u, v)
+                                             for u, v in zip(p.nodes, p.nodes[1:])]
 
 
 def test_kth_path_enumeration_is_disjoint_and_complete():
@@ -125,6 +142,35 @@ def test_kth_path_enumeration_is_disjoint_and_complete():
         # node sequence and link ids must agree
         for u, v, lid in zip(p.nodes, p.nodes[1:], p.links):
             assert topo.link_between(u, v) == lid
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(POCKET_FABRICS)), data=st.data(),
+       k=st.integers(min_value=0, max_value=2**64 - 1))
+def test_live_path_is_the_kth_of_the_filtered_enumeration(kind, data, k):
+    topo = POCKET_TOPOLOGIES[kind]
+    n_switches = topo.server_ids.start
+    live = data.draw(st.lists(st.booleans(), min_size=n_switches, max_size=n_switches),
+                     label="live")
+    ends = [*topo.server_ids, topo.gateway]
+    src = data.draw(st.sampled_from(ends), label="src")
+    dst = data.draw(st.sampled_from([e for e in ends if e != src]), label="dst")
+    want = [p for p in topo.equal_cost_paths(src, dst)
+            if all(live[n] for n in p.nodes if n < n_switches)]
+    got = topo.live_path(src, dst, k, live)
+    if want:
+        assert got == want[k % len(want)]
+    else:
+        assert got is None
+
+
+def test_live_path_with_every_switch_up_is_kth_path():
+    topo = POCKET_TOPOLOGIES[THREE_TIER]
+    live = [True] * topo.server_ids.start
+    src, dst = topo.server_ids.start, topo.server_ids[-1]
+    n = topo.path_count(src, dst)
+    for k in range(3 * n):
+        assert topo.live_path(src, dst, k, live) == topo.kth_path(src, dst, k % n)
 
 
 def test_preset_path_counts():
