@@ -22,7 +22,7 @@ from typing import Any, Mapping
 from . import presets
 from .powermodel import ServerPowerParams, SwitchPowerParams
 from .scheduler import SchedulerPolicy
-from .topology import ArchitectureSpec
+from .topology import ROLE_NAMES, ArchitectureSpec
 from .workload import WorkloadSpec, load_for_target
 
 SWITCH_ROLES = ("core", "aggregation", "access")
@@ -54,8 +54,15 @@ class ScenarioConfig:
         missing = [r for r in SWITCH_ROLES if r not in self.switch_power]
         if missing:
             raise ConfigError(f"switch_power: missing roles {missing}")
+        for rate, role in sorted(self.architecture.port_rates()):
+            name = ROLE_NAMES[role]
+            if rate not in self.switch_power[name].port_power_by_rate:
+                raise ConfigError(f"switch_power.{name}.port_power_by_rate: no entry for "
+                                  f"the {rate:g} b/s links of this fabric")
         if self.horizon_s <= 0:
             raise ConfigError("horizon_s must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if self.pue_overhead < 1.0:
@@ -81,26 +88,42 @@ class ScenarioConfig:
 
 
 @functools.cache
-def _float_fields(cls) -> frozenset[str]:
+def _number_fields(cls) -> dict[str, tuple[type, bool]]:
+    """Field name -> (float or int, whether None is allowed) for every
+    number-typed field of a config dataclass."""
     hints = typing.get_type_hints(cls)
-    return frozenset(f.name for f in fields(cls) if hints[f.name] in (float, float | None))
+    out = {}
+    for f in fields(cls):
+        for kind in (float, int):
+            if hints[f.name] in (kind, kind | None):
+                out[f.name] = (kind, hints[f.name] != kind)
+    return out
 
 
-def _coerce_floats(cls, data: Mapping[str, Any], path: str) -> dict:
-    """data with every value of a float-typed field of cls made a float.
+def _coerce_numbers(cls, data: Mapping[str, Any], path: str) -> dict:
+    """data with every value of a float-typed field of cls made a float and
+    every value of an int-typed field made an int.
 
     JSON has a single number type, so ``2`` and ``2.0`` must give the same
-    run (the event times are hashed as floats); a boolean or a string is
-    not a number here."""
-    floats = _float_fields(cls)
+    run (the event times are hashed as floats, counts and seeds are used as
+    integers); a boolean, a string or a null (where the field has no
+    default of None) is not a number here, and a count or a seed must be
+    integral."""
+    numeric = _number_fields(cls)
     out = dict(data)
     for key, value in data.items():
-        if key not in floats or value is None:
+        kind, nullable = numeric.get(key, (None, True))
+        if kind is None or (value is None and nullable):
             continue
+        where = f"{path + '.' if path else ''}{key}"
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ConfigError(f"{path + '.' if path else ''}{key}: expected a number, "
-                              f"got {value!r}")
-        out[key] = float(value)
+            raise ConfigError(f"{where}: expected a number, got {value!r}")
+        if kind is float:
+            out[key] = float(value)
+        elif isinstance(value, numbers.Integral) or float(value).is_integer():
+            out[key] = int(value)
+        else:
+            raise ConfigError(f"{where}: expected an integer, got {value!r}")
     return out
 
 
@@ -113,7 +136,7 @@ def _build(cls, data: Mapping[str, Any], path: str, base: dict | None = None):
             raise ConfigError(f"unknown key {path + '.' if path else ''}{key} "
                               f"(allowed: {', '.join(sorted(allowed))})")
     kwargs = dict(base or {})
-    kwargs.update(_coerce_floats(cls, data, path))
+    kwargs.update(_coerce_numbers(cls, data, path))
     try:
         return cls(**kwargs)
     except TypeError as exc:
@@ -194,7 +217,7 @@ def from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
                                    presets.SWITCH_POWER[role])
         for role in SWITCH_ROLES
     }
-    scalars = _coerce_floats(ScenarioConfig, {
+    scalars = _coerce_numbers(ScenarioConfig, {
         k: data[k] for k in ("label", "target_load", "horizon_s", "seed",
                              "replications", "pue_overhead", "price_per_kwh")
         if k in data}, "")

@@ -195,6 +195,7 @@ class SimState:
         self.native_idx = len(self.link_tiers[0]) - 1
         self.link_tier_idx = [self.native_idx] * nlinks
         self.link_up = [True] * nlinks
+        self.links_down = 0           # links with link_up False
         self.cap = [0.0] * (2 * nlinks)
         self.dir_sum = [0.0] * (2 * nlinks)
         self.dir_flows: list[set[int]] = [set() for _ in range(2 * nlinks)]
@@ -304,6 +305,7 @@ class SimState:
         if up == self.link_up[lid]:
             return
         self.link_up[lid] = up
+        self.links_down += -1 if up else 1
         sign = 1.0 if up else -1.0
         idx = self.link_tier_idx[lid]
         for end, watts in self._port_w[lid]:
@@ -330,14 +332,6 @@ class SimState:
                 delta = watts[new_idx] - watts[old_idx]
                 sw.port_w += delta
                 self._set_switch_power(sw, sw.power_w + delta)
-
-    # -- energy --------------------------------------------------------------
-
-    def _ledger_add(self, idx: int, joules: float) -> None:
-        y = joules - self._ledger_c[idx]
-        t = self.ledger_j[idx] + y
-        self._ledger_c[idx] = (t - self.ledger_j[idx]) - y
-        self.ledger_j[idx] = t
 
     # -- candidate list --------------------------------------------------------
 
@@ -596,65 +590,77 @@ def _advance_flow(state: SimState, fl: _Flow, now: float) -> None:
     fl.stamp = now
 
 
-def _component(state: SimState, seed_dirs) -> tuple[set[int], set[int]]:
-    """Flows and directed links reachable from the seeds via link sharing."""
-    flows: set[int] = set()
-    dirs: set[int] = set()
-    stack = [d for d in seed_dirs if state.dir_flows[d]]
-    dirs.update(stack)
-    while stack:
-        d = stack.pop()
-        for fid in state.dir_flows[d]:
-            if fid not in flows:
-                flows.add(fid)
-                for d2 in state.flows[fid].res:
-                    if d2 not in dirs:
-                        dirs.add(d2)
-                        stack.append(d2)
-    return flows, dirs
-
-
 def _recompute(state: SimState, seed_dirs) -> None:
     """Max-min re-allocation over the affected component, with rescheduling.
 
-    Flows crossing a link that is down (an endpoint switch asleep or mid
-    transition to sleep) are stalled at rate zero and excluded from the
-    fill, so they hold no bandwidth elsewhere while they wait for the wake.
+    One pass: the component (every flow and directed link reachable from
+    the seeds through shared links) is walked once into a list of
+    directed links, its flows are advanced to now in id order, the
+    allocator fills them against the live capacity table, and new rates
+    are applied and rescheduled in id order.  Flows crossing a link that
+    is down (an endpoint switch asleep or mid transition to sleep) are
+    stalled at rate zero and excluded from the fill, so they hold no
+    bandwidth elsewhere while they wait for the wake; the scan for them is
+    skipped while no link is down.  Every directed link of the component
+    is checked against its capacity afterwards.
     """
-    flow_ids, dirs = _component(state, seed_dirs)
-    if not flow_ids:
+    flows = state.flows
+    dir_flows = state.dir_flows
+    dirs: list[int] = []
+    seen: set[int] = set()
+    for d in seed_dirs:
+        if dir_flows[d] and d not in seen:
+            seen.add(d)
+            dirs.append(d)
+    if not dirs:
         return
+    members: set[int] = set()
+    for d in dirs:   # dirs grows while it is walked, breadth first
+        for fid in dir_flows[d]:
+            if fid not in members:
+                members.add(fid)
+                for d2 in flows[fid].res:
+                    if d2 not in seen:
+                        seen.add(d2)
+                        dirs.append(d2)
     now = state.clock
+    order = sorted(members)
+    link_up = state.link_up if state.links_down else None
     demands = {}
-    stalled = []
-    for fid in flow_ids:
-        fl = state.flows[fid]
-        _advance_flow(state, fl, now)
-        if all(state.link_up[d >> 1] for d in fl.res):
+    for fid in order:
+        fl = flows[fid]
+        # _advance_flow, inlined: this loop runs for every flow of every fill
+        dt = now - fl.stamp
+        if dt > 0.0 and fl.rate > 0.0:
+            delta = fl.rate * dt * 0.125  # bits/s * s -> bytes
+            if delta > fl.bytes_left:
+                delta = fl.bytes_left
+            fl.bytes_left -= delta
+            fl.done_bytes += delta
+        fl.stamp = now
+        if link_up is None or all(link_up[d >> 1] for d in fl.res):
             demands[fid] = fl.res
-        else:
-            stalled.append(fid)
-    rates = fairshare.allocate(demands, {d: state.cap[d] for d in sorted(dirs)})
-    for fid in stalled:
-        rates[fid] = 0.0
-    for fid in sorted(flow_ids):
-        fl = state.flows[fid]
-        new = rates[fid]
+    cap = state.cap
+    dir_sum = state.dir_sum
+    rates = fairshare.allocate(demands, cap)
+    for fid in order:
+        fl = flows[fid]
+        new = rates.get(fid, 0.0)   # stalled flows get no rate
         if new != fl.rate:
             diff = new - fl.rate
             for d in fl.res:
-                state.dir_sum[d] += diff
+                dir_sum[d] += diff
             fl.rate = new
-        if fl.rate > 0.0:
-            end = now + fl.bytes_left * 8.0 / fl.rate
+        if new > 0.0:
+            end = now + fl.bytes_left * 8.0 / new
             if end < fl.end_t - _EPS:
                 fl.end_t = end
-                state.push(end, EV_FLOW_END, fl.id, 0)
+                state.push(end, EV_FLOW_END, fid, 0)
             # slower flows keep their event; it pops early and re-arms
     for d in dirs:
-        if state.dir_sum[d] > state.cap[d] * (1.0 + 1e-9):
+        if dir_sum[d] > cap[d] * (1.0 + 1e-9):
             raise InternalInvariantViolation(
-                f"directed link {d} oversubscribed: {state.dir_sum[d]} > {state.cap[d]}")
+                f"directed link {d} oversubscribed: {dir_sum[d]} > {cap[d]}")
 
 
 def _touch_endpoints(state: SimState, fl: _Flow, delta: int) -> None:
@@ -1019,8 +1025,14 @@ def integrate_energy(state: SimState, dt: float) -> None:
     """Accumulate class power over dt into the energy ledger."""
     if dt <= 0.0:
         return
-    for k in range(4):
-        state._ledger_add(k, state.class_power[k] * dt)
+    # compensated (Kahan) sums, one per class
+    ledger = state.ledger_j
+    comp = state._ledger_c
+    for k, watts in enumerate(state.class_power):
+        y = watts * dt - comp[k]
+        t = ledger[k] + y
+        comp[k] = (t - ledger[k]) - y
+        ledger[k] = t
     t0 = state.clock
     state.awake_integral += state.n_awake * dt
     state.serving_integral += state.n_serving * dt

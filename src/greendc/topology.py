@@ -89,10 +89,26 @@ class ArchitectureSpec:
         else:
             if self.agg_count < 2 or self.agg_count % 2:
                 raise InvalidSpec("agg_count must be an even number >= 2")
+            if self.access_count < self.agg_count // 2:
+                raise InvalidSpec("access_count must be at least the number of "
+                                  "aggregation pairs (agg_count // 2)")
             if self.uplinks_per_access != 2:
                 raise InvalidSpec("uplinks_per_access must be 2 (paired aggregation)")
             if self.agg_core_bps <= 0:
                 raise InvalidSpec("agg_core_bps must be positive")
+
+    def port_rates(self) -> set[tuple[float, int]]:
+        """(native link rate, switch role) of every kind of switch port the
+        fabric has, which is what the port power tables must cover."""
+        if self.kind == TWO_TIER:
+            rates = {(self.access_uplink_bps, ROLE_ACCESS), (self.access_uplink_bps, ROLE_CORE)}
+            if self.core_count > 1:
+                rates.add((self.core_mesh_bps, ROLE_CORE))
+        else:
+            rates = {(self.access_uplink_bps, ROLE_ACCESS), (self.access_uplink_bps, ROLE_AGG),
+                     (self.agg_core_bps, ROLE_AGG), (self.agg_core_bps, ROLE_CORE)}
+        rates.add((self.server_rate_bps, ROLE_ACCESS))
+        return rates
 
     @property
     def server_count(self) -> int:

@@ -162,3 +162,25 @@ def test_invariant_violations_exit_two(tmp_path, monkeypatch, capsys):
     assert cli.main(["simulate", "--scenario", path,
                      "--out", str(tmp_path / "x")]) == 2
     assert "ledger drift" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    {"seed": 1.5},
+    {"seed": -1},
+    {"replications": 1.5},
+    {"architecture": {"preset": "three_tier", "access_count": 2}},
+    {"architecture": {"preset": "three_tier", "server_rate_bps": 2.5e9}},
+], ids=["fractional-seed", "negative-seed", "fractional-replications",
+        "fewer-racks-than-pods", "rate-without-port-power"])
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_documents_that_cannot_run_are_config_errors(tmp_path, capsys, doc, command):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--scenario", str(path)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "run").exists()

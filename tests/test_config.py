@@ -134,3 +134,35 @@ def test_preset_mixes_are_single_class():
     assert scenario_preset("ciw-30").workload.class_mix == (1.0, 0.0, 0.0)
     assert scenario_preset("diw-30").workload.class_mix == (0.0, 1.0, 0.0)
     assert scenario_preset("reference-30").workload.class_mix == (0.0, 0.0, 1.0)
+
+
+def test_int_fields_take_integral_numbers_only():
+    cfg = from_dict({"seed": 7.0, "replications": 2,
+                     "architecture": {"preset": "three_tier", "core_count": 4.0}})
+    assert cfg.seed == 7 and type(cfg.seed) is int
+    assert cfg.architecture.core_count == 4 and type(cfg.architecture.core_count) is int
+    for doc, where in (({"seed": 1.5}, "seed"), ({"replications": True}, "replications"),
+                       ({"workload": {"job_count": "9"}}, "workload.job_count"),
+                       ({"seed": None}, "seed"),
+                       ({"switch_power": {"core": {"n_linecards": 0.5}}},
+                        "switch_power.core.n_linecards")):
+        with pytest.raises(ConfigError, match=where):
+            from_dict(doc)
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        from_dict({"seed": -1})
+
+
+def test_fabric_geometry_and_port_power_checked_at_load():
+    with pytest.raises(ConfigError, match="aggregation pairs"):
+        from_dict({"architecture": {"preset": "three_tier", "access_count": 3}})
+    from_dict({"architecture": {"preset": "three_tier", "access_count": 4}})
+    with pytest.raises(ConfigError, match=r"switch_power\.access\.port_power_by_rate"):
+        from_dict({"architecture": {"preset": "three_tier", "server_rate_bps": 2.5e9}})
+    # a two-tier core mesh exists only with two or more cores
+    with pytest.raises(ConfigError, match=r"switch_power\.core\.port_power_by_rate"):
+        from_dict({"architecture": {"preset": "two_tier", "core_mesh_bps": 3e9}})
+    from_dict({"architecture": {"preset": "two_tier", "core_count": 1,
+                                "core_mesh_bps": 3e9}})
+    from_dict({"architecture": {"preset": "three_tier", "server_rate_bps": 2.5e9},
+               "switch_power": {"access": {"port_power_by_rate": {
+                   "1e9": 0.4, "2.5e9": 0.7}}}})
