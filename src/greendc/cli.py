@@ -6,7 +6,8 @@ power-management schemes and writes comparison tables.  ``validate``
 checks a scenario file and exits.
 
 Exit codes: 0 success, 1 configuration error, 2 internal invariant
-violation (a bug, not a user error).
+violation or any other unexpected exception (a bug, not a user error),
+reported on one line without a traceback.
 """
 
 from __future__ import annotations
@@ -217,6 +218,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except InternalInvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except Exception as exc:   # the process boundary: anything else is a bug
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

@@ -14,6 +14,7 @@ replication seeding stays in one place.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import typing
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -100,6 +101,18 @@ def _number_fields(cls) -> dict[str, tuple[type, bool]]:
     return out
 
 
+def _finite(value: Any, where: str) -> float:
+    """value as a float; an infinity, a NaN (both of which Python's JSON
+    reader accepts) or anything float() cannot take is a ConfigError."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return x
+
+
 def _coerce_numbers(cls, data: Mapping[str, Any], path: str) -> dict:
     """data with every value of a float-typed field of cls made a float and
     every value of an int-typed field made an int.
@@ -107,8 +120,8 @@ def _coerce_numbers(cls, data: Mapping[str, Any], path: str) -> dict:
     JSON has a single number type, so ``2`` and ``2.0`` must give the same
     run (the event times are hashed as floats, counts and seeds are used as
     integers); a boolean, a string or a null (where the field has no
-    default of None) is not a number here, and a count or a seed must be
-    integral."""
+    default of None) is not a number here, a float must be finite, and a
+    count or a seed must be integral."""
     numeric = _number_fields(cls)
     out = dict(data)
     for key, value in data.items():
@@ -119,7 +132,7 @@ def _coerce_numbers(cls, data: Mapping[str, Any], path: str) -> dict:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ConfigError(f"{where}: expected a number, got {value!r}")
         if kind is float:
-            out[key] = float(value)
+            out[key] = _finite(value, where)
         elif isinstance(value, numbers.Integral) or float(value).is_integer():
             out[key] = int(value)
         else:
@@ -171,7 +184,7 @@ def _parse_workload(value: Any, path: str) -> WorkloadSpec:
         if not isinstance(mix, (list, tuple)) or len(mix) != 3:
             raise ConfigError(f"{path}.class_mix: expected three fractions "
                               "(compute-intensive, data-intensive, balanced)")
-        data["class_mix"] = tuple(float(x) for x in mix)
+        data["class_mix"] = tuple(_finite(x, f"{path}.class_mix") for x in mix)
     return _build(WorkloadSpec, data, path)
 
 
@@ -183,11 +196,9 @@ def _parse_switch_params(value: Any, path: str, base: SwitchPowerParams) -> Swit
         ports = data["port_power_by_rate"]
         if not isinstance(ports, Mapping):
             raise ConfigError(f"{path}.port_power_by_rate: expected an object")
-        try:
-            data["port_power_by_rate"] = {float(k): float(v) for k, v in ports.items()}
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}.port_power_by_rate: keys and values "
-                              "must be numbers") from None
+        where = f"{path}.port_power_by_rate"
+        data["port_power_by_rate"] = {_finite(k, where): _finite(v, where)
+                                      for k, v in ports.items()}
     return _build(SwitchPowerParams, data, path, asdict(base))
 
 

@@ -13,12 +13,13 @@ External traffic terminates at the gateway, which is core switch 0.
 Equal-cost paths come from one breadth-first search per root switch, run
 over the switches and trunk links only: servers are leaves, so the server
 hop at either end of a path is added afterwards.  The search keeps, per
-switch, the number of shortest paths from the root and the predecessors
-(with the link to each); the k-th path is decoded by walking backward from
-the destination.  Paths that avoid dark switches are picked the same way,
-with the counts replaced by live-path counts from a small DP over the
-destination's predecessors, so they keep their order in the full
-enumeration.
+switch, the distance and the number of shortest paths from the root; the
+predecessors (with the link to each) are picked from a switch's trunk
+neighbours the first time a decode visits it.  The k-th path is decoded by
+walking backward from the destination.  Paths that avoid dark switches are
+picked the same way, with the counts replaced by live-path counts from a
+small DP over the destination's predecessors, so they keep their order in
+the full enumeration.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 TWO_TIER = "two_tier"
 THREE_TIER = "three_tier"
@@ -156,16 +155,21 @@ class Topology:
         self._build()
         for nbrs in self.adj:
             nbrs.sort()
-        # per-root BFS caches for shortest-path queries over the switch
-        # layer, and the trunk links' endpoint arrays used to vectorize the
-        # predecessor extraction.  Server links come last, one per server in
-        # id order, so they are found by arithmetic.
-        self._n_switches = self.server_ids.start
+        # per-root BFS caches over the switch layer.  Server links come
+        # last, one per server in id order, so they are found by arithmetic.
+        # A switch's candidate predecessors, (neighbour, link id), list the
+        # links whose b end it is, then its a end, each in link-id order:
+        # this fixes the order of the path enumeration.
+        n = self._n_switches = self.server_ids.start
         self._server_link0 = len(self.links) - spec.server_count
-        self._sp_cache: dict[int, tuple[list[int], ...]] = {}
+        self._sp_cache: dict[int, tuple[list[int], list[int], dict[int, list]]] = {}
         trunks = self.links[:self._server_link0]
-        self._la = np.fromiter((ln.a for ln in trunks), dtype=np.int64, count=len(trunks))
-        self._lb = np.fromiter((ln.b for ln in trunks), dtype=np.int64, count=len(trunks))
+        cands = self._cands = [[] for _ in range(n)]
+        for ln in trunks:
+            cands[ln.b].append((ln.a, ln.id))
+        for ln in trunks:
+            cands[ln.a].append((ln.b, ln.id))
+        self._trunk_adj = [[w for w, _lid in c] for c in cands]
 
     # -- construction -----------------------------------------------------
 
@@ -245,15 +249,13 @@ class Topology:
 
     # -- shortest-path machinery ------------------------------------------
 
-    def _bfs(self, root: int) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+    def _bfs(self, root: int) -> tuple[list[int], list[int], dict[int, list]]:
         """Shortest-path layers from one switch, over the switch layer only.
 
         Servers are leaves, so no shortest path between switches passes
         through one; the server hop at either end is added by the callers.
-        Returns (dist, path_count, pred_offsets, pred_flat, pred_link) over
-        switch ids, where the last three encode, per switch, the neighbors
-        one hop closer to the root and the link to each.  Predecessors are
-        listed in link-id order, links whose b end is the switch first.
+        Returns (dist, path_count, preds) over switch ids, where preds
+        starts empty and is filled by _preds as decodes visit switches.
         Everything is cached per root; plain lists keep the decode loop in
         fast-path Python.
         """
@@ -266,32 +268,33 @@ class Topology:
         dist[root] = 0
         cnt[root] = 1
         q = deque([root])
-        adj = self.adj
+        trunk_adj = self._trunk_adj
         while q:
             v = q.popleft()
-            dv = dist[v]
-            for w, _lid in adj[v]:
-                if w >= n:
-                    continue   # a server: a leaf, never on the way to a switch
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    cnt[w] = cnt[v]
+            dv1 = dist[v] + 1
+            cv = cnt[v]
+            for w in trunk_adj[v]:
+                dw = dist[w]
+                if dw < 0:
+                    dist[w] = dv1
+                    cnt[w] = cv
                     q.append(w)
-                elif dist[w] == dv + 1:
-                    cnt[w] += cnt[v]
-        d = np.array(dist, dtype=np.int64)
-        da, db = d[self._la], d[self._lb]
-        fwd = (da >= 0) & (da + 1 == db)   # pred of link.b is link.a
-        bwd = (db >= 0) & (db + 1 == da)
-        child = np.concatenate((self._lb[fwd], self._la[bwd]))
-        parent = np.concatenate((self._la[fwd], self._lb[bwd]))
-        lids = np.concatenate((np.flatnonzero(fwd), np.flatnonzero(bwd)))
-        order = np.argsort(child, kind="stable")
-        off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(child, minlength=n), out=off[1:])
-        entry = (dist, cnt, off.tolist(), parent[order].tolist(), lids[order].tolist())
+                elif dw == dv1:
+                    cnt[w] += cv
+        entry = (dist, cnt, {})
         self._sp_cache[root] = entry
         return entry
+
+    def _preds(self, entry, v: int) -> list[tuple[int, int]]:
+        """(predecessor, link id) pairs of switch v in the BFS entry of a
+        root: v's candidates one hop closer to the root, kept in order and
+        memoised in the entry.  The root and unreached switches have none."""
+        dist, _cnt, preds = entry
+        out = preds.get(v)
+        if out is None:
+            d = dist[v] - 1
+            out = preds[v] = [(u, lid) for u, lid in self._cands[v] if d >= 0 and dist[u] == d]
+        return out
 
     def _endpoints(self, src: int, dst: int) -> None:
         for node in (src, dst):
@@ -322,7 +325,6 @@ class Topology:
         """Decode the k-th path, walking backward from dst: predecessor
         choices partition the index by count[pred], the number of paths
         (of the kind being enumerated) from the root to that predecessor."""
-        _dist, _cnt, off, pred, plink = entry
         nodes = [dst]
         links = []
         if end != dst:
@@ -330,12 +332,11 @@ class Topology:
             links.append(self._server_link0 + dst - self.server_ids.start)
         node = end
         while node != root:
-            for i in range(off[node], off[node + 1]):
-                w = pred[i]
+            for w, lid in self._preds(entry, node):
                 c = count[w]
                 if k < c:
                     nodes.append(w)
-                    links.append(plink[i])
+                    links.append(lid)
                     node = w
                     break
                 k -= c
@@ -371,7 +372,6 @@ class Topology:
         switch only, a handful of nodes, so no dead path is decoded.
         """
         root, end, entry = self._tree(src, dst)
-        _dist, _cnt, off, pred, _plink = entry
         memo: dict[int, int] = {}
 
         def count(v: int) -> int:
@@ -383,8 +383,8 @@ class Topology:
                     m = 1
                 else:
                     m = 0
-                    for i in range(off[v], off[v + 1]):
-                        m += count(pred[i])
+                    for w, _lid in self._preds(entry, v):
+                        m += count(w)
                 memo[v] = m
             return m
 

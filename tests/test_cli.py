@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from greendc import cli
+from greendc import cli, engine
 from greendc.engine import InternalInvariantViolation
 
 from conftest import small_scenario
@@ -162,6 +162,50 @@ def test_invariant_violations_exit_two(tmp_path, monkeypatch, capsys):
     assert cli.main(["simulate", "--scenario", path,
                      "--out", str(tmp_path / "x")]) == 2
     assert "ledger drift" in capsys.readouterr().err
+
+
+def test_unexpected_exceptions_exit_two_on_one_line(tmp_path, monkeypatch, capsys):
+    path = write_scenario(tmp_path)
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("heap\ncorrupted")
+
+    monkeypatch.setattr(engine, "run", boom)
+    assert cli.main(["simulate", "--scenario", path,
+                     "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "internal error: RuntimeError: heap corrupted\n"
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(engine, "run", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["simulate", "--scenario", path, "--out", str(tmp_path / "y")])
+
+
+# written as JSON text: Python's JSON reader turns 1e400 into inf and
+# accepts the NaN and Infinity tokens
+@pytest.mark.parametrize("text", [
+    '{"horizon_s": 1e400}',
+    '{"policy": {"tick_interval_s": NaN}}',
+    '{"workload": {"mean_compute": -Infinity}}',
+    '{"price_per_kwh": 1%s}' % ("0" * 400),
+    '{"workload": {"class_mix": [NaN, 0, 1]}}',
+    '{"switch_power": {"access": {"port_power_by_rate": {"1e9": Infinity}}}}',
+], ids=["overflowing-horizon", "nan-tick", "minus-infinity", "huge-integer",
+        "nan-class-mix", "infinite-port-power"])
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, text, command):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    argv = [command, "--scenario", str(path)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "finite number" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("doc", [

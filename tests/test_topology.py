@@ -5,6 +5,7 @@ fabrics, which exercises the same BFS/predecessor logic the engine uses at
 full scale.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -127,6 +128,47 @@ def test_equal_cost_paths_match_networkx_on_small_fabric():
                 for p in paths:
                     assert list(p.links) == [topo.link_between(u, v)
                                              for u, v in zip(p.nodes, p.nodes[1:])]
+
+
+def vectorised_preds(topo, root):
+    """Per-switch (predecessor, link id) lists as _bfs used to extract them
+    with numpy for every root; kept verbatim as the reference for the order
+    of the lazily built predecessors, which fixes the path enumeration."""
+    n = topo.server_ids.start
+    trunks = topo.links[:len(topo.links) - topo.spec.server_count]
+    la = np.fromiter((ln.a for ln in trunks), dtype=np.int64, count=len(trunks))
+    lb = np.fromiter((ln.b for ln in trunks), dtype=np.int64, count=len(trunks))
+    d = np.array(topo._bfs(root)[0], dtype=np.int64)
+    da, db = d[la], d[lb]
+    fwd = (da >= 0) & (da + 1 == db)   # pred of link.b is link.a
+    bwd = (db >= 0) & (db + 1 == da)
+    child = np.concatenate((lb[fwd], la[bwd]))
+    parent = np.concatenate((la[fwd], lb[bwd]))
+    lids = np.concatenate((np.flatnonzero(fwd), np.flatnonzero(bwd)))
+    order = np.argsort(child, kind="stable")
+    off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(child, minlength=n), out=off[1:])
+    off, pred, plink = off.tolist(), parent[order].tolist(), lids[order].tolist()
+    return [[(pred[i], plink[i]) for i in range(off[v], off[v + 1])] for v in range(n)]
+
+
+def test_predecessor_order_matches_the_vectorised_extraction():
+    both_ends = 0
+    for kind, spec in POCKET_FABRICS.items():
+        topo = build_topology(spec)
+        n = topo.server_ids.start
+        for root in range(n):
+            want = vectorised_preds(topo, root)
+            entry = topo._bfs(root)
+            for v in range(n):
+                got = topo._preds(entry, v)
+                assert got == want[v], (kind, root, v)
+                assert topo._preds(entry, v) is got      # memoised
+                both_ends += len({topo.links[lid].b == v for _u, lid in got}) == 2
+    # some switch (an aggregation switch seen from its pod partner) has
+    # predecessors over links whose b end it is and over links whose a end
+    # it is, so the order of the two candidate blocks is pinned here too
+    assert both_ends > 0
 
 
 def test_kth_path_enumeration_is_disjoint_and_complete():
