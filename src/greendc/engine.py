@@ -12,11 +12,12 @@ it cannot move.
 
 Each transfer is routed once.  Its path is an equal-cost path picked by a
 hash of the job id; while any switch is dark the pick is made among the
-paths whose switches are all up (Topology.live_path counts and decodes
-them directly, in the same order as the full enumeration).  A job that
-starts the moment it is placed reuses the paths placement chose; only a
-job that waited for a wake, or whose internal peer went away, is routed
-again.
+paths whose switches are all up.  Topology.pick_path reads either pick
+straight off the fabric's pod and index arithmetic (the live one in the
+same order as the full enumeration), with no search or per-root cache.
+A job that starts the moment it is placed reuses the paths placement
+chose; only a job that waited for a wake, or whose internal peer went
+away, is routed again.
 
 Completion events for compute phases and transfers are provisional: a
 rate or frequency drop leaves the scheduled event in place and the pop
@@ -393,13 +394,8 @@ class SimState:
         switches dark, hash over the fully-live paths instead, and fall back
         to the uniform pick when none is live.  Pure: the caller decides
         whether to wake anything (see ensure_path_live)."""
-        topo = self.topology
-        k = splitmix64(salt)
-        if self.dark_switches:
-            path = topo.live_path(src, dst, k, self.switch_live)
-            if path is not None:
-                return path
-        return topo.kth_path(src, dst, k % topo.path_count(src, dst))
+        return self.topology.pick_path(src, dst, splitmix64(salt),
+                                       self.switch_live if self.dark_switches else None)
 
     def path_congested(self, path: Path, threshold: float) -> bool:
         nodes = path.nodes
@@ -601,8 +597,8 @@ def _recompute(state: SimState, seed_dirs) -> None:
     is down (an endpoint switch asleep or mid transition to sleep) are
     stalled at rate zero and excluded from the fill, so they hold no
     bandwidth elsewhere while they wait for the wake; the scan for them is
-    skipped while no link is down.  Every directed link of the component
-    is checked against its capacity afterwards.
+    skipped while no link of the component is down.  Every directed link
+    of the component is checked against its capacity afterwards.
     """
     flows = state.flows
     dir_flows = state.dir_flows
@@ -625,7 +621,11 @@ def _recompute(state: SimState, seed_dirs) -> None:
                         dirs.append(d2)
     now = state.clock
     order = sorted(members)
+    # every flow's links are among dirs, so with none of dirs down no flow
+    # of the component is stalled
     link_up = state.link_up if state.links_down else None
+    if link_up is not None and all(link_up[d >> 1] for d in dirs):
+        link_up = None
     demands = {}
     for fid in order:
         fl = flows[fid]

@@ -10,22 +10,22 @@ access switches, then servers.  Link ids follow build order, which is a
 fixed function of the spec, so two builds of the same spec are identical.
 External traffic terminates at the gateway, which is core switch 0.
 
-Equal-cost paths come from one breadth-first search per root switch, run
-over the switches and trunk links only: servers are leaves, so the server
-hop at either end of a path is added afterwards.  The search keeps, per
-switch, the distance and the number of shortest paths from the root; the
-predecessors (with the link to each) are picked from a switch's trunk
-neighbours the first time a decode visits it.  The k-th path is decoded by
-walking backward from the destination.  Paths that avoid dark switches are
-picked the same way, with the counts replaced by live-path counts from a
-small DP over the destination's predecessors, so they keep their order in
-the full enumeration.
+Equal-cost paths follow from pod and index arithmetic, because each fabric
+is regular: a three-tier rack switch is dual-homed onto its pod's
+aggregation pair and every aggregation switch is wired to every core; a
+two-tier rack switch is wired to every core.  So the minimum-hop paths
+between two endpoints are one choice per tier between them (aggregation
+switch on the destination's side, core, aggregation switch on the source's
+side), the k-th path is k read as a mixed-radix number over those choices,
+and link ids come from the build order.  Paths that avoid dark switches are
+the same product over each tier's live switches, so they keep their order
+in the full enumeration.  Nothing is searched or cached per root.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
 TWO_TIER = "two_tier"
@@ -45,10 +45,6 @@ _MASK64 = (1 << 64) - 1
 
 class InvalidSpec(ValueError):
     """Raised when an architecture spec fails validation."""
-
-
-class Unreachable(RuntimeError):
-    """Raised when no path exists between two endpoints."""
 
 
 def splitmix64(x: int) -> int:
@@ -152,24 +148,34 @@ class Topology:
         self.links: list[Link] = []
         self.adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_nodes)]
         self._link_by_pair: dict[tuple[int, int], int] = {}
+        # aggregation pair of each rack switch, one shared tuple per pod
+        # (three-tier; filled by _build)
+        self._pair_of_rack: list[tuple[int, int]] = []
         self._build()
         for nbrs in self.adj:
             nbrs.sort()
-        # per-root BFS caches over the switch layer.  Server links come
-        # last, one per server in id order, so they are found by arithmetic.
-        # A switch's candidate predecessors, (neighbour, link id), list the
-        # links whose b end it is, then its a end, each in link-id order:
-        # this fixes the order of the path enumeration.
-        n = self._n_switches = self.server_ids.start
-        self._server_link0 = len(self.links) - spec.server_count
-        self._sp_cache: dict[int, tuple[list[int], list[int], dict[int, list]]] = {}
-        trunks = self.links[:self._server_link0]
-        cands = self._cands = [[] for _ in range(n)]
-        for ln in trunks:
-            cands[ln.b].append((ln.a, ln.id))
-        for ln in trunks:
-            cands[ln.a].append((ln.b, ln.id))
-        self._trunk_adj = [[w for w, _lid in c] for c in cands]
+        # Routing tables, closed forms of the build order.  Every hop of a
+        # path joins nodes u < v over link base[v] + off[u]:
+        #   aggregation switch g - core c: (g - agg0) * C + c
+        #   rack switch r - uplink j: first uplink + (r - acc0) * uplinks + j,
+        #     j being the core's id (two-tier) or g's place in its pair
+        #   server s - its rack switch: the server links, last, in id order
+        srv0, n_srv = self.server_ids.start, spec.server_count
+        uplink0, uplinks = (a * c, 2) if a else (c * (c - 1) // 2, c)
+        server_link0 = len(self.links) - n_srv
+        self._link_base = ([0] * c + [i * c for i in range(a)]
+                           + [uplink0 + i * uplinks for i in range(x)]
+                           + list(range(server_link0, server_link0 + n_srv)))
+        self._link_off = [*self.core_ids, *(i & 1 for i in range(a)), *[0] * x]
+        # the switch a path endpoint attaches through: a server's rack
+        # switch, the gateway itself; -1 for nodes that cannot end a path
+        spa = spec.servers_per_access
+        self._anchor = [-1] * srv0 + [self.access_ids.start + i // spa for i in range(n_srv)]
+        self._anchor[self.gateway] = self.gateway
+        # paths are closed forms, so nothing is cached per root; the empty
+        # dict stays because bench/run.py reports its length as
+        # topology.bfs_sources
+        self._sp_cache: dict = {}
 
     # -- construction -----------------------------------------------------
 
@@ -199,13 +205,14 @@ class Topology:
                     self._add_link(agg, ci, s.agg_core_bps)
             pair_count = s.agg_count // 2
             pod_size = s.access_count // pair_count
-            agg0 = self.agg_ids.start
+            pods = [self.aggs_of_pod(p) for p in range(pair_count)]
             for k, acc in enumerate(self.access_ids):
                 # contiguous pods: each block of racks dual-homes onto one
                 # aggregation pair, so consolidation by id stays podwise
-                pair = min(k // pod_size, pair_count - 1)
-                self._add_link(acc, agg0 + 2 * pair, s.access_uplink_bps)
-                self._add_link(acc, agg0 + 2 * pair + 1, s.access_uplink_bps)
+                pair = pods[min(k // pod_size, pair_count - 1)]
+                self._add_link(acc, pair[0], s.access_uplink_bps)
+                self._add_link(acc, pair[1], s.access_uplink_bps)
+                self._pair_of_rack.append(pair)
         acc0 = self.access_ids.start
         for k, srv in enumerate(self.server_ids):
             self._add_link(srv, acc0 + k // s.servers_per_access, s.server_rate_bps)
@@ -216,9 +223,6 @@ class Topology:
     def gateway(self) -> int:
         """Core switch that terminates external traffic."""
         return self.core_ids.start
-
-    def role(self, node: int) -> int:
-        return self.roles[node]
 
     def access_of_server(self, server: int) -> int:
         k = server - self.server_ids.start
@@ -247,120 +251,76 @@ class Topology:
         key = (a, b) if a < b else (b, a)
         return self._link_by_pair[key]
 
-    # -- shortest-path machinery ------------------------------------------
+    # -- equal-cost paths --------------------------------------------------
 
-    def _bfs(self, root: int) -> tuple[list[int], list[int], dict[int, list]]:
-        """Shortest-path layers from one switch, over the switch layer only.
+    def _tiers(self, src: int, dst: int) -> tuple[int, int, tuple]:
+        """Validated endpoints -> (first switch, last switch, tiers).
 
-        Servers are leaves, so no shortest path between switches passes
-        through one; the server hop at either end is added by the callers.
-        Returns (dist, path_count, preds) over switch ids, where preds
-        starts empty and is filled by _preds as decodes visit switches.
-        Everything is cached per root; plain lists keep the decode loop in
-        fast-path Python.
+        Every minimum-hop path runs src, the first switch (src's rack switch,
+        or src itself for the gateway), one switch from each tier, the last
+        switch, dst.  The tiers are listed from dst's side, which is the
+        enumeration order: a path's index is a mixed-radix number whose most
+        significant digit picks in tiers[0] and whose least significant digit
+        picks in tiers[-1], next to src, each in switch-id order.
         """
-        cached = self._sp_cache.get(root)
-        if cached is not None:
-            return cached
-        n = self._n_switches
-        dist = [-1] * n
-        cnt = [0] * n
-        dist[root] = 0
-        cnt[root] = 1
-        q = deque([root])
-        trunk_adj = self._trunk_adj
-        while q:
-            v = q.popleft()
-            dv1 = dist[v] + 1
-            cv = cnt[v]
-            for w in trunk_adj[v]:
-                dw = dist[w]
-                if dw < 0:
-                    dist[w] = dv1
-                    cnt[w] = cv
-                    q.append(w)
-                elif dw == dv1:
-                    cnt[w] += cv
-        entry = (dist, cnt, {})
-        self._sp_cache[root] = entry
-        return entry
-
-    def _preds(self, entry, v: int) -> list[tuple[int, int]]:
-        """(predecessor, link id) pairs of switch v in the BFS entry of a
-        root: v's candidates one hop closer to the root, kept in order and
-        memoised in the entry.  The root and unreached switches have none."""
-        dist, _cnt, preds = entry
-        out = preds.get(v)
-        if out is None:
-            d = dist[v] - 1
-            out = preds[v] = [(u, lid) for u, lid in self._cands[v] if d >= 0 and dist[u] == d]
-        return out
-
-    def _endpoints(self, src: int, dst: int) -> None:
-        for node in (src, dst):
-            if self.roles[node] == ROLE_SERVER or node == self.gateway:
-                continue
-            raise ValueError(f"node {node} is not a server or the gateway")
+        a, b = self._anchor[src], self._anchor[dst]
+        if a < 0 or b < 0:
+            raise ValueError(f"node {src if a < 0 else dst} is not a server or the gateway")
         if src == dst:
             raise ValueError("src and dst must differ")
+        if a == b:
+            return a, b, ()
+        gw = self.gateway
+        if not self._pair_of_rack:
+            # two-tier: racks meet over any core, and the gateway is a core
+            # every rack switch is wired to
+            return a, b, (() if gw in (a, b) else (self.core_ids,))
+        pairs = self._pair_of_rack
+        acc0 = self.access_ids.start
+        if a == gw:
+            return a, b, (pairs[b - acc0],)
+        if b == gw:
+            return a, b, (pairs[a - acc0],)
+        pa, qa = pairs[a - acc0], pairs[b - acc0]
+        if pa is qa:
+            return a, b, (pa,)
+        return a, b, (qa, self.core_ids, pa)
 
-    def _anchor(self, node: int) -> int:
-        """The switch a path endpoint attaches through: its rack switch for
-        a server, the endpoint itself for the gateway."""
-        return self.access_of_server(node) if self.roles[node] == ROLE_SERVER else node
+    def _path(self, src: int, dst: int, a: int, b: int, tiers, k: int) -> Path:
+        """The path whose index is k modulo the product of the tier sizes."""
+        nodes = [a] if a == src else [src, a]
+        for tier in reversed(tiers):
+            k, j = divmod(k, len(tier))
+            nodes.append(tier[j])
+        if b != a:
+            nodes.append(b)
+        if b != dst:
+            nodes.append(dst)
+        base, off = self._link_base, self._link_off
+        return Path(tuple(nodes), tuple([base[v] + off[u] if u < v else base[u] + off[v]
+                                         for u, v in zip(nodes, nodes[1:])]))
 
-    def _tree(self, src: int, dst: int):
-        """Validated endpoints -> (root, dst's switch, BFS entry of root)."""
-        self._endpoints(src, dst)
-        # all shortest paths from a server leave through its access switch,
-        # so the BFS cache only needs switch-layer roots
-        root = self._anchor(src)
-        end = self._anchor(dst)
-        entry = self._bfs(root)
-        if entry[0][end] < 0:
-            raise Unreachable(f"no path from {src} to {dst}")
-        return root, end, entry
-
-    def _walk(self, src: int, dst: int, root: int, end: int, entry, k: int, count) -> Path:
-        """Decode the k-th path, walking backward from dst: predecessor
-        choices partition the index by count[pred], the number of paths
-        (of the kind being enumerated) from the root to that predecessor."""
-        nodes = [dst]
-        links = []
-        if end != dst:
-            nodes.append(end)
-            links.append(self._server_link0 + dst - self.server_ids.start)
-        node = end
-        while node != root:
-            for w, lid in self._preds(entry, node):
-                c = count[w]
-                if k < c:
-                    nodes.append(w)
-                    links.append(lid)
-                    node = w
-                    break
-                k -= c
-            else:
-                raise Unreachable(f"broken predecessor chain at node {node}")
-        if root != src:
-            nodes.append(src)
-            links.append(self._server_link0 + src - self.server_ids.start)
-        nodes.reverse()
-        links.reverse()
-        return Path(tuple(nodes), tuple(links))
+    @staticmethod
+    def _live_tiers(a: int, b: int, tiers, live: Sequence[bool]):
+        """The tiers cut to their live switches, or None when no path is live.
+        Cutting every tier keeps the live paths in their enumeration order."""
+        if live[a] and live[b]:
+            up = [[w for w in tier if live[w]] for tier in tiers]
+            if all(up):
+                return up
+        return None
 
     def path_count(self, src: int, dst: int) -> int:
         """Number of equal-cost (minimum-hop) paths between endpoints."""
-        _root, end, entry = self._tree(src, dst)
-        return entry[1][end]
+        return prod(map(len, self._tiers(src, dst)[2]))
 
     def kth_path(self, src: int, dst: int, k: int) -> Path:
         """The k-th equal-cost path, in a fixed deterministic order."""
-        root, end, entry = self._tree(src, dst)
-        cnt = entry[1]
-        if not 0 <= k < cnt[end]:
-            raise IndexError(f"path index {k} out of range ({cnt[end]} paths)")
-        return self._walk(src, dst, root, end, entry, k, cnt)
+        a, b, tiers = self._tiers(src, dst)
+        n = prod(map(len, tiers))
+        if not 0 <= k < n:
+            raise IndexError(f"path index {k} out of range ({n} paths)")
+        return self._path(src, dst, a, b, tiers, k)
 
     def live_path(self, src: int, dst: int, k: int, live: Sequence[bool]) -> Path | None:
         """The (k mod m)-th of the m equal-cost paths whose switches are all
@@ -368,30 +328,21 @@ class Topology:
 
         Live paths keep their order in the full enumeration, so this equals
         ``[p for p in equal_cost_paths(src, dst) if <p is live>][k % m]``.
-        The live-path counts are a memoised DP over the ancestors of dst's
-        switch only, a handful of nodes, so no dead path is decoded.
         """
-        root, end, entry = self._tree(src, dst)
-        memo: dict[int, int] = {}
+        a, b, tiers = self._tiers(src, dst)
+        up = self._live_tiers(a, b, tiers, live)
+        return None if up is None else self._path(src, dst, a, b, up, k)
 
-        def count(v: int) -> int:
-            m = memo.get(v)
-            if m is None:
-                if not live[v]:
-                    m = 0
-                elif v == root:
-                    m = 1
-                else:
-                    m = 0
-                    for w, _lid in self._preds(entry, v):
-                        m += count(w)
-                memo[v] = m
-            return m
-
-        m = count(end)
-        if m == 0:
-            return None
-        return self._walk(src, dst, root, end, entry, k % m, memo)
+    def pick_path(self, src: int, dst: int, k: int, live: Sequence[bool] | None = None) -> Path:
+        """The path a transfer hashed to k takes: live_path(src, dst, k, live)
+        when live is given and some path is live, else the (k mod n)-th of
+        all n paths.  Checks the endpoints and decodes once."""
+        a, b, tiers = self._tiers(src, dst)
+        if live is not None:
+            up = self._live_tiers(a, b, tiers, live)
+            if up is not None:
+                tiers = up
+        return self._path(src, dst, a, b, tiers, k)
 
     def equal_cost_paths(self, src: int, dst: int) -> list[Path]:
         """Exhaustive set of minimum-hop paths between two endpoints."""
@@ -411,14 +362,3 @@ class Topology:
 
 def build_topology(spec: ArchitectureSpec) -> Topology:
     return Topology(spec)
-
-
-def equal_cost_paths(topology: Topology, src: int, dst: int) -> list[Path]:
-    return topology.equal_cost_paths(src, dst)
-
-
-def select_path(paths: Sequence[Path], flow_key: int) -> Path:
-    """Pick one path deterministically from an equal-cost set."""
-    if not paths:
-        raise ValueError("empty path set")
-    return paths[splitmix64(flow_key) % len(paths)]

@@ -29,6 +29,12 @@ CLASS_ORDER = (CIW, DIW, BALANCED)
 # bytes moved per CPU-second of compute, per unit of comm/compute ratio
 COMM_COMPUTE_RATIO = {CIW: 0.1, DIW: 10.0, BALANCED: 1.0}
 
+# most jobs a workload may expect (job_count, or duration over the mean
+# interarrival time), so that a mistyped rate is a config error rather
+# than a failed allocation: 360 times a preset's 60 s horizon
+# (reference-30 offers about 461 jobs/s, 27,648 jobs), or six hours of it
+MAX_EXPECTED_JOBS = 10_000_000
+
 
 @dataclass(frozen=True)
 class Job:
@@ -69,6 +75,12 @@ class WorkloadSpec:
             raise ValueError("job_count must be >= 1")
         if self.duration is not None and self.duration <= 0:
             raise ValueError("duration must be positive")
+        expected = (self.job_count if self.job_count is not None
+                    else self.duration / self.mean_interarrival)
+        if expected > MAX_EXPECTED_JOBS:
+            raise ValueError(f"the workload expects {expected:.3g} jobs (job_count, or "
+                             f"duration / mean_interarrival), more than the "
+                             f"{MAX_EXPECTED_JOBS:,} a run may hold")
 
 
 def ideal_transfer_seconds(total_bytes: float, nic_rate_bps: float) -> float:

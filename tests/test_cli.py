@@ -228,3 +228,24 @@ def test_documents_that_cannot_run_are_config_errors(tmp_path, capsys, doc, comm
     assert err.startswith("config error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"workload": {"mean_interarrival": 1e-300}},
+    {"workload": {"job_count": 10**9}},
+    # the bound applies to the effective workload, after target_load has
+    # set the arrival rate
+    {"target_load": 1.0, "workload": {"mean_compute": 1e-9}},
+], ids=["tiny-interarrival", "huge-job-count", "rate-from-target-load"])
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_workloads_expecting_too_many_jobs_are_config_errors(tmp_path, capsys, doc, command):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--scenario", str(path)]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "run")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "jobs" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "run").exists()

@@ -1,11 +1,16 @@
 """Fabric construction and equal-cost path enumeration.
 
-Path sets are checked against networkx's shortest-path machinery on small
-fabrics, which exercises the same BFS/predecessor logic the engine uses at
-full scale.
+Topology reads paths off pod and index arithmetic.  Path sets are checked
+against networkx's shortest paths on small fabrics, and the enumeration
+order and link ids against a breadth-first search with a backward
+predecessor decode (the search Topology used to run per root switch, kept
+here as the reference) on every endpoint pair of small fabrics and on a
+sample of pairs on the full-size presets.
 """
 
-import numpy as np
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +19,7 @@ networkx = pytest.importorskip("networkx")
 from greendc.presets import ARCHITECTURES
 from greendc.topology import (
     THREE_TIER, THREE_TIER_HS, TWO_TIER, ArchitectureSpec, InvalidSpec, Path,
-    build_topology, select_path, splitmix64,
+    build_topology, splitmix64,
 )
 
 
@@ -41,7 +46,7 @@ def test_layer_major_id_ranges():
     assert list(topo.access_ids) == [6, 7, 8, 9, 10, 11]
     assert list(topo.server_ids) == list(range(12, 24))
     assert topo.gateway == 0
-    roles = [topo.role(n) for n in (0, 3, 8, 20)]
+    roles = [topo.roles[n] for n in (0, 3, 8, 20)]
     assert roles == [0, 1, 2, 3]
 
 
@@ -98,7 +103,7 @@ def test_invalid_specs_rejected():
                          access_count=2).validate()
 
 
-# -- shortest paths against networkx ---------------------------------------
+# -- equal-cost paths against networkx and the BFS reference --------------
 
 # one pocket fabric of each kind; the three-tier ones have two pods
 POCKET_FABRICS = {
@@ -130,45 +135,122 @@ def test_equal_cost_paths_match_networkx_on_small_fabric():
                                              for u, v in zip(p.nodes, p.nodes[1:])]
 
 
-def vectorised_preds(topo, root):
-    """Per-switch (predecessor, link id) lists as _bfs used to extract them
-    with numpy for every root; kept verbatim as the reference for the order
-    of the lazily built predecessors, which fixes the path enumeration."""
-    n = topo.server_ids.start
-    trunks = topo.links[:len(topo.links) - topo.spec.server_count]
-    la = np.fromiter((ln.a for ln in trunks), dtype=np.int64, count=len(trunks))
-    lb = np.fromiter((ln.b for ln in trunks), dtype=np.int64, count=len(trunks))
-    d = np.array(topo._bfs(root)[0], dtype=np.int64)
-    da, db = d[la], d[lb]
-    fwd = (da >= 0) & (da + 1 == db)   # pred of link.b is link.a
-    bwd = (db >= 0) & (db + 1 == da)
-    child = np.concatenate((lb[fwd], la[bwd]))
-    parent = np.concatenate((la[fwd], lb[bwd]))
-    lids = np.concatenate((np.flatnonzero(fwd), np.flatnonzero(bwd)))
-    order = np.argsort(child, kind="stable")
-    off = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(child, minlength=n), out=off[1:])
-    off, pred, plink = off.tolist(), parent[order].tolist(), lids[order].tolist()
-    return [[(pred[i], plink[i]) for i in range(off[v], off[v + 1])] for v in range(n)]
+class BfsReference:
+    """Equal-cost paths by a breadth-first search from the source's switch
+    and a backward decode, as Topology enumerated them before its closed
+    forms.  A switch's candidate predecessors are the trunk links whose b
+    end it is, then those whose a end it is, each in link-id order; the
+    k-th path picks, walking back from the destination's switch, the first
+    predecessor w one hop closer with k < paths(root, w), after taking the
+    paths through the earlier ones off k."""
 
-
-def test_predecessor_order_matches_the_vectorised_extraction():
-    both_ends = 0
-    for kind, spec in POCKET_FABRICS.items():
-        topo = build_topology(spec)
+    def __init__(self, topo):
+        self.topo = topo
         n = topo.server_ids.start
-        for root in range(n):
-            want = vectorised_preds(topo, root)
-            entry = topo._bfs(root)
-            for v in range(n):
-                got = topo._preds(entry, v)
-                assert got == want[v], (kind, root, v)
-                assert topo._preds(entry, v) is got      # memoised
-                both_ends += len({topo.links[lid].b == v for _u, lid in got}) == 2
-    # some switch (an aggregation switch seen from its pod partner) has
-    # predecessors over links whose b end it is and over links whose a end
-    # it is, so the order of the two candidate blocks is pinned here too
-    assert both_ends > 0
+        self.trunks = len(topo.links) - topo.spec.server_count
+        self.cands = [[] for _ in range(n)]
+        for ln in topo.links[:self.trunks]:
+            self.cands[ln.b].append((ln.a, ln.id))
+        for ln in topo.links[:self.trunks]:
+            self.cands[ln.a].append((ln.b, ln.id))
+
+    def paths(self, src, dst):
+        topo, cands = self.topo, self.cands
+        anchor = {s: topo.access_of_server(s) if s in topo.server_ids else s
+                  for s in (src, dst)}
+        root, end = anchor[src], anchor[dst]
+        dist = [-1] * len(cands)
+        cnt = [0] * len(cands)
+        dist[root], cnt[root] = 0, 1
+        q = deque([root])
+        while q:
+            v = q.popleft()
+            for w, _lid in cands[v]:
+                if dist[w] < 0:
+                    dist[w], cnt[w] = dist[v] + 1, cnt[v]
+                    q.append(w)
+                elif dist[w] == dist[v] + 1:
+                    cnt[w] += cnt[v]
+        out = []
+        for k in range(cnt[end]):
+            nodes, links, v = [end], [], end
+            while v != root:
+                for w, lid in cands[v]:
+                    if dist[w] == dist[v] - 1:
+                        if k < cnt[w]:
+                            nodes.append(w)
+                            links.append(lid)
+                            v = w
+                            break
+                        k -= cnt[w]
+            if end != dst:
+                nodes.insert(0, dst)
+                links.insert(0, self.trunks + dst - topo.server_ids.start)
+            if root != src:
+                nodes.append(src)
+                links.append(self.trunks + src - topo.server_ids.start)
+            out.append(Path(tuple(reversed(nodes)), tuple(reversed(links))))
+        return out
+
+
+# the pocket fabrics plus a three-tier one whose two pods are uneven (3 and
+# 4 racks), the shape the last pod takes when racks do not split evenly
+ORACLE_TOPOLOGIES = dict(POCKET_TOPOLOGIES,
+                         three_tier_uneven=build_topology(small_three_tier(access_count=7)))
+REFERENCES = {kind: BfsReference(topo) for kind, topo in ORACLE_TOPOLOGIES.items()}
+
+
+def test_paths_equal_the_bfs_reference_on_every_pair():
+    for kind, topo in ORACLE_TOPOLOGIES.items():
+        ref = REFERENCES[kind]
+        ends = [*topo.server_ids, topo.gateway]
+        for src in ends:
+            for dst in ends:
+                if src == dst:
+                    continue
+                want = ref.paths(src, dst)
+                n = topo.path_count(src, dst)
+                assert n == len(want), (kind, src, dst)
+                assert [topo.kth_path(src, dst, k) for k in range(n)] == want, (kind, src, dst)
+                with pytest.raises(IndexError):
+                    topo.kth_path(src, dst, n)
+                with pytest.raises(IndexError):
+                    topo.kth_path(src, dst, -1)
+
+
+def test_preset_paths_equal_the_bfs_reference_on_sampled_pairs():
+    rng = random.Random(6)
+    for name, spec in ARCHITECTURES.items():
+        topo = build_topology(spec)
+        ref = BfsReference(topo)
+        servers = topo.server_ids
+        pairs = [(servers[0], topo.gateway), (topo.gateway, servers[-1])]
+        pairs += [tuple(rng.sample(servers, 2)) for _ in range(40)]
+        # same rack and same pod too, which random pairs seldom hit
+        pairs += [(servers[0], servers[1]), (servers[0], servers[3 * 4])]
+        for src, dst in pairs:
+            want = ref.paths(src, dst)
+            assert topo.equal_cost_paths(src, dst) == want, (name, src, dst)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(ORACLE_TOPOLOGIES)), data=st.data(),
+       k=st.integers(min_value=0, max_value=2**64 - 1))
+def test_live_and_picked_paths_match_the_filtered_bfs_reference(kind, data, k):
+    topo = ORACLE_TOPOLOGIES[kind]
+    n_switches = topo.server_ids.start
+    live = data.draw(st.lists(st.booleans(), min_size=n_switches, max_size=n_switches),
+                     label="live")
+    ends = [*topo.server_ids, topo.gateway]
+    src = data.draw(st.sampled_from(ends), label="src")
+    dst = data.draw(st.sampled_from([e for e in ends if e != src]), label="dst")
+    every = REFERENCES[kind].paths(src, dst)
+    want = [p for p in every if all(live[n] for n in p.nodes if n < n_switches)]
+    assert topo.live_path(src, dst, k, live) == (want[k % len(want)] if want else None)
+    # the engine's pick falls back to the whole enumeration when none is live
+    pool = want or every
+    assert topo.pick_path(src, dst, k, live) == pool[k % len(pool)]
+    assert topo.pick_path(src, dst, k) == every[k % len(every)]
 
 
 def test_kth_path_enumeration_is_disjoint_and_complete():
@@ -245,7 +327,7 @@ def test_paths_restricted_to_server_or_gateway_endpoints():
         topo.path_count(topo.server_ids.start, topo.server_ids.start)
 
 
-# -- hashing and selection ---------------------------------------------------
+# -- hashing and export ---------------------------------------------------
 
 def test_splitmix64_reference_values():
     # first output of the reference splitmix64 stream seeded with zero
@@ -254,15 +336,6 @@ def test_splitmix64_reference_values():
     assert splitmix64(1) == 0x910A2DEC89025CC1
     assert splitmix64(2) == 0x975835DE1C9756CE
     assert splitmix64(0xDEADBEEF) == 0x4ADFB90F68C9EB9B
-
-
-def test_select_path_is_deterministic_and_covers():
-    paths = [Path((i,), ()) for i in range(7)]
-    assert select_path(paths, 42) is select_path(paths, 42)
-    seen = {select_path(paths, k).nodes[0] for k in range(200)}
-    assert seen == set(range(7))
-    with pytest.raises(ValueError):
-        select_path([], 1)
 
 
 def test_to_dot_lists_every_node_and_link():
