@@ -7,12 +7,7 @@ and DVFS / sleep-state power management schemes.
 
 from .config import ConfigError, ScenarioConfig, from_dict, scenario_preset, to_dict
 from .engine import InternalInvariantViolation, run
-from .powermodel import (
-    ServerPowerParams,
-    SwitchPowerParams,
-    server_power,
-    switch_power,
-)
+from .powermodel import ServerPowerParams, SwitchPowerParams
 from .report import (
     EnergyLedger,
     SimReport,
@@ -54,9 +49,7 @@ __all__ = [
     "run_replications",
     "run_scenario",
     "scenario_preset",
-    "server_power",
     "summarize_replications",
-    "switch_power",
     "to_dict",
     "__version__",
 ]

@@ -52,7 +52,6 @@ from .workload import Job, generate
 
 # component classes for the energy ledger
 CLS_SERVER, CLS_CORE, CLS_AGG, CLS_ACCESS = range(4)
-CLASS_NAMES = ("servers", "core", "aggregation", "access")
 _ROLE_TO_CLS = {ROLE_CORE: CLS_CORE, ROLE_AGG: CLS_AGG, ROLE_ACCESS: CLS_ACCESS}
 _ROLE_KEY = {ROLE_CORE: "core", ROLE_AGG: "aggregation", ROLE_ACCESS: "access"}
 
@@ -187,8 +186,8 @@ class SimState:
         for nid in range(topo.server_ids.start):
             role = topo.roles[nid]
             params = cfg.switch_power[_ROLE_KEY[role]]
-            base = params.p_chassis_w + params.n_linecards * params.p_linecard_w
-            self.switches[nid] = _Switch(nid, _ROLE_TO_CLS[role], base, params.p_sleep_w)
+            self.switches[nid] = _Switch(nid, _ROLE_TO_CLS[role], params.base_w,
+                                         params.p_sleep_w)
 
         # per-link rate tiers, directional capacities and per-end port power
         nlinks = len(topo.links)
@@ -268,25 +267,19 @@ class SimState:
         self.trace = hashlib.sha256()
 
         for s in topo.server_ids:
-            self._set_server_power(self.servers[s], self._idle_w())
+            self._set_server_w(self.servers[s], self.sparams.idle_w)
         for nid in range(topo.server_ids.start):
             sw = self.switches[nid]
             sw.port_w = self._ports_w(nid)
-            self._set_switch_power(sw, sw.base_w + sw.port_w)
+            self._set_switch_w(sw, sw.base_w + sw.port_w)
 
     # -- power bookkeeping ---------------------------------------------------
 
-    def _idle_w(self) -> float:
-        return self.sparams.p_fixed_w + self.sparams.p_idle_cpu_w
-
-    def _busy_w(self, f: float) -> float:
-        return self.sparams.p_fixed_w + self.sparams.p_f_w * f * f * f
-
-    def _set_server_power(self, srv: _Server, watts: float) -> None:
+    def _set_server_w(self, srv: _Server, watts: float) -> None:
         self.class_power[CLS_SERVER] += watts - srv.power_w
         srv.power_w = watts
 
-    def _set_switch_power(self, sw: _Switch, watts: float) -> None:
+    def _set_switch_w(self, sw: _Switch, watts: float) -> None:
         self.class_power[sw.cls] += watts - sw.power_w
         sw.power_w = watts
 
@@ -313,7 +306,7 @@ class SimState:
             sw = self.switches[end]
             if not sw.asleep:
                 sw.port_w += sign * watts[idx]
-                self._set_switch_power(sw, sw.power_w + sign * watts[idx])
+                self._set_switch_w(sw, sw.power_w + sign * watts[idx])
 
     def _asleep(self, nid: int) -> bool:
         if self.topology.roles[nid] == ROLE_SERVER:
@@ -332,7 +325,7 @@ class SimState:
                 sw = self.switches[end]
                 delta = watts[new_idx] - watts[old_idx]
                 sw.port_w += delta
-                self._set_switch_power(sw, sw.power_w + delta)
+                self._set_switch_w(sw, sw.power_w + delta)
 
     # -- candidate list --------------------------------------------------------
 
@@ -364,9 +357,6 @@ class SimState:
             if sw.transition_until is not None and not sw.asleep:
                 continue  # rack switch is mid sleep-transition
             yield sid
-
-    def rack_sleepers(self, access: int) -> int:
-        return self.switches[access].rack_sleepers
 
     def internal_dst(self, job_id: int, src: int) -> int | None:
         """Peer for an internal transfer: a rack sibling when one is awake
@@ -506,7 +496,7 @@ def _refresh_setpoint(state: SimState, srv: _Server, now: float) -> None:
     rising = f > srv.f
     srv.f = f
     if srv.serving is not None:
-        state._set_server_power(srv, state._busy_w(f))
+        state._set_server_w(srv, state.sparams.busy_w(f))
         jr = state.jobs[srv.serving]
         end = now + jr.rem / f
         if rising and end < srv.end_t - _EPS:
@@ -523,14 +513,14 @@ def _serve_next(state: SimState, srv: _Server, now: float) -> None:
         srv.serving = jid
         srv.stamp = now
         state.n_serving += 1
-        state._set_server_power(srv, state._busy_w(srv.f))
+        state._set_server_w(srv, state.sparams.busy_w(srv.f))
         srv.epoch += 1
         srv.end_t = now + state.jobs[jid].rem / srv.f
         state.push(srv.end_t, EV_COMPUTE_END, srv.id, srv.epoch)
     else:
         srv.serving = None
         srv.end_t = float("inf")
-        state._set_server_power(srv, state._idle_w())
+        state._set_server_w(srv, state.sparams.idle_w)
         if srv.quiet():
             srv.idle_since = now
 
@@ -552,23 +542,6 @@ def _enqueue_compute(state: SimState, srv: _Server, jr: _JobRun, now: float) -> 
         _refresh_setpoint(state, srv, now)
     else:
         _refresh_setpoint(state, srv, now)
-
-
-def advance_compute(state: SimState, dt: float) -> None:
-    """Advance every serving job by f*dt CPU-seconds and move the clock.
-
-    The event loop performs the same bookkeeping lazily per server; this is
-    the standalone equivalent for driving a state by hand.
-    """
-    if dt < 0:
-        raise ValueError("dt must be non-negative")
-    now = state.clock + dt
-    for sid in state.awake_ids:
-        srv = state.servers[sid]
-        if srv.serving is not None:
-            _advance_serving(state, srv, now)
-    integrate_energy(state, dt)
-    state.clock = now
 
 
 # ---------------------------------------------------------------------------
@@ -910,7 +883,7 @@ def _handle_transition(state: SimState, comp: int, nid: int) -> None:
             state.waking_ids.discard(nid)
             insort(state.awake_ids, nid)
             state.n_awake += 1
-            state._set_server_power(srv, state._idle_w())
+            state._set_server_w(srv, state.sparams.idle_w)
             srv.f = 1.0
             srv.idle_since = now
             state._cand_insert(srv)
@@ -923,7 +896,7 @@ def _handle_transition(state: SimState, comp: int, nid: int) -> None:
                 _start_flows(state, jr)
         else:
             srv.asleep = True
-            state._set_server_power(srv, state.sparams.p_sleep_w)
+            state._set_server_w(srv, state.sparams.p_sleep_w)
             insort(state.sleeping, nid)
             state.switches[topo.access_of_server(nid)].rack_sleepers += 1
             for _nbr, lid in topo.adj[nid]:
@@ -934,7 +907,7 @@ def _handle_transition(state: SimState, comp: int, nid: int) -> None:
         if sw.asleep:
             sw.asleep = False
             sw.port_w = 0.0
-            state._set_switch_power(sw, sw.base_w)
+            state._set_switch_w(sw, sw.base_w)
             state.dark_switches -= 1
             state.switch_live[nid] = True
             for _nbr, lid in topo.adj[nid]:
@@ -946,7 +919,7 @@ def _handle_transition(state: SimState, comp: int, nid: int) -> None:
                 _recompute(state, dirs)
         else:
             sw.asleep = True
-            state._set_switch_power(sw, sw.p_sleep_w)
+            state._set_switch_w(sw, sw.p_sleep_w)
             sw.port_w = 0.0
             pod = state.pod_of_acc.get(nid)
             if pod is not None:

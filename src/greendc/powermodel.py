@@ -1,21 +1,19 @@
-"""Component power models and power-state transitions.
+"""Component power terms and link-rate tiers.
 
 Servers draw a fixed platform power plus a cubic frequency-dependent CPU
 term while busy; an idle-but-awake server draws the platform power plus a
 constant OS/CPU idle term.  Switches draw chassis plus linecard power plus
 a per-port transceiver term that depends on the port's transmission rate;
-only the port term reacts to link rate scaling.  Any sleep/wake mode change
-takes a fixed transition time during which the component is unavailable
-and draws its pre-transition power.
+only the port term reacts to link rate scaling.  The engine reads every
+wattage from these terms.  Sleep and wake are the engine's: a mode change
+takes TRANSITION_SECONDS, during which the component is unavailable and
+draws its pre-transition power.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
-
-MODE_ACTIVE = "active"
-MODE_SLEEP = "sleep"
 
 TRANSITION_SECONDS = 0.1
 
@@ -25,15 +23,7 @@ DVS_TIER_FRACTIONS = (0.01, 0.1, 1.0)
 DVS_HEADROOM = 1.25
 
 
-class InvalidSetpoint(ValueError):
-    pass
-
-
 class UnknownRate(KeyError):
-    pass
-
-
-class TransitionPending(RuntimeError):
     pass
 
 
@@ -51,6 +41,17 @@ class ServerPowerParams:
         if self.f_max <= 0:
             raise ValueError("f_max must be positive")
 
+    @property
+    def idle_w(self) -> float:
+        """Draw of an awake server with nothing to serve."""
+        return self.p_fixed_w + self.p_idle_cpu_w
+
+    def busy_w(self, f: float) -> float:
+        """Draw of a server serving at frequency setpoint ``f``."""
+        # f * f * f, not f ** 3: they differ in the last bit for some f, and
+        # the pinned trace hashes were taken with this form
+        return self.p_fixed_w + self.p_f_w * f * f * f
+
 
 @dataclass(frozen=True)
 class SwitchPowerParams:
@@ -60,58 +61,15 @@ class SwitchPowerParams:
     port_power_by_rate: Mapping[float, float] = field(default_factory=dict)
     p_sleep_w: float = 0.0
 
-    def port_power(self, rate_bps: float) -> float:
-        try:
-            return self.port_power_by_rate[rate_bps]
-        except KeyError:
-            raise UnknownRate(f"no port power configured for rate {rate_bps:g} b/s")
+    @property
+    def base_w(self) -> float:
+        """Chassis plus linecard draw of an awake switch, before its ports."""
+        return self.p_chassis_w + self.n_linecards * self.p_linecard_w
 
 
 # transceiver draw by native port rate; the 100GE figure is extrapolated
 # linearly from 10GE
 DEFAULT_PORT_POWER_W = {1e9: 0.4, 1e10: 1.0, 1e11: 10.0}
-
-
-@dataclass
-class PowerState:
-    mode: str = MODE_ACTIVE
-    setpoint: float = 1.0
-    transition_until: float | None = None
-
-    def in_transition(self, now: float) -> bool:
-        return self.transition_until is not None and now < self.transition_until
-
-
-def server_power(params: ServerPowerParams, state: PowerState, cpu_busy: float) -> float:
-    """Instantaneous server draw in watts.
-
-    ``cpu_busy`` is the served load fraction; it must not exceed the
-    frequency setpoint.  A transitioning server draws its pre-transition
-    power, which the caller accounts for by passing the old state.
-    """
-    if state.mode == MODE_SLEEP:
-        return params.p_sleep_w
-    f = state.setpoint
-    if not 0.0 < f <= params.f_max:
-        raise InvalidSetpoint(f"setpoint {f} outside (0, {params.f_max}]")
-    if cpu_busy < 0 or cpu_busy > f + 1e-12:
-        raise InvalidSetpoint(f"cpu_busy {cpu_busy} exceeds setpoint {f}")
-    if cpu_busy == 0.0:
-        return params.p_fixed_w + params.p_idle_cpu_w
-    return params.p_fixed_w + params.p_f_w * f ** 3
-
-
-def switch_power(params: SwitchPowerParams, active_ports_by_rate: Mapping[float, int],
-                 state: PowerState) -> float:
-    """Instantaneous switch draw in watts given active port counts per rate."""
-    if state.mode == MODE_SLEEP:
-        return params.p_sleep_w
-    total = params.p_chassis_w + params.n_linecards * params.p_linecard_w
-    for rate, count in active_ports_by_rate.items():
-        if count < 0:
-            raise ValueError("port count must be non-negative")
-        total += count * params.port_power(rate)
-    return total
 
 
 def dvs_rate_tiers(native_rate_bps: float) -> tuple[float, ...]:
@@ -151,19 +109,3 @@ def port_power_at_tier(native_rate_bps: float, tier_bps: float,
         raise UnknownRate(f"no port power configured for rate {native_rate_bps:g} b/s")
     return base * (tier_bps / native_rate_bps)
 
-
-def request_transition(state: PowerState, target_mode: str, now: float,
-                       duration: float = TRANSITION_SECONDS) -> PowerState:
-    """Begin a sleep/wake transition; the new mode takes effect after it ends.
-
-    Raises TransitionPending if a transition is already in progress.
-    Requesting the current mode is a no-op.
-    """
-    if target_mode not in (MODE_ACTIVE, MODE_SLEEP):
-        raise ValueError(f"unknown mode {target_mode!r}")
-    if state.in_transition(now):
-        raise TransitionPending(
-            f"transition already pending until t={state.transition_until}")
-    if target_mode == state.mode:
-        return replace(state, transition_until=None)
-    return replace(state, mode=target_mode, transition_until=now + duration)

@@ -18,8 +18,6 @@ per-port transceiver power anchored at 0.4 W (1 GE) and 1 W (10 GE).
 from .powermodel import DEFAULT_PORT_POWER_W, ServerPowerParams, SwitchPowerParams
 from .topology import THREE_TIER, THREE_TIER_HS, TWO_TIER, ArchitectureSpec
 
-PRESET_VERSION = "1.0"
-
 ARCHITECTURES = {
     "two_tier": ArchitectureSpec(
         kind=TWO_TIER, core_count=16, agg_count=0, access_count=512),

@@ -207,11 +207,6 @@ def run_scenario(cfg: ScenarioConfig, topology=None, collect_jobs: bool = False)
     return engine.run(cfg, topology=topology, collect_jobs=collect_jobs)
 
 
-def _replication_cell(cfg: ScenarioConfig) -> SimReport:
-    from . import engine
-    return engine.run(cfg)
-
-
 def run_replications(cfg: ScenarioConfig, count: int | None = None,
                      topology=None, workers: int | None = None) -> list[SimReport]:
     """Run the scenario ``count`` times with consecutive seeds.
@@ -226,7 +221,7 @@ def run_replications(cfg: ScenarioConfig, count: int | None = None,
     cfgs = [replace(cfg, seed=cfg.seed + i) for i in range(n)]
     if workers is not None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_replication_cell, cfgs))
+            return list(pool.map(engine.run, cfgs))
     if topology is None:
         topology = build_topology(cfg.architecture)
     return [engine.run(c, topology=topology) for c in cfgs]

@@ -172,7 +172,7 @@ def dns_tick(state: "SimState", policy: SchedulerPolicy, now: float) -> list[tup
         sw = state.switches[acc]
         if sw.asleep or sw.transition_until is not None:
             continue
-        if (state.rack_sleepers(acc) == topo.spec.servers_per_access
+        if (sw.rack_sleepers == topo.spec.servers_per_access
                 and sw.flow_count == 0):
             requests.append(("access", acc))
     for nid in state.sleepable_spine(cutoff):

@@ -109,10 +109,6 @@ class ArchitectureSpec:
     def server_count(self) -> int:
         return self.access_count * self.servers_per_access
 
-    @property
-    def switch_count(self) -> int:
-        return self.core_count + self.agg_count + self.access_count
-
 
 @dataclass(frozen=True)
 class Link:

@@ -83,11 +83,6 @@ class WorkloadSpec:
                              f"{MAX_EXPECTED_JOBS:,} a run may hold")
 
 
-def ideal_transfer_seconds(total_bytes: float, nic_rate_bps: float) -> float:
-    """Transfer time of a job's traffic over an uncontended NIC."""
-    return total_bytes * 8.0 / nic_rate_bps
-
-
 def _materialize(spec: WorkloadSpec, arrivals: np.ndarray, classes: np.ndarray,
                  compute: np.ndarray) -> list[Job]:
     ratios = np.array([COMM_COMPUTE_RATIO[c] for c in CLASS_ORDER])

@@ -26,7 +26,7 @@ import pytest
 
 from greendc import engine, fairshare, report, workload
 from greendc.config import scenario_preset
-from greendc.powermodel import PowerState, ServerPowerParams, server_power
+from greendc.powermodel import ServerPowerParams
 from greendc.report import run_replications, summarize
 from greendc.scheduler import SCHEMES
 from greendc.topology import build_topology
@@ -73,17 +73,15 @@ def repeat_run(reference_cfg):
 
 def test_server_power_endpoints():
     p = ServerPowerParams()
-    full = PowerState(setpoint=1.0)
-    peak = server_power(p, full, cpu_busy=1.0)
-    idle = server_power(p, full, cpu_busy=0.0)
+    peak = p.busy_w(1.0)
+    idle = p.idle_w
     check("server peak power", peak == 301.0, f"{peak} W (want exactly 301)")
     check("server idle power", idle == 198.0, f"{idle} W (want exactly 198)")
 
 
 def test_server_idle_to_peak_ratio():
     p = ServerPowerParams()
-    full = PowerState(setpoint=1.0)
-    ratio = server_power(p, full, cpu_busy=0.0) / server_power(p, full, cpu_busy=1.0)
+    ratio = p.idle_w / p.busy_w(1.0)
     check("idle/peak ratio", abs(ratio - 0.658) <= 1e-3,
           f"{ratio:.6f} (want 0.658 +/- 0.001)")
 

@@ -1,9 +1,11 @@
-"""Command line behavior: flags, output files, exit codes."""
+"""Command line and package surface: flags, output files, exit codes and the
+public names."""
 
 import json
 
 import pytest
 
+import greendc
 from greendc import cli, engine
 from greendc.engine import InternalInvariantViolation
 
@@ -249,3 +251,8 @@ def test_workloads_expecting_too_many_jobs_are_config_errors(tmp_path, capsys, d
     assert err.startswith("config error: ") and "jobs" in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+def test_public_names_resolve():
+    missing = [name for name in greendc.__all__ if not hasattr(greendc, name)]
+    assert missing == []

@@ -240,12 +240,6 @@ def test_internal_peer_prefers_rack_sibling(small_cfg):
     assert peers <= set(state.topology.server_ids)
 
 
-def test_advance_compute_rejects_negative_dt(small_cfg):
-    state = SimState(small_cfg)
-    with pytest.raises(ValueError):
-        engine.advance_compute(state, -0.1)
-
-
 def test_candidate_bookkeeping_detects_corruption(small_cfg):
     state = SimState(small_cfg)
     srv = state.servers[state.topology.server_ids.start]
@@ -270,3 +264,36 @@ def test_sleep_transition_draws_pre_transition_power(small_cfg):
     state.clock += TRANSITION_SECONDS
     engine._handle_transition(state, 0, sid)
     assert state.class_power[0] == pytest.approx(before)
+
+
+def _transitions_pushed(state):
+    return sum(1 for ev in state.heap if ev[2] == engine.EV_TRANSITION)
+
+
+def test_request_mid_transition_is_a_no_op(small_cfg):
+    state = SimState(small_cfg)
+    sid = state.topology.server_ids.start
+    core = state.spine_ids[0]      # a non-gateway core: always safe to sleep
+    n_awake = state.n_awake
+    engine._apply_sleeps(state, [("server", sid), ("switch", core)])
+    assert _transitions_pushed(state) == 2
+    state.clock = TRANSITION_SECONDS / 2
+    engine._apply_sleeps(state, [("server", sid), ("switch", core)])
+    assert _transitions_pushed(state) == 2
+    assert state.n_awake == n_awake - 1
+    assert state.dark_switches == 1
+
+
+def test_wake_of_a_switch_mid_transition_pushes_nothing(small_cfg):
+    state = SimState(small_cfg)
+    core = state.spine_ids[0]
+    engine._apply_sleeps(state, [("switch", core)])
+    engine._wake_switch(state, core)          # falling asleep
+    assert _transitions_pushed(state) == 1
+    state.clock = TRANSITION_SECONDS
+    engine._handle_transition(state, 1, core)
+    engine._wake_switch(state, core)          # asleep: starts the wake
+    assert _transitions_pushed(state) == 2
+    engine._wake_switch(state, core)          # waking up
+    assert _transitions_pushed(state) == 2
+    assert state.dark_switches == 1

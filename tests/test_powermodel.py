@@ -1,80 +1,59 @@
-"""Power model anchors and transition semantics."""
+"""Power model anchors: the terms the engine draws its wattages from."""
 
 import pytest
 from hypothesis import given, strategies as st
 
+from greendc import config, engine
+from greendc.engine import SimState
 from greendc.powermodel import (
-    DEFAULT_PORT_POWER_W, MODE_ACTIVE, MODE_SLEEP, TRANSITION_SECONDS,
-    InvalidSetpoint, PowerState, ServerPowerParams, SwitchPowerParams,
-    TransitionPending, UnknownRate, dvs_link_rate, dvs_rate_tiers,
-    port_power_at_tier, request_transition, server_power, switch_power,
+    DEFAULT_PORT_POWER_W, TRANSITION_SECONDS, ServerPowerParams, SwitchPowerParams,
+    UnknownRate, dvs_link_rate, dvs_rate_tiers, port_power_at_tier,
 )
+
+from conftest import small_scenario
 
 DEFAULTS = ServerPowerParams()
 
 
 def test_server_power_peak_and_idle_endpoints():
-    active = PowerState(mode=MODE_ACTIVE, setpoint=1.0)
-    assert server_power(DEFAULTS, active, cpu_busy=1.0) == 301.0
-    assert server_power(DEFAULTS, active, cpu_busy=0.0) == 198.0
+    assert DEFAULTS.busy_w(1.0) == 301.0
+    assert DEFAULTS.idle_w == 198.0
 
 
 def test_idle_to_peak_ratio():
-    ratio = 198.0 / 301.0
+    ratio = DEFAULTS.idle_w / DEFAULTS.busy_w(1.0)
     assert abs(ratio - 0.658) <= 1e-3
 
 
 def test_server_power_cubic_in_setpoint():
-    st_half = PowerState(setpoint=0.5)
-    assert server_power(DEFAULTS, st_half, cpu_busy=0.5) == \
-        pytest.approx(171.0 + 130.0 * 0.125)
+    assert DEFAULTS.busy_w(0.5) == pytest.approx(171.0 + 130.0 * 0.125)
     # busy power at a low setpoint undercuts the awake-idle draw
-    slow = PowerState(setpoint=0.5)
-    assert server_power(DEFAULTS, slow, 0.4) < server_power(DEFAULTS, slow, 0.0)
+    assert DEFAULTS.busy_w(0.5) < DEFAULTS.idle_w
 
 
 def test_sleeping_server_draws_sleep_power():
-    asleep = PowerState(mode=MODE_SLEEP)
-    assert server_power(DEFAULTS, asleep, cpu_busy=0.0) == 0.0
-    custom = ServerPowerParams(p_sleep_w=4.5)
-    assert server_power(custom, asleep, cpu_busy=0.0) == 4.5
-
-
-def test_setpoint_bounds_enforced():
-    with pytest.raises(InvalidSetpoint):
-        server_power(DEFAULTS, PowerState(setpoint=0.0), 0.0)
-    with pytest.raises(InvalidSetpoint):
-        server_power(DEFAULTS, PowerState(setpoint=1.2), 0.5)
-    with pytest.raises(InvalidSetpoint):
-        server_power(DEFAULTS, PowerState(setpoint=0.5), 0.7)
+    cfg = config.from_dict(small_scenario(server_power={"p_sleep_w": 4.5}))
+    state = SimState(cfg)
+    sid = state.topology.server_ids.start
+    engine._apply_sleeps(state, [("server", sid)])
+    state.clock = TRANSITION_SECONDS
+    engine._handle_transition(state, 0, sid)
+    assert state.servers[sid].power_w == 4.5
 
 
 @given(st.floats(0.05, 1.0), st.floats(0.05, 1.0))
 def test_busy_power_monotone_in_setpoint(f1, f2):
     lo, hi = sorted((f1, f2))
-    busy = min(lo, hi) / 2
-    p_lo = server_power(DEFAULTS, PowerState(setpoint=lo), busy)
-    p_hi = server_power(DEFAULTS, PowerState(setpoint=hi), busy)
-    assert p_lo <= p_hi + 1e-12
+    assert DEFAULTS.busy_w(lo) <= DEFAULTS.busy_w(hi)
 
 
 def test_switch_power_example_breakdown():
     params = SwitchPowerParams(p_chassis_w=100.0, p_linecard_w=35.0,
                                n_linecards=1,
                                port_power_by_rate={1e9: 0.4})
-    active = PowerState()
-    assert switch_power(params, {1e9: 48}, active) == pytest.approx(154.2)
-    assert switch_power(params, {}, active) == pytest.approx(135.0)
-    assert switch_power(params, {1e9: 48}, PowerState(mode=MODE_SLEEP)) == 0.0
-
-
-def test_switch_power_unknown_rate_and_bad_count():
-    params = SwitchPowerParams(p_chassis_w=10.0,
-                               port_power_by_rate={1e9: 0.4})
-    with pytest.raises(UnknownRate):
-        switch_power(params, {2.5e9: 1}, PowerState())
-    with pytest.raises(ValueError):
-        switch_power(params, {1e9: -1}, PowerState())
+    assert params.base_w == 135.0
+    port = port_power_at_tier(1e9, 1e9, params.port_power_by_rate)
+    assert params.base_w + 48 * port == pytest.approx(154.2)
 
 
 def test_dvs_tiers_and_rate_selection():
@@ -112,32 +91,6 @@ def test_port_power_scales_with_tier():
         pytest.approx(0.1)
     with pytest.raises(UnknownRate):
         port_power_at_tier(2.5e9, 1e9, DEFAULT_PORT_POWER_W)
-
-
-def test_transition_request_and_completion():
-    state = PowerState(mode=MODE_ACTIVE)
-    sleeping = request_transition(state, MODE_SLEEP, now=5.0)
-    assert sleeping.mode == MODE_SLEEP
-    assert sleeping.transition_until == pytest.approx(5.0 + TRANSITION_SECONDS)
-    assert sleeping.in_transition(5.05)
-    assert not sleeping.in_transition(5.0 + TRANSITION_SECONDS)
-
-
-def test_transition_already_pending_rejected():
-    state = request_transition(PowerState(), MODE_SLEEP, now=0.0)
-    with pytest.raises(TransitionPending):
-        request_transition(state, MODE_ACTIVE, now=TRANSITION_SECONDS / 2)
-    # after completion a new request is fine again
-    woken = request_transition(state, MODE_ACTIVE, now=TRANSITION_SECONDS)
-    assert woken.mode == MODE_ACTIVE
-
-
-def test_transition_to_same_mode_is_noop():
-    state = PowerState(mode=MODE_ACTIVE)
-    again = request_transition(state, MODE_ACTIVE, now=1.0)
-    assert again.mode == MODE_ACTIVE and again.transition_until is None
-    with pytest.raises(ValueError):
-        request_transition(state, "hibernate", now=0.0)
 
 
 def test_param_validation():

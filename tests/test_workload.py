@@ -8,7 +8,7 @@ import pytest
 
 from greendc.workload import (
     BALANCED, CIW, COMM_COMPUTE_RATIO, DIW, Job, WorkloadSpec, class_counts,
-    generate, ideal_transfer_seconds, load_for_target, offered_load, load_csv,
+    generate, load_for_target, offered_load, load_csv,
     save_csv,
 )
 
@@ -113,10 +113,6 @@ def test_load_for_target_scales_arrival_rate():
         load_for_target(0.0, 0.3, spec)
     with pytest.raises(ValueError):
         load_for_target(100.0, 1.5, spec)
-
-
-def test_ideal_transfer_seconds():
-    assert ideal_transfer_seconds(125e6, 1e9) == pytest.approx(1.0)
 
 
 def test_spec_validation_errors():
