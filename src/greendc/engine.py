@@ -44,7 +44,7 @@ from bisect import bisect_left, insort
 
 from . import fairshare
 from .config import ScenarioConfig
-from .powermodel import TRANSITION_SECONDS, dvs_link_rate, dvs_rate_tiers, port_power_at_tier
+from .powermodel import TRANSITION_SECONDS, dvs_rate_tiers, dvs_tier_index, port_power_at_tier
 from .scheduler import SchedulerPolicy, dns_tick, dvfs_setpoint, place
 from .topology import (ROLE_ACCESS, ROLE_AGG, ROLE_CORE, ROLE_SERVER, Path,
                        Topology, build_topology, splitmix64)
@@ -200,6 +200,10 @@ class SimState:
         self.dir_sum = [0.0] * (2 * nlinks)
         self.dir_flows: list[set[int]] = [set() for _ in range(2 * nlinks)]
         self.link_flow_count = [0] * nlinks
+        # links whose tier the next rate-scaling pass may move: every link
+        # at first, then those a flow was added to or that came back up,
+        # and those still carrying flows after the last pass
+        self.dvs_pending: set[int] = set(range(nlinks))
         self._port_w: list[list[tuple[int, tuple[float, ...]]]] = []
         for ln in topo.links:
             ends = []
@@ -300,6 +304,8 @@ class SimState:
             return
         self.link_up[lid] = up
         self.links_down += -1 if up else 1
+        if up:
+            self.dvs_pending.add(lid)
         sign = 1.0 if up else -1.0
         idx = self.link_tier_idx[lid]
         for end, watts in self._port_w[lid]:
@@ -458,20 +464,33 @@ def _advance_serving(state: SimState, srv: _Server, now: float) -> None:
 
 
 def _dvfs_load(state: SimState, srv: _Server, now: float) -> float:
-    """Current load signal: sum of remaining-work over time-to-deadline."""
+    """Current load signal: sum of remaining-work over time-to-deadline.
+
+    The pending, serving and queued jobs are summed in that order, in
+    place: the float sum depends on it."""
+    jobs = state.jobs
     total = 0.0
-    ids = list(srv.pending)
+    for jid in srv.pending:
+        jr = jobs[jid]
+        if not jr.compute_done:
+            w = jr.job.deadline - now
+            if w <= 0.0:
+                return 1.0
+            total += jr.rem / w
     if srv.serving is not None:
-        ids.append(srv.serving)
-    ids.extend(jid for _d, jid in srv.queue)
-    for jid in ids:
-        jr = state.jobs[jid]
-        if jr.compute_done:
-            continue
-        w = jr.job.deadline - now
-        if w <= 0.0:
-            return 1.0
-        total += jr.rem / w
+        jr = jobs[srv.serving]
+        if not jr.compute_done:
+            w = jr.job.deadline - now
+            if w <= 0.0:
+                return 1.0
+            total += jr.rem / w
+    for _d, jid in srv.queue:
+        jr = jobs[jid]
+        if not jr.compute_done:
+            w = jr.job.deadline - now
+            if w <= 0.0:
+                return 1.0
+            total += jr.rem / w
     return total
 
 
@@ -563,43 +582,54 @@ def _recompute(state: SimState, seed_dirs) -> None:
     """Max-min re-allocation over the affected component, with rescheduling.
 
     One pass: the component (every flow and directed link reachable from
-    the seeds through shared links) is walked once into a list of
-    directed links, its flows are advanced to now in id order, the
-    allocator fills them against the live capacity table, and new rates
-    are applied and rescheduled in id order.  Flows crossing a link that
-    is down (an endpoint switch asleep or mid transition to sleep) are
-    stalled at rate zero and excluded from the fill, so they hold no
+    the seeds through shared links) is walked once, breadth first.  The
+    walk builds the fill's own records as it goes: per directed link, its
+    live capacity as the residual, its flow count as the unfrozen count
+    and its flow set from dir_flows as the members, and per flow its
+    directed links.  Flows crossing a link that is down (an endpoint
+    switch asleep or mid transition to sleep) are stalled: they get rate
+    zero up front and are taken off their records' counts, so they hold no
     bandwidth elsewhere while they wait for the wake; the scan for them is
-    skipped while no link of the component is down.  Every directed link
-    of the component is checked against its capacity afterwards.
+    skipped while no link of the component is down.  The flows are
+    advanced to now in id order, fairshare.fill runs over the records, and
+    new rates are applied and rescheduled in id order.  Every directed
+    link of the component is checked against its capacity afterwards.
     """
     flows = state.flows
     dir_flows = state.dir_flows
-    dirs: list[int] = []
-    seen: set[int] = set()
+    cap = state.cap
+    records: dict[int, list] = {}   # directed link -> [residual, unfrozen, members]
+    queue: list[set[int]] = []
     for d in seed_dirs:
-        if dir_flows[d] and d not in seen:
-            seen.add(d)
-            dirs.append(d)
-    if not dirs:
+        fids = dir_flows[d]
+        if fids and d not in records:
+            records[d] = [cap[d], len(fids), fids]
+            queue.append(fids)
+    if not queue:
         return
-    members: set[int] = set()
-    for d in dirs:   # dirs grows while it is walked, breadth first
-        for fid in dir_flows[d]:
+    members: dict[int, tuple[int, ...]] = {}   # flow -> its directed links
+    for fids in queue:   # queue grows while it is walked, breadth first
+        for fid in fids:
             if fid not in members:
-                members.add(fid)
-                for d2 in flows[fid].res:
-                    if d2 not in seen:
-                        seen.add(d2)
-                        dirs.append(d2)
+                res = members[fid] = flows[fid].res
+                for d2 in res:
+                    if d2 not in records:
+                        f2 = dir_flows[d2]
+                        records[d2] = [cap[d2], len(f2), f2]
+                        queue.append(f2)
     now = state.clock
     order = sorted(members)
-    # every flow's links are among dirs, so with none of dirs down no flow
-    # of the component is stalled
-    link_up = state.link_up if state.links_down else None
-    if link_up is not None and all(link_up[d >> 1] for d in dirs):
-        link_up = None
-    demands = {}
+    rates: dict[int, float] = {}
+    # every flow's links are among the records, so with none of them down
+    # no flow of the component is stalled
+    link_up = state.link_up
+    if state.links_down and not all(link_up[d >> 1] for d in records):
+        for fid in order:
+            res = members[fid]
+            if not all(link_up[d >> 1] for d in res):
+                rates[fid] = 0.0
+                for d in res:
+                    records[d][1] -= 1
     for fid in order:
         fl = flows[fid]
         # _advance_flow, inlined: this loop runs for every flow of every fill
@@ -611,14 +641,11 @@ def _recompute(state: SimState, seed_dirs) -> None:
             fl.bytes_left -= delta
             fl.done_bytes += delta
         fl.stamp = now
-        if link_up is None or all(link_up[d >> 1] for d in fl.res):
-            demands[fid] = fl.res
-    cap = state.cap
     dir_sum = state.dir_sum
-    rates = fairshare.allocate(demands, cap)
+    rates = fairshare.fill(records, members, rates)
     for fid in order:
         fl = flows[fid]
-        new = rates.get(fid, 0.0)   # stalled flows get no rate
+        new = rates[fid]
         if new != fl.rate:
             diff = new - fl.rate
             for d in fl.res:
@@ -630,7 +657,7 @@ def _recompute(state: SimState, seed_dirs) -> None:
                 fl.end_t = end
                 state.push(end, EV_FLOW_END, fid, 0)
             # slower flows keep their event; it pops early and re-arms
-    for d in dirs:
+    for d in records:
         if dir_sum[d] > cap[d] * (1.0 + 1e-9):
             raise InternalInvariantViolation(
                 f"directed link {d} oversubscribed: {dir_sum[d]} > {cap[d]}")
@@ -669,6 +696,7 @@ def _add_flow(state: SimState, jr: _JobRun, path: Path, nbytes: float) -> None:
         if state.link_tier_idx[lid] != state.native_idx:
             state._set_tier(lid, state.native_idx)
         state.link_flow_count[lid] += 1
+        state.dvs_pending.add(lid)
     for d in res:
         state.dir_flows[d].add(fid)
     _touch_endpoints(state, fl, +1)
@@ -961,22 +989,32 @@ def _apply_sleeps(state: SimState, requests: list[tuple[str, int]]) -> None:
 def _dvs_pass(state: SimState) -> None:
     """Trim link rates toward offered load; raises happen at flow arrival.
 
-    Every powered link is visited: idle ones settle to the bottom tier,
-    which is where most of the transceiver saving comes from."""
+    Only the links in dvs_pending are visited, in link id order: those
+    carrying flows at the last pass, those a flow was added to since and
+    those that came back up since.  Any other link has carried no flow
+    since a pass set it to its target tier, so its offered load, its tier
+    and that target are all unchanged; a scan of every powered link would
+    leave it alone too.  Idle links settle to the bottom tier, which is
+    where most of the transceiver saving comes from.  Afterwards only the
+    links still carrying flows stay pending."""
     touched: list[int] = []
-    for lid in range(len(state.link_tiers)):
-        if not state.link_up[lid]:
+    link_up = state.link_up
+    link_tiers = state.link_tiers
+    tier_idx = state.link_tier_idx
+    dir_sum = state.dir_sum
+    flow_count = state.link_flow_count
+    for lid in sorted(state.dvs_pending):
+        if not link_up[lid]:
             continue
-        tiers = state.link_tiers[lid]
         # subtraction residue can leave a drained direction at ~-1e-13
-        offered = max(state.dir_sum[2 * lid], state.dir_sum[2 * lid + 1], 0.0)
-        new_rate = dvs_link_rate(offered / tiers[-1], tiers)
-        new_idx = tiers.index(new_rate)
-        if new_idx != state.link_tier_idx[lid]:
+        offered = max(dir_sum[2 * lid], dir_sum[2 * lid + 1], 0.0)
+        new_idx = dvs_tier_index(offered, link_tiers[lid])
+        if new_idx != tier_idx[lid]:
             state._set_tier(lid, new_idx)
-            if state.link_flow_count[lid]:
+            if flow_count[lid]:
                 touched.append(2 * lid)
                 touched.append(2 * lid + 1)
+    state.dvs_pending = {lid for lid in state.dvs_pending if flow_count[lid]}
     if touched:
         _recompute(state, touched)
 

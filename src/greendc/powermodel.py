@@ -77,24 +77,26 @@ def dvs_rate_tiers(native_rate_bps: float) -> tuple[float, ...]:
     return tuple(native_rate_bps * fr for fr in DVS_TIER_FRACTIONS)
 
 
-def dvs_link_rate(utilization: float, allowed_rates: Sequence[float],
-                  headroom: float = DVS_HEADROOM) -> float:
-    """Smallest allowed rate whose capacity covers offered load with headroom.
+def dvs_tier_index(offered_bps: float, tiers: Sequence[float]) -> int:
+    """Index of the lowest tier whose rate covers the offered load with
+    headroom; a link whose load needs more than the top tier stays there.
 
-    ``utilization`` is the offered load relative to the maximum allowed
-    rate.  Saturated links stay clamped at the maximum.
+    ``tiers`` are the link's allowed rates in ascending order, as
+    dvs_rate_tiers gives them.
     """
-    if not allowed_rates:
-        raise ValueError("allowed_rates must be non-empty")
-    if utilization < 0:
-        raise ValueError("utilization must be non-negative")
-    rates = sorted(allowed_rates)
-    offered = utilization * rates[-1]
-    need = offered * headroom
-    for r in rates:
+    if not tiers:
+        raise ValueError("tiers must be non-empty")
+    if offered_bps < 0:
+        raise ValueError("offered load must be non-negative")
+    top = tiers[-1]
+    # via the load's share of the top rate, not offered_bps * DVS_HEADROOM:
+    # they differ in the last bit for some loads, and the pinned trace
+    # hashes were taken with this form
+    need = offered_bps / top * top * DVS_HEADROOM
+    for i, r in enumerate(tiers):
         if r >= need:
-            return r
-    return rates[-1]
+            return i
+    return len(tiers) - 1
 
 
 def port_power_at_tier(native_rate_bps: float, tier_bps: float,

@@ -3,9 +3,9 @@ conservation invariants and reproducibility."""
 
 import pytest
 
-from greendc import config, engine, report
+from greendc import config, engine, fairshare, report
 from greendc.engine import EVENT_NAMES, InternalInvariantViolation, SimState
-from greendc.powermodel import TRANSITION_SECONDS
+from greendc.powermodel import TRANSITION_SECONDS, dvs_tier_index
 from greendc.workload import Job
 
 from conftest import small_scenario
@@ -297,3 +297,140 @@ def test_wake_of_a_switch_mid_transition_pushes_nothing(small_cfg):
     engine._wake_switch(state, core)          # waking up
     assert _transitions_pushed(state) == 2
     assert state.dark_switches == 1
+
+
+# -- the flow layer's fill and the rate-scaling tick ----------------------------
+
+def _component(state, seed_dirs):
+    """Flows reachable from the seed directed links through shared links."""
+    todo = [d for d in seed_dirs if state.dir_flows[d]]
+    seen_dirs, comp = set(todo), set()
+    while todo:
+        for fid in state.dir_flows[todo.pop()]:
+            if fid not in comp:
+                comp.add(fid)
+                for d in state.flows[fid].res:
+                    if d not in seen_dirs:
+                        seen_dirs.add(d)
+                        todo.append(d)
+    return comp
+
+
+@pytest.fixture
+def checked_recompute(monkeypatch):
+    """Wrap _recompute: after each call, every flow of the component must
+    hold exactly fairshare.allocate's rate over the component's live flows,
+    and every flow crossing a down link must be at 0.0."""
+    seen = {"calls": 0, "multi": 0, "stalled": 0, "shared": 0}
+    original = engine._recompute
+
+    def checked(state, seed_dirs):
+        original(state, seed_dirs)
+        comp = _component(state, seed_dirs)
+        live = {fid: state.flows[fid].res for fid in comp
+                if all(state.link_up[d >> 1] for d in state.flows[fid].res)}
+        want = fairshare.allocate(live, state.cap)
+        for fid in comp:
+            assert state.flows[fid].rate == want.get(fid, 0.0), fid
+        seen["calls"] += 1
+        seen["multi"] += len(live) > 1
+        seen["stalled"] += len(comp) - len(live)
+        seen["shared"] += len(live) > 1 and len(comp) > len(live)
+
+    monkeypatch.setattr(engine, "_recompute", checked)
+    return seen
+
+
+@pytest.mark.parametrize("mix", [[0.0, 1.0, 0.0], [0.0, 0.5, 0.5]])
+def test_recompute_rates_equal_the_fill_over_each_component(make_cfg, checked_recompute, mix):
+    cfg = make_cfg(horizon_s=6.0, target_load=0.5, policy={"scheme": "dvfs+dns"},
+                   workload={"class_mix": mix, "deadline_slack": 2.5,
+                             "mean_compute": 0.1})
+    engine.run(cfg)
+    assert checked_recompute["calls"] > 100 and checked_recompute["multi"] > 100
+
+
+def test_recompute_stalls_flows_over_a_dark_switch(make_cfg, checked_recompute):
+    """Flows over a sleeping aggregation switch stall at 0.0 while flows
+    sharing their other links fill as if the stalled ones were gone, and all
+    of them move again once the switch is back.  Stalls are rare in whole
+    runs (the scheduler routes around dark switches), so they are built
+    here."""
+    state = SimState(make_cfg(policy={"scheme": "dvfs+dns"}))
+    topo = state.topology
+    dark, _partner = topo.aggs_of_pod(0)
+    engine._apply_sleeps(state, [("switch", dark)])
+    state.clock = TRANSITION_SECONDS
+    engine._handle_transition(state, 1, dark)
+    assert state.links_down
+    jr = engine._JobRun(balanced_job(0, 0.0, 1.0, 100.0))
+    servers = topo.server_ids
+    for i, src in enumerate(servers):
+        # every equal-cost path to the gateway and to the mirror-image server
+        for dst in (topo.gateway, servers[-1 - i]):
+            for k in range(topo.path_count(src, dst)):
+                engine._add_flow(state, jr, topo.kth_path(src, dst, k), 1e9)
+    assert checked_recompute["stalled"] > 0 and checked_recompute["shared"] > 0
+    stalled = [fl for fl in state.flows.values() if dark in fl.nodes]
+    assert stalled and all(fl.rate == 0.0 for fl in stalled)
+    engine._remove_flow(state, next(iter(state.flows.values())))
+    engine._wake_switch(state, dark)
+    state.clock += TRANSITION_SECONDS
+    engine._handle_transition(state, 1, dark)
+    assert not state.links_down
+    assert all(fl.rate > 0.0 for fl in state.flows.values())
+
+
+@pytest.mark.parametrize("scheme", ["dvfs", "dvfs+dns"])
+@pytest.mark.parametrize("mix", [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+def test_rate_scaling_pass_matches_a_scan_of_every_link(make_cfg, monkeypatch, scheme, mix):
+    """The pass visits only the links whose tier can move; afterwards every
+    up link must sit at the tier a scan of every link picks."""
+    original = engine._dvs_pass
+    seen = {"passes": 0, "trimmed": 0}
+
+    def checked(state):
+        want = {}
+        for lid, tiers in enumerate(state.link_tiers):
+            if state.link_up[lid]:
+                offered = max(state.dir_sum[2 * lid], state.dir_sum[2 * lid + 1], 0.0)
+                want[lid] = dvs_tier_index(offered, tiers)
+        before = list(state.link_tier_idx)
+        original(state)
+        assert {lid: state.link_tier_idx[lid] for lid in want} == want
+        seen["passes"] += 1
+        seen["trimmed"] += sum(a != b for a, b in zip(before, state.link_tier_idx))
+
+    monkeypatch.setattr(engine, "_dvs_pass", checked)
+    cfg = make_cfg(horizon_s=8.0, target_load=0.5,
+                   policy={"scheme": scheme},
+                   workload={"class_mix": mix, "deadline_slack": 2.5,
+                             "mean_compute": 0.1})
+    engine.run(cfg)
+    assert seen["passes"] >= 30 and seen["trimmed"] > seen["passes"]
+
+
+def test_link_back_up_is_trimmed_at_the_next_pass(make_cfg):
+    """A link raised to native while down, drained and passed over while
+    down is off the pending set; coming back up must put it back on."""
+    state = SimState(make_cfg(policy={"scheme": "dvfs"}))
+    topo = state.topology
+    engine._dvs_pass(state)                  # every idle link to the bottom tier
+    assert set(state.link_tier_idx) == {0}
+    dark, _partner = topo.aggs_of_pod(0)
+    engine._apply_sleeps(state, [("switch", dark)])
+    state.clock = TRANSITION_SECONDS
+    engine._handle_transition(state, 1, dark)
+    src = topo.server_ids.start
+    path = next(p for k in range(topo.path_count(src, topo.gateway))
+                if dark in (p := topo.kth_path(src, topo.gateway, k)).nodes)
+    engine._add_flow(state, engine._JobRun(balanced_job(0, 0.0, 1.0, 100.0)), path, 1e6)
+    engine._remove_flow(state, next(iter(state.flows.values())))
+    engine._dvs_pass(state)                  # the dark switch's links are down
+    trunk = topo.link_between(path.nodes[2], path.nodes[3])
+    assert not state.link_up[trunk] and state.link_tier_idx[trunk] == state.native_idx
+    engine._wake_switch(state, dark)
+    state.clock += TRANSITION_SECONDS
+    engine._handle_transition(state, 1, dark)
+    engine._dvs_pass(state)
+    assert set(state.link_tier_idx) == {0}

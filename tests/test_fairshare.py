@@ -6,13 +6,17 @@ increment, freezing flows as their resources saturate.  It shares no code
 with the engine's allocator, so agreement is meaningful.  The plain fill
 rescans every resource at each waterline step; the allocator must give
 exactly its floats, because the rates feed event times and the trace.
+The engine hands `fill` its records in the order its component walk met
+them, so `fill` must give those floats over any record order.
 """
+
+import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from greendc.fairshare import allocate
+from greendc.fairshare import allocate, fill
 
 
 def waterfill_oracle(flow_resources, capacity):
@@ -224,3 +228,38 @@ def test_exactness_examples_cover_ties_and_several_levels():
     assert levels({0: [0], 1: [0], 2: [1], 3: [1]}, [2.0, 2.0]) == 1
     assert levels({0: [0, 1], 1: [0], 2: [0], 3: [1, 2], 4: [2]},
                   [10.0, 3.0, 8.0]) == 3
+
+
+@given(_fills(), st.randoms(use_true_random=False))
+@example(({0: [0, 1], 1: [0], 2: [0], 3: [1, 2], 4: [2]}, [10.0, 3.0, 8.0]),
+         random.Random(3))
+def test_fill_over_any_record_order_equals_the_rescanning_fill(case, rnd):
+    flows, capacity = case
+    members: dict[int, set[int]] = {}
+    for fid, res in flows.items():
+        for rid in res:
+            members.setdefault(rid, set()).add(fid)
+    rids = list(members)
+    rnd.shuffle(rids)
+    # the engine's shape: records keyed in walk order, member sets
+    records = {rid: [capacity[rid], len(members[rid]), members[rid]] for rid in rids}
+    used = {rid: capacity[rid] for rid in members}
+    assert fill(records, flows, {}) == rescan_fill(flows, used)
+
+
+def test_fill_skips_flows_fixed_in_advance():
+    # flow 0 is stalled: fixed at 0.0 and off its records' counts, so flows
+    # 1 and 2 split resource 0 as if it were alone
+    flows = {0: [0, 1], 1: [0], 2: [0]}
+    records = {0: [6.0, 2, {0, 1, 2}], 1: [1.0, 0, {0}]}
+    assert fill(records, flows, {0: 0.0}) == {0: 0.0, 1: 3.0, 2: 3.0}
+    # with one flow left unfixed the closed form applies
+    records = {0: [6.0, 1, {0, 1}], 1: [1.0, 0, {0}]}
+    assert fill(records, {0: [0, 1], 1: [0]}, {0: 0.0}) == {0: 0.0, 1: 6.0}
+
+
+def test_fill_rejects_a_count_its_members_do_not_hold():
+    # resource 0 counts three unfrozen flows but holds two: once it
+    # saturates it could never leave the fill
+    with pytest.raises(ValueError):
+        fill({0: [4.0, 3, {7, 8}]}, {7: [0], 8: [0]}, {})

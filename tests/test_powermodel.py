@@ -1,13 +1,16 @@
 """Power model anchors: the terms the engine draws its wattages from."""
 
+import math
+from typing import Sequence
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from greendc import config, engine
 from greendc.engine import SimState
 from greendc.powermodel import (
     DEFAULT_PORT_POWER_W, TRANSITION_SECONDS, ServerPowerParams, SwitchPowerParams,
-    UnknownRate, dvs_link_rate, dvs_rate_tiers, port_power_at_tier,
+    DVS_HEADROOM, UnknownRate, dvs_rate_tiers, dvs_tier_index, port_power_at_tier,
 )
 
 from conftest import small_scenario
@@ -56,31 +59,72 @@ def test_switch_power_example_breakdown():
     assert params.base_w + 48 * port == pytest.approx(154.2)
 
 
+def dvs_link_rate(utilization: float, allowed_rates: Sequence[float],
+                  headroom: float = DVS_HEADROOM) -> float:
+    """The tier rule dvs_tier_index replaced, kept verbatim as the reference."""
+    if not allowed_rates:
+        raise ValueError("allowed_rates must be non-empty")
+    if utilization < 0:
+        raise ValueError("utilization must be non-negative")
+    rates = sorted(allowed_rates)
+    offered = utilization * rates[-1]
+    need = offered * headroom
+    for r in rates:
+        if r >= need:
+            return r
+    return rates[-1]
+
+
 def test_dvs_tiers_and_rate_selection():
     tiers = dvs_rate_tiers(1e9)
     assert tiers == (1e7, 1e8, 1e9)
     # idle link settles to the lowest tier
-    assert dvs_link_rate(0.0, tiers) == 1e7
+    assert dvs_tier_index(0.0, tiers) == 0
     # load plus headroom ranks into the next tier up
-    assert dvs_link_rate(0.05, tiers) == 1e8
-    assert dvs_link_rate(0.5, tiers) == 1e9
+    assert dvs_tier_index(0.05e9, tiers) == 1
+    assert dvs_tier_index(0.5e9, tiers) == 2
     # saturated links stay clamped at native rate
-    assert dvs_link_rate(1.0, tiers) == 1e9
+    assert dvs_tier_index(1e9, tiers) == 2
     with pytest.raises(ValueError):
-        dvs_link_rate(-0.1, tiers)
+        dvs_tier_index(-0.1e9, tiers)
     with pytest.raises(ValueError):
-        dvs_link_rate(0.5, ())
+        dvs_tier_index(0.5e9, ())
 
 
 @given(st.floats(0.0, 1.5), st.floats(0.0, 1.5))
 def test_dvs_rate_covers_offered_load_and_is_monotone(u1, u2):
     tiers = dvs_rate_tiers(1e9)
-    r1, r2 = dvs_link_rate(u1, tiers), dvs_link_rate(u2, tiers)
+    r1 = tiers[dvs_tier_index(u1 * 1e9, tiers)]
+    r2 = tiers[dvs_tier_index(u2 * 1e9, tiers)]
     if u1 <= u2:
         assert r1 <= r2
     if u1 <= 1.0 / 1.25:
         # below the headroom knee the chosen tier covers load with margin
         assert r1 >= u1 * 1e9
+
+
+_native = st.sampled_from(sorted(DEFAULT_PORT_POWER_W))
+# loads exactly at a tier's headroom knee (tier / 1.25), a step either side
+# of it, and anywhere from idle to past native
+_knee = st.tuples(st.integers(0, 2), st.sampled_from([-1, 0, 1]))
+
+
+@given(_native, st.one_of(st.floats(0.0, 1.6), _knee))
+@example(1e9, (0, 0))
+@example(1e10, (1, 0))
+@example(1e11, (2, 0))
+def test_tier_index_equals_the_old_tier_rule(native, load):
+    tiers = dvs_rate_tiers(native)
+    if isinstance(load, tuple):
+        i, nudge = load
+        offered = tiers[i] / DVS_HEADROOM
+        for _ in range(abs(nudge)):
+            offered = math.nextafter(offered, math.inf if nudge > 0 else 0.0)
+    else:
+        offered = load * native
+    # the engine passed the load as a share of the top tier, then indexed
+    want = tiers.index(dvs_link_rate(offered / tiers[-1], tiers))
+    assert dvs_tier_index(offered, tiers) == want
 
 
 def test_port_power_scales_with_tier():
