@@ -46,14 +46,13 @@ from . import fairshare
 from .config import ScenarioConfig
 from .powermodel import TRANSITION_SECONDS, dvs_rate_tiers, dvs_tier_index, port_power_at_tier
 from .scheduler import SchedulerPolicy, dns_tick, dvfs_setpoint, place
-from .topology import (ROLE_ACCESS, ROLE_AGG, ROLE_CORE, ROLE_SERVER, Path,
-                       Topology, build_topology, splitmix64)
+from .topology import (ROLE_ACCESS, ROLE_AGG, ROLE_CORE, ROLE_NAMES, ROLE_SERVER,
+                       Path, Topology, build_topology, splitmix64)
 from .workload import Job, generate
 
 # component classes for the energy ledger
 CLS_SERVER, CLS_CORE, CLS_AGG, CLS_ACCESS = range(4)
 _ROLE_TO_CLS = {ROLE_CORE: CLS_CORE, ROLE_AGG: CLS_AGG, ROLE_ACCESS: CLS_ACCESS}
-_ROLE_KEY = {ROLE_CORE: "core", ROLE_AGG: "aggregation", ROLE_ACCESS: "access"}
 
 # event kinds, in trace order.  Kind numbers are hashed into the trace, so
 # EV_RECOMPUTE keeps its slot although nothing pushes it any more: a flow
@@ -72,7 +71,7 @@ class InternalInvariantViolation(RuntimeError):
 
 
 class _Server:
-    __slots__ = ("id", "asleep", "transition_until", "waking", "f", "committed",
+    __slots__ = ("id", "asleep", "transition_until", "f", "committed",
                  "key", "queue", "serving", "stamp", "idle_since", "flow_count",
                  "pending", "power_w", "epoch", "end_t", "reserved")
 
@@ -80,7 +79,6 @@ class _Server:
         self.id = sid
         self.asleep = False
         self.transition_until: float | None = None
-        self.waking = False
         self.f = 1.0
         self.committed = 0.0
         self.reserved = 0
@@ -101,17 +99,14 @@ class _Server:
 
 
 class _Switch:
-    __slots__ = ("id", "cls", "asleep", "transition_until", "base_w", "port_w",
-                 "power_w", "flow_count", "rack_sleepers", "p_sleep_w",
-                 "idle_since")
+    __slots__ = ("cls", "asleep", "transition_until", "base_w", "power_w",
+                 "flow_count", "rack_sleepers", "p_sleep_w", "idle_since")
 
-    def __init__(self, nid: int, cls: int, base_w: float, p_sleep_w: float):
-        self.id = nid
+    def __init__(self, cls: int, base_w: float, p_sleep_w: float):
         self.cls = cls
         self.asleep = False
         self.transition_until: float | None = None
         self.base_w = base_w
-        self.port_w = 0.0
         self.power_w = 0.0
         self.flow_count = 0
         self.rack_sleepers = 0
@@ -121,7 +116,7 @@ class _Switch:
 
 class _Flow:
     __slots__ = ("id", "jid", "res", "nodes", "bytes_left", "done_bytes",
-                 "orig_bytes", "rate", "stamp", "end_t")
+                 "rate", "stamp", "end_t")
 
     def __init__(self, fid: int, jid: int, res: tuple[int, ...],
                  nodes: tuple[int, ...], nbytes: float):
@@ -131,7 +126,6 @@ class _Flow:
         self.nodes = nodes
         self.bytes_left = nbytes
         self.done_bytes = 0.0
-        self.orig_bytes = nbytes
         self.rate = 0.0
         self.stamp = 0.0
         self.end_t = float("inf")
@@ -164,17 +158,17 @@ class SimState:
     def __init__(self, cfg: ScenarioConfig, topology: Topology | None = None):
         cfg.policy.validate()
         cfg.server_power.validate()
-        self.cfg = cfg
         self.topology = topology if topology is not None else build_topology(cfg.architecture)
         self.policy: SchedulerPolicy = cfg.policy
         self.sparams = cfg.server_power
         self.clock = 0.0
         self.seq = 0
         self.heap: list[tuple] = []
-        self.horizon = cfg.horizon_s
         topo = self.topology
 
-        self.servers = [_Server(s) for s in range(topo.n_nodes)]  # indexed by node id
+        # indexed by node id, None at switch ids
+        self.servers: list[_Server | None] = [None] * topo.server_ids.start
+        self.servers += [_Server(s) for s in topo.server_ids]
         self.awake_ids: list[int] = list(topo.server_ids)
         self.sleeping: list[int] = []
         self.waking_ids: set[int] = set()
@@ -185,9 +179,8 @@ class SimState:
         self.switches: list[_Switch | None] = [None] * topo.n_nodes
         for nid in range(topo.server_ids.start):
             role = topo.roles[nid]
-            params = cfg.switch_power[_ROLE_KEY[role]]
-            self.switches[nid] = _Switch(nid, _ROLE_TO_CLS[role], params.base_w,
-                                         params.p_sleep_w)
+            params = cfg.switch_power[ROLE_NAMES[role]]
+            self.switches[nid] = _Switch(_ROLE_TO_CLS[role], params.base_w, params.p_sleep_w)
 
         # per-link rate tiers, directional capacities and per-end port power
         nlinks = len(topo.links)
@@ -199,7 +192,6 @@ class SimState:
         self.cap = [0.0] * (2 * nlinks)
         self.dir_sum = [0.0] * (2 * nlinks)
         self.dir_flows: list[set[int]] = [set() for _ in range(2 * nlinks)]
-        self.link_flow_count = [0] * nlinks
         # links whose tier the next rate-scaling pass may move: every link
         # at first, then those a flow was added to or that came back up,
         # and those still carrying flows after the last pass
@@ -209,7 +201,7 @@ class SimState:
             ends = []
             for nid in (ln.a, ln.b):
                 if topo.roles[nid] != ROLE_SERVER:
-                    params = cfg.switch_power[_ROLE_KEY[topo.roles[nid]]]
+                    params = cfg.switch_power[ROLE_NAMES[topo.roles[nid]]]
                     watts = tuple(port_power_at_tier(ln.rate_bps, t, params.port_power_by_rate)
                                   for t in self.link_tiers[ln.id])
                     ends.append((nid, watts))
@@ -253,7 +245,6 @@ class SimState:
         self.awake_integral_steady = 0.0
         self.serving_integral = 0.0
         self.warmup = 0.25 * cfg.horizon_s
-        self.n_awake = len(self.awake_ids)
         self.n_serving = 0
 
         self.offered_jobs = 0
@@ -274,8 +265,7 @@ class SimState:
             self._set_server_w(self.servers[s], self.sparams.idle_w)
         for nid in range(topo.server_ids.start):
             sw = self.switches[nid]
-            sw.port_w = self._ports_w(nid)
-            self._set_switch_w(sw, sw.base_w + sw.port_w)
+            self._set_switch_w(sw, sw.base_w + self._ports_w(nid))
 
     # -- power bookkeeping ---------------------------------------------------
 
@@ -311,7 +301,6 @@ class SimState:
         for end, watts in self._port_w[lid]:
             sw = self.switches[end]
             if not sw.asleep:
-                sw.port_w += sign * watts[idx]
                 self._set_switch_w(sw, sw.power_w + sign * watts[idx])
 
     def _asleep(self, nid: int) -> bool:
@@ -330,7 +319,6 @@ class SimState:
             for end, watts in self._port_w[lid]:
                 sw = self.switches[end]
                 delta = watts[new_idx] - watts[old_idx]
-                sw.port_w += delta
                 self._set_switch_w(sw, sw.power_w + delta)
 
     # -- candidate list --------------------------------------------------------
@@ -695,7 +683,6 @@ def _add_flow(state: SimState, jr: _JobRun, path: Path, nbytes: float) -> None:
         # the management tick trims it again once the burst has passed
         if state.link_tier_idx[lid] != state.native_idx:
             state._set_tier(lid, state.native_idx)
-        state.link_flow_count[lid] += 1
         state.dvs_pending.add(lid)
     for d in res:
         state.dir_flows[d].add(fid)
@@ -709,8 +696,6 @@ def _remove_flow(state: SimState, fl: _Flow) -> None:
     for d in fl.res:
         state.dir_flows[d].discard(fl.id)
         state.dir_sum[d] -= fl.rate
-    for lid in {d >> 1 for d in fl.res}:
-        state.link_flow_count[lid] -= 1
     fl.rate = 0.0
     del state.flows[fl.id]
     _touch_endpoints(state, fl, -1)
@@ -803,7 +788,6 @@ def _begin_wake(state: SimState, sid: int) -> None:
     del state.sleeping[i]
     sw.rack_sleepers -= 1
     srv.transition_until = now + TRANSITION_SECONDS
-    srv.waking = True
     state.waking_ids.add(sid)
     state.push(srv.transition_until, EV_TRANSITION, 0, sid)
 
@@ -905,12 +889,10 @@ def _handle_transition(state: SimState, comp: int, nid: int) -> None:
     if comp == 0:
         srv = state.servers[nid]
         srv.transition_until = None
-        if srv.waking:
-            srv.waking = False
+        if srv.asleep:   # a wake: a sleep starts only while awake
             srv.asleep = False
             state.waking_ids.discard(nid)
             insort(state.awake_ids, nid)
-            state.n_awake += 1
             state._set_server_w(srv, state.sparams.idle_w)
             srv.f = 1.0
             srv.idle_since = now
@@ -934,7 +916,6 @@ def _handle_transition(state: SimState, comp: int, nid: int) -> None:
         sw.transition_until = None
         if sw.asleep:
             sw.asleep = False
-            sw.port_w = 0.0
             state._set_switch_w(sw, sw.base_w)
             state.dark_switches -= 1
             state.switch_live[nid] = True
@@ -948,7 +929,6 @@ def _handle_transition(state: SimState, comp: int, nid: int) -> None:
         else:
             sw.asleep = True
             state._set_switch_w(sw, sw.p_sleep_w)
-            sw.port_w = 0.0
             pod = state.pod_of_acc.get(nid)
             if pod is not None:
                 state.pod_active_racks[pod] -= 1
@@ -960,25 +940,24 @@ def _handle_transition(state: SimState, comp: int, nid: int) -> None:
                 _wake_switch(state, nid)
 
 
-def _apply_sleeps(state: SimState, requests: list[tuple[str, int]]) -> None:
+def _apply_sleeps(state: SimState, requests: list[int]) -> None:
     now = state.clock
-    for kind, nid in requests:
-        if kind == "server":
+    roles = state.topology.roles
+    for nid in requests:
+        if roles[nid] == ROLE_SERVER:
             srv = state.servers[nid]
             if srv.transition_until is not None or srv.asleep or not srv.quiet():
                 continue
             srv.transition_until = now + TRANSITION_SECONDS
-            srv.waking = False
             i = bisect_left(state.awake_ids, nid)
             del state.awake_ids[i]
-            state.n_awake -= 1
             state._cand_remove(srv)
             state.push(srv.transition_until, EV_TRANSITION, 0, nid)
         else:
             sw = state.switches[nid]
             if sw.transition_until is not None or sw.asleep or sw.flow_count:
                 continue
-            if kind == "switch" and not state.spine_sleep_ok(nid):
+            if not state.spine_sleep_ok(nid):   # always True off the aggregation layer
                 continue   # an earlier request this tick took the partner down
             sw.transition_until = now + TRANSITION_SECONDS
             state.dark_switches += 1
@@ -1002,7 +981,7 @@ def _dvs_pass(state: SimState) -> None:
     link_tiers = state.link_tiers
     tier_idx = state.link_tier_idx
     dir_sum = state.dir_sum
-    flow_count = state.link_flow_count
+    dir_flows = state.dir_flows
     for lid in sorted(state.dvs_pending):
         if not link_up[lid]:
             continue
@@ -1011,10 +990,11 @@ def _dvs_pass(state: SimState) -> None:
         new_idx = dvs_tier_index(offered, link_tiers[lid])
         if new_idx != tier_idx[lid]:
             state._set_tier(lid, new_idx)
-            if flow_count[lid]:
+            if dir_flows[2 * lid] or dir_flows[2 * lid + 1]:
                 touched.append(2 * lid)
                 touched.append(2 * lid + 1)
-    state.dvs_pending = {lid for lid in state.dvs_pending if flow_count[lid]}
+    state.dvs_pending = {lid for lid in state.dvs_pending
+                         if dir_flows[2 * lid] or dir_flows[2 * lid + 1]}
     if touched:
         _recompute(state, touched)
 
@@ -1045,10 +1025,11 @@ def integrate_energy(state: SimState, dt: float) -> None:
         comp[k] = (t - ledger[k]) - y
         ledger[k] = t
     t0 = state.clock
-    state.awake_integral += state.n_awake * dt
+    awake = len(state.awake_ids)
+    state.awake_integral += awake * dt
     state.serving_integral += state.n_serving * dt
     if t0 + dt > state.warmup:
-        state.awake_integral_steady += state.n_awake * (t0 + dt - max(t0, state.warmup))
+        state.awake_integral_steady += awake * (t0 + dt - max(t0, state.warmup))
 
 
 def _sample_stats(state: SimState) -> None:
@@ -1058,7 +1039,7 @@ def _sample_stats(state: SimState) -> None:
         "core_w": state.class_power[CLS_CORE],
         "aggregation_w": state.class_power[CLS_AGG],
         "access_w": state.class_power[CLS_ACCESS],
-        "awake_servers": state.n_awake,
+        "awake_servers": len(state.awake_ids),
         "serving_servers": state.n_serving,
         "active_flows": len(state.flows),
     })

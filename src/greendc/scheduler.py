@@ -154,19 +154,18 @@ def place(job: Job, state: "SimState", policy: SchedulerPolicy) -> PlacementDeci
     return PlacementDecision(False, reason="no feasible server")
 
 
-def dns_tick(state: "SimState", policy: SchedulerPolicy, now: float) -> list[tuple[str, int]]:
-    """Components due for a sleep request: servers idle past the timeout,
+def dns_tick(state: "SimState", policy: SchedulerPolicy, now: float) -> list[int]:
+    """Node ids due for a sleep request: servers idle past the timeout,
     access switches whose whole rack is asleep with no traffic, and spine
     switches that have been idle past the timeout and are safe to lose
     (the engine's connectivity rule keeps one aggregation switch per
     active pod and the gateway core up)."""
-    requests: list[tuple[str, int]] = []
+    requests: list[int] = []
     cutoff = now - policy.idle_timeout_s
     for sid in state.awake_ids:
         srv = state.servers[sid]
-        if (srv.serving is None and not srv.queue and not srv.pending
-                and srv.flow_count == 0 and srv.idle_since <= cutoff):
-            requests.append(("server", sid))
+        if srv.quiet() and srv.idle_since <= cutoff:
+            requests.append(sid)
     topo = state.topology
     for acc in topo.access_ids:
         sw = state.switches[acc]
@@ -174,7 +173,6 @@ def dns_tick(state: "SimState", policy: SchedulerPolicy, now: float) -> list[tup
             continue
         if (sw.rack_sleepers == topo.spec.servers_per_access
                 and sw.flow_count == 0):
-            requests.append(("access", acc))
-    for nid in state.sleepable_spine(cutoff):
-        requests.append(("switch", nid))
+            requests.append(acc)
+    requests += state.sleepable_spine(cutoff)
     return requests

@@ -116,7 +116,6 @@ class Link:
     a: int
     b: int
     rate_bps: float
-    delay_s: float
 
 
 @dataclass(frozen=True)
@@ -177,7 +176,7 @@ class Topology:
 
     def _add_link(self, a: int, b: int, rate: float) -> None:
         lid = len(self.links)
-        self.links.append(Link(lid, a, b, rate, self.spec.link_delay_s))
+        self.links.append(Link(lid, a, b, rate))
         self.adj[a].append((b, lid))
         self.adj[b].append((a, lid))
         key = (a, b) if a < b else (b, a)

@@ -15,9 +15,7 @@ sequences.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -154,37 +152,3 @@ def load_for_target(server_capacity_cps: float, target_utilization: float,
         raise ValueError("target_utilization must be in (0, 1]")
     rate = target_utilization * server_capacity_cps / spec.mean_compute
     return replace(spec, mean_interarrival=1.0 / rate)
-
-
-def offered_load(jobs: Iterable[Job], server_capacity_cps: float,
-                 horizon: float) -> float:
-    """Measured offered compute load over a horizon, as a capacity fraction."""
-    demand = sum(j.compute_demand for j in jobs if j.arrival <= horizon)
-    return demand / (server_capacity_cps * horizon)
-
-
-_CSV_FIELDS = ("id", "arrival", "class", "compute", "bytes_int",
-               "bytes_ext", "deadline")
-
-
-def save_csv(jobs: Iterable[Job], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_CSV_FIELDS)
-        for j in jobs:
-            w.writerow([j.id, repr(j.arrival), j.job_class, repr(j.compute_demand),
-                        repr(j.comm_internal_bytes), repr(j.comm_external_bytes),
-                        repr(j.deadline)])
-
-
-def load_csv(path: str) -> list[Job]:
-    jobs = []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if tuple(header) != _CSV_FIELDS:
-            raise ValueError(f"unexpected workload CSV header: {header}")
-        for row in r:
-            jobs.append(Job(int(row[0]), float(row[1]), row[2], float(row[3]),
-                            float(row[4]), float(row[5]), float(row[6])))
-    return jobs

@@ -252,7 +252,7 @@ def test_sleep_transition_draws_pre_transition_power(small_cfg):
     state = SimState(small_cfg)
     sid = state.topology.server_ids.start
     before = state.class_power[0]
-    engine._apply_sleeps(state, [("server", sid)])
+    engine._apply_sleeps(state, [sid])
     assert state.class_power[0] == before          # still idle draw while falling asleep
     state.clock = TRANSITION_SECONDS
     engine._handle_transition(state, 0, sid)
@@ -274,20 +274,20 @@ def test_request_mid_transition_is_a_no_op(small_cfg):
     state = SimState(small_cfg)
     sid = state.topology.server_ids.start
     core = state.spine_ids[0]      # a non-gateway core: always safe to sleep
-    n_awake = state.n_awake
-    engine._apply_sleeps(state, [("server", sid), ("switch", core)])
+    n_awake = len(state.awake_ids)
+    engine._apply_sleeps(state, [sid, core])
     assert _transitions_pushed(state) == 2
     state.clock = TRANSITION_SECONDS / 2
-    engine._apply_sleeps(state, [("server", sid), ("switch", core)])
+    engine._apply_sleeps(state, [sid, core])
     assert _transitions_pushed(state) == 2
-    assert state.n_awake == n_awake - 1
+    assert len(state.awake_ids) == n_awake - 1
     assert state.dark_switches == 1
 
 
 def test_wake_of_a_switch_mid_transition_pushes_nothing(small_cfg):
     state = SimState(small_cfg)
     core = state.spine_ids[0]
-    engine._apply_sleeps(state, [("switch", core)])
+    engine._apply_sleeps(state, [core])
     engine._wake_switch(state, core)          # falling asleep
     assert _transitions_pushed(state) == 1
     state.clock = TRANSITION_SECONDS
@@ -297,6 +297,59 @@ def test_wake_of_a_switch_mid_transition_pushes_nothing(small_cfg):
     engine._wake_switch(state, core)          # waking up
     assert _transitions_pushed(state) == 2
     assert state.dark_switches == 1
+
+
+def _check_derived_state(state, seen):
+    """The facts the engine keeps once and derives where needed: switch
+    draw from its mode and port tiers, class power from its members,
+    server mode sets from the per-server flags, and single-visit paths."""
+    class_sum = [0.0, 0.0, 0.0, 0.0]
+    for nid, sw in enumerate(state.switches[:state.topology.server_ids.start]):
+        if sw.asleep:
+            assert sw.power_w == sw.p_sleep_w, nid
+            seen["asleep_switches"] += 1
+        else:
+            assert sw.power_w == pytest.approx(sw.base_w + state._ports_w(nid), rel=1e-9), nid
+        class_sum[sw.cls] += sw.power_w
+    servers = [state.servers[s] for s in state.topology.server_ids]
+    class_sum[engine.CLS_SERVER] = sum(srv.power_w for srv in servers)
+    assert state.class_power == pytest.approx(class_sum, rel=1e-9)
+    assert state.waking_ids == {srv.id for srv in servers
+                                if srv.asleep and srv.transition_until is not None}
+    assert state.awake_ids == [srv.id for srv in servers
+                               if not srv.asleep and srv.transition_until is None]
+    seen["waking"] += len(state.waking_ids)
+    for fl in state.flows.values():
+        assert len({d >> 1 for d in fl.res}) == len(fl.res), fl.id
+    seen["trimmed"] += sum(i != state.native_idx for i in state.link_tier_idx)
+    seen["checks"] += 1
+
+
+@pytest.mark.parametrize("mix", [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+def test_derived_state_holds_after_every_event(make_cfg, monkeypatch, mix):
+    """Checked before each event's energy step (the state the previous event
+    left) and on the final state handed to the report."""
+    seen = {"checks": 0, "asleep_switches": 0, "waking": 0, "trimmed": 0}
+    integrate = engine.integrate_energy
+
+    def checked_integrate(state, dt):
+        _check_derived_state(state, seen)
+        integrate(state, dt)
+
+    build = report.build_report
+
+    def checked_build(cfg, state, collect_jobs=False):
+        _check_derived_state(state, seen)
+        return build(cfg, state, collect_jobs)
+
+    monkeypatch.setattr(engine, "integrate_energy", checked_integrate)
+    monkeypatch.setattr(report, "build_report", checked_build)
+    cfg = make_cfg(horizon_s=6.0, target_load=0.5, policy={"scheme": "dvfs+dns"},
+                   workload={"class_mix": mix, "deadline_slack": 2.5,
+                             "mean_compute": 0.1})
+    engine.run(cfg)
+    assert seen["checks"] > 1000
+    assert seen["asleep_switches"] and seen["waking"] and seen["trimmed"]
 
 
 # -- the flow layer's fill and the rate-scaling tick ----------------------------
@@ -359,7 +412,7 @@ def test_recompute_stalls_flows_over_a_dark_switch(make_cfg, checked_recompute):
     state = SimState(make_cfg(policy={"scheme": "dvfs+dns"}))
     topo = state.topology
     dark, _partner = topo.aggs_of_pod(0)
-    engine._apply_sleeps(state, [("switch", dark)])
+    engine._apply_sleeps(state, [dark])
     state.clock = TRANSITION_SECONDS
     engine._handle_transition(state, 1, dark)
     assert state.links_down
@@ -418,7 +471,7 @@ def test_link_back_up_is_trimmed_at_the_next_pass(make_cfg):
     engine._dvs_pass(state)                  # every idle link to the bottom tier
     assert set(state.link_tier_idx) == {0}
     dark, _partner = topo.aggs_of_pod(0)
-    engine._apply_sleeps(state, [("switch", dark)])
+    engine._apply_sleeps(state, [dark])
     state.clock = TRANSITION_SECONDS
     engine._handle_transition(state, 1, dark)
     src = topo.server_ids.start

@@ -38,7 +38,7 @@ def test_sleeping_server_draws_sleep_power():
     cfg = config.from_dict(small_scenario(server_power={"p_sleep_w": 4.5}))
     state = SimState(cfg)
     sid = state.topology.server_ids.start
-    engine._apply_sleeps(state, [("server", sid)])
+    engine._apply_sleeps(state, [sid])
     state.clock = TRANSITION_SECONDS
     engine._handle_transition(state, 0, sid)
     assert state.servers[sid].power_w == 4.5

@@ -79,7 +79,7 @@ def test_placement_rejects_when_no_window(state):
 
 def test_placement_wakes_lowest_sleeping_server(state):
     sids = list(state.topology.server_ids)
-    engine._apply_sleeps(state, [("server", s) for s in sids])
+    engine._apply_sleeps(state, sids)
     state.clock = TRANSITION_SECONDS
     for s in sids:
         engine._handle_transition(state, 0, s)
@@ -93,7 +93,7 @@ def test_placement_wakes_lowest_sleeping_server(state):
 
 def test_wake_latency_counts_against_deadline(state):
     sids = list(state.topology.server_ids)
-    engine._apply_sleeps(state, [("server", s) for s in sids])
+    engine._apply_sleeps(state, sids)
     state.clock = TRANSITION_SECONDS
     for s in sids:
         engine._handle_transition(state, 0, s)
@@ -129,12 +129,12 @@ def test_dns_tick_requests_idle_servers_only_after_timeout(state):
     policy = SchedulerPolicy(scheme="dns", idle_timeout_s=0.5)
     assert dns_tick(state, policy, now=0.3) == []
     reqs = dns_tick(state, policy, now=0.6)
-    servers = {nid for kind, nid in reqs if kind == "server"}
+    servers = {nid for nid in reqs if nid in state.topology.server_ids}
     assert servers == set(state.topology.server_ids)
     # a busy server is never offered for sleep
     jr = admit(state, job(0, 0.6, 5.0, 20.0))
     reqs = dns_tick(state, policy, now=1.2)
-    assert ("server", jr.server) not in reqs
+    assert jr.server not in reqs
 
 
 def test_dns_tick_access_switch_needs_whole_rack_asleep(state):
@@ -142,14 +142,14 @@ def test_dns_tick_access_switch_needs_whole_rack_asleep(state):
     topo = state.topology
     acc = topo.access_ids.start
     rack = list(topo.servers_of_access(acc))
-    engine._apply_sleeps(state, [("server", s) for s in rack[:1]])
+    engine._apply_sleeps(state, rack[:1])
     state.clock = TRANSITION_SECONDS
     engine._handle_transition(state, 0, rack[0])
-    assert ("access", acc) not in dns_tick(state, policy, now=1.0)
-    engine._apply_sleeps(state, [("server", rack[1])])
+    assert acc not in dns_tick(state, policy, now=1.0)
+    engine._apply_sleeps(state, [rack[1]])
     state.clock += TRANSITION_SECONDS
     engine._handle_transition(state, 0, rack[1])
-    assert ("access", acc) in dns_tick(state, policy, now=1.0)
+    assert acc in dns_tick(state, policy, now=1.0)
 
 
 def test_spine_sleep_keeps_one_aggregation_switch_per_pod(state):
@@ -160,7 +160,7 @@ def test_spine_sleep_keeps_one_aggregation_switch_per_pod(state):
     # the gateway core is pinned awake; both aggs are offered because the
     # rule is re-checked when sleeps are applied
     assert set(eligible) == {cores[1], *aggs}
-    engine._apply_sleeps(state, [("switch", n) for n in eligible])
+    engine._apply_sleeps(state, eligible)
     transitioning = [n for n in eligible
                      if state.switches[n].transition_until is not None]
     # exactly one aggregation switch of the pair went down
@@ -173,17 +173,16 @@ def test_spine_pair_can_sleep_once_pod_is_dark(state):
     policy = SchedulerPolicy(scheme="dns", idle_timeout_s=0.5)
     topo = state.topology
     # put every server and every access switch to sleep
-    engine._apply_sleeps(state, [("server", s) for s in topo.server_ids])
+    engine._apply_sleeps(state, list(topo.server_ids))
     state.clock = TRANSITION_SECONDS
     for s in topo.server_ids:
         engine._handle_transition(state, 0, s)
-    engine._apply_sleeps(state, [("access", a) for a in topo.access_ids])
+    engine._apply_sleeps(state, list(topo.access_ids))
     state.clock += TRANSITION_SECONDS
     for a in topo.access_ids:
         engine._handle_transition(state, 1, a)
     # with zero active racks the partner rule no longer binds
-    engine._apply_sleeps(state, [("switch", n) for n in
-                                 state.sleepable_spine(cutoff=state.clock)])
+    engine._apply_sleeps(state, state.sleepable_spine(cutoff=state.clock))
     aggs_down = [a for a in topo.agg_ids
                  if state.switches[a].transition_until is not None]
     assert len(aggs_down) == 2
