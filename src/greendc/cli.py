@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import report as reporting
-from .config import ConfigError, from_dict, to_dict
+from .config import ConfigError, from_dict
 from .engine import InternalInvariantViolation
 from .presets import ARCHITECTURES, SCENARIOS
 from .scheduler import SCHEMES
@@ -40,6 +40,13 @@ def _load_json(path: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     return data
+
+
+def _make_outdir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from None
 
 
 def _base_data(args) -> dict:
@@ -89,7 +96,7 @@ def _print_report(rep, out) -> None:
 def cmd_simulate(args) -> int:
     cfg = from_dict(_apply_overrides(_base_data(args), args))
     outdir = args.out or f"run-{cfg.label}-{cfg.policy.scheme}"
-    os.makedirs(outdir, exist_ok=True)
+    _make_outdir(outdir)
     if cfg.replications > 1:
         reports = reporting.run_replications(cfg, workers=args.workers)
         summary = reporting.summarize_replications(reports)
@@ -131,7 +138,7 @@ def cmd_sweep(args) -> int:
         if s not in SCHEMES:
             raise ConfigError(f"unknown scheme {s!r}")
     outdir = args.out or f"sweep-{cfg.label}"
-    os.makedirs(outdir, exist_ok=True)
+    _make_outdir(outdir)
     results = reporting.run_experiment_matrix(cfg, archs, schemes,
                                               workers=args.workers)
     for (arch, scheme), rep in sorted(results.items()):
@@ -156,8 +163,12 @@ def cmd_validate(args) -> int:
     cfg = from_dict(_base_data(args))
     if args.dot:
         from .topology import build_topology
-        with open(args.dot, "w") as fh:
-            fh.write(build_topology(cfg.architecture).to_dot() + "\n")
+        text = build_topology(cfg.architecture).to_dot() + "\n"
+        try:
+            with open(args.dot, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.dot}: {exc}") from None
         print(f"wrote {args.dot}")
     print(f"ok: {cfg.label} ({cfg.architecture.kind}, scheme={cfg.policy.scheme})")
     return EXIT_OK

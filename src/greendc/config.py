@@ -17,7 +17,7 @@ import functools
 import math
 import numbers
 import typing
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Mapping
 
 from . import presets
@@ -55,6 +55,11 @@ class ScenarioConfig:
         missing = [r for r in SWITCH_ROLES if r not in self.switch_power]
         if missing:
             raise ConfigError(f"switch_power: missing roles {missing}")
+        for name in SWITCH_ROLES:
+            try:
+                self.switch_power[name].validate()
+            except ValueError as exc:
+                raise ConfigError(f"switch_power.{name}: {exc}") from None
         for rate, role in sorted(self.architecture.port_rates()):
             name = ROLE_NAMES[role]
             if rate not in self.switch_power[name].port_power_by_rate:

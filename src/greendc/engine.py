@@ -10,6 +10,9 @@ the set of flows or a link capacity changes.  Only the connected component
 of flows sharing links with the change is recomputed; allocations outside
 it cannot move.
 
+Reservations are the engine's: SimState.placement_order lists the servers
+that can take a job, in scan order, and _maybe_release returns them.
+
 Each transfer is routed once.  Its path is an equal-cost path picked by a
 hash of the job id; while any switch is dark the pick is made among the
 paths whose switches are all up.  Topology.pick_path reads either pick
@@ -40,7 +43,8 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
+from collections.abc import Iterator
 
 from . import fairshare
 from .config import ScenarioConfig
@@ -214,7 +218,7 @@ class SimState:
 
         # spine sleep structures: which switches may power down and what has
         # to stay up so every placed job keeps a usable route.  The gateway
-        # core fronts the external uplink and is pinned awake.
+        # core fronts the external uplink and is never asked to sleep.
         self.dark_switches = 0        # switches not fully up (routing filter)
         # per switch id: fully up, neither asleep nor in a transition.  It
         # flips only where dark_switches moves: a sleep request and a wake
@@ -234,8 +238,6 @@ class SimState:
                 p = topo.pod_of_access(acc)
                 self.pod_of_acc[acc] = p
                 self.pod_active_racks[p] += 1
-        self.spine_ids: list[int] = (
-            [c for c in topo.core_ids if c != topo.gateway] + list(topo.agg_ids))
 
         # energy ledger: joules per class, with compensated accumulation
         self.class_power = [0.0, 0.0, 0.0, 0.0]
@@ -341,16 +343,37 @@ class SimState:
 
     # -- queries used by the placement policy ----------------------------------
 
-    def sleeping_ids(self):
-        """Sleeping servers that can be woken right now, lowest id first."""
+    def placement_order(self, demand: float,
+                        deadline: float) -> Iterator[tuple[int, float, float, bool]]:
+        """(server, reserved rate, available at, needs wake) for each server
+        whose committed load plus demand over its time left fits in full
+        speed, in scan order: awake ones most-loaded first, ties to the
+        lowest id; waking ones alike, from the end of their transition; then
+        wakeable sleeping ones by id, from the end of a wake.  Lazy: consume
+        it before the state changes."""
+        now = self.clock
+        window = deadline - now
+        if window > 0:
+            r = demand / window
+            # cands ascends by (committed, -id): walk left from the cut
+            cands = self.cands
+            for i in range(bisect_right(cands, (1.0 - r + _EPS, 1)) - 1, -1, -1):
+                yield -cands[i][1], r, now, False
+            servers = self.servers
+            for sid in sorted(self.waking_ids, key=lambda s: (-servers[s].committed, s)):
+                srv = servers[sid]
+                w = deadline - srv.transition_until
+                if w > 0 and srv.committed + demand / w <= 1.0 + _EPS:
+                    yield sid, demand / w, srv.transition_until, False
+        avail = now + TRANSITION_SECONDS
+        window = deadline - avail
+        if window <= 0 or demand / window > 1.0 + _EPS:
+            return
         for sid in self.sleeping:
-            srv = self.servers[sid]
-            if srv.transition_until is not None:
-                continue
             sw = self.switches[self.topology.access_of_server(sid)]
             if sw.transition_until is not None and not sw.asleep:
                 continue  # rack switch is mid sleep-transition
-            yield sid
+            yield sid, demand / window, avail, True
 
     def internal_dst(self, job_id: int, src: int) -> int | None:
         """Peer for an internal transfer: a rack sibling when one is awake
@@ -405,26 +428,14 @@ class SimState:
     def spine_sleep_ok(self, nid: int) -> bool:
         """Connectivity rule for powering down an aggregation or core
         switch.  An aggregation switch may sleep only if its pod is out of
-        active racks or its pair partner stays fully up; non-gateway cores
-        may always sleep when idle (the pinned gateway core keeps every
-        pod pair connected)."""
+        active racks or its pair partner stays fully up; other switches
+        always may (dns_tick never asks for the gateway core)."""
         pod = self.agg_pod.get(nid)
         if pod is None:
             return True
         if self.pod_active_racks[pod] == 0:
             return True
         return self.switch_live[self.agg_partner[nid]]
-
-    def sleepable_spine(self, cutoff: float) -> list[int]:
-        """Spine switches idle long enough to be put to sleep."""
-        out = []
-        for nid in self.spine_ids:
-            sw = self.switches[nid]
-            if (not sw.asleep and sw.transition_until is None
-                    and sw.flow_count == 0 and sw.idle_since <= cutoff
-                    and self.spine_sleep_ok(nid)):
-                out.append(nid)
-        return out
 
     # -- event plumbing --------------------------------------------------------
 

@@ -61,6 +61,11 @@ class SwitchPowerParams:
     port_power_by_rate: Mapping[float, float] = field(default_factory=dict)
     p_sleep_w: float = 0.0
 
+    def validate(self) -> None:
+        if min(self.p_chassis_w, self.p_linecard_w, self.p_sleep_w, self.n_linecards,
+               *self.port_power_by_rate.values()) < 0:
+            raise ValueError("power terms and n_linecards must be non-negative")
+
     @property
     def base_w(self) -> float:
         """Chassis plus linecard draw of an awake switch, before its ports."""

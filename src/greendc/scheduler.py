@@ -1,29 +1,27 @@
 """Energy-aware job placement and power management policy.
 
-Placement consolidates: awake servers are scanned most-loaded first (ties
-by lowest id) and the first server that can still finish the job by its
-deadline wins.  Load is the sum of admission-time rate reservations
-(compute demand over time-to-deadline), so a server's residual capacity is
-exactly what it can still promise.  Data-intensive jobs additionally skip
-servers whose selected network paths cross a congested link.  If no awake
-server fits, a server in wake-up gets a chance, then the lowest-numbered
-sleeping server is woken; wake latency counts against the deadline.
+Placement consolidates: the engine's placement query lists the servers
+that can still finish the job by its deadline, awake ones most-loaded
+first (ties by lowest id), then servers in wake-up, then sleeping ones
+lowest id first, wake latency counting against the deadline.  Load is the
+sum of admission-time rate reservations (compute demand over
+time-to-deadline), so a server's residual capacity is exactly what it can
+still promise.  The first listed server wins; data-intensive jobs skip
+servers whose selected network paths cross a congested link.
 
-Frequency setpoints track current load with a headroom factor, and the
-sleep policy (dns_tick) puts to sleep servers idle past a timeout, access
-switches whose whole rack sleeps with no traffic, and core and aggregation
-switches idle past the timeout (sleepable_spine).  The engine's
+Frequency setpoints track current load with a headroom factor.  The whole
+sleep policy is dns_tick: it puts to sleep servers idle past a timeout,
+access switches whose whole rack sleeps with no traffic, and aggregation
+and non-gateway core switches idle past the timeout.  The engine's
 connectivity rule keeps one aggregation switch of every pod with active
-racks and the gateway core awake; links of awake switches rate-scale.
+racks awake; links of awake switches rate-scale.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .powermodel import TRANSITION_SECONDS
 from .topology import Path
 from .workload import DIW, Job
 
@@ -35,8 +33,6 @@ SCHEME_DVFS = "dvfs"
 SCHEME_DNS = "dns"
 SCHEME_DVFS_DNS = "dvfs+dns"
 SCHEMES = (SCHEME_NONE, SCHEME_DVFS, SCHEME_DNS, SCHEME_DVFS_DNS)
-
-_FEAS_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,75 +87,31 @@ def dvfs_setpoint(server_load: float, headroom: float, f_min: float = 0.1,
     return min(f_max, max(f_min, server_load * (1.0 + headroom)))
 
 
-def _paths_for(state: "SimState", job: Job, server: int) -> tuple[int | None, Path | None, Path | None]:
-    dst = state.internal_dst(job.id, server) if job.comm_internal_bytes > 0 else None
-    p_int = state.route(server, dst, job.id * 2) if dst is not None else None
-    p_ext = (state.route(server, state.topology.gateway, job.id * 2 + 1)
-             if job.comm_external_bytes > 0 else None)
-    return dst, p_int, p_ext
-
-
-def _decide(state: "SimState", job: Job, server: int, r: float, avail: float,
-            needs_wake: bool, check_congestion: bool, threshold: float) -> PlacementDecision | None:
-    dst, p_int, p_ext = _paths_for(state, job, server)
-    if check_congestion:
-        for p in (p_int, p_ext):
-            if p is not None and state.path_congested(p, threshold):
-                return None
-    return PlacementDecision(True, server, r, avail, needs_wake, dst, p_int, p_ext)
-
-
 def place(job: Job, state: "SimState", policy: SchedulerPolicy) -> PlacementDecision:
-    """Pick a server for the job, or reject it as an SLA violation."""
-    now = state.clock
-    window = job.deadline - now
-    diw = job.job_class == DIW
-    thr = policy.congestion_threshold
-    if window > 0:
-        r = job.compute_demand / window
-        limit = 1.0 - r + _FEAS_EPS
-        # awake servers, most-loaded first; the candidate list is ascending
-        # by (committed, -id) so walking left from the cut point visits
-        # feasible servers in scan order
-        cands = state.cands
-        i = bisect_right(cands, (limit, 1)) - 1
-        while i >= 0:
-            committed, negid = cands[i]
-            dec = _decide(state, job, -negid, r, now, False, diw, thr)
-            if dec is not None:
-                return dec
-            i -= 1
-        # servers already waking up: available when their transition ends
-        waking = sorted(state.waking_ids,
-                        key=lambda s: (-state.servers[s].committed, s))
-        for sid in waking:
-            srv = state.servers[sid]
-            w = job.deadline - srv.transition_until
-            if w <= 0:
-                continue
-            rw = job.compute_demand / w
-            if srv.committed + rw <= 1.0 + _FEAS_EPS:
-                dec = _decide(state, job, sid, rw, srv.transition_until, False, diw, thr)
-                if dec is not None:
-                    return dec
-    # wake the lowest-numbered sleeping server
-    ws = job.deadline - (now + TRANSITION_SECONDS)
-    if ws > 0:
-        rs = job.compute_demand / ws
-        if rs <= 1.0 + _FEAS_EPS:
-            for sid in state.sleeping_ids():
-                dec = _decide(state, job, sid, rs, now + TRANSITION_SECONDS, True, diw, thr)
-                if dec is not None:
-                    return dec
+    """The first server of the engine's placement order, skipping for a
+    data-intensive job those whose paths cross a congested link; or a
+    rejection, an SLA violation."""
+    check = job.job_class == DIW
+    threshold = policy.congestion_threshold
+    for server, rate, available_at, needs_wake in state.placement_order(
+            job.compute_demand, job.deadline):
+        dst = state.internal_dst(job.id, server) if job.comm_internal_bytes > 0 else None
+        p_int = state.route(server, dst, job.id * 2) if dst is not None else None
+        p_ext = (state.route(server, state.topology.gateway, job.id * 2 + 1)
+                 if job.comm_external_bytes > 0 else None)
+        if check and any(p is not None and state.path_congested(p, threshold)
+                         for p in (p_int, p_ext)):
+            continue
+        return PlacementDecision(True, server, rate, available_at, needs_wake,
+                                 dst, p_int, p_ext)
     return PlacementDecision(False, reason="no feasible server")
 
 
 def dns_tick(state: "SimState", policy: SchedulerPolicy, now: float) -> list[int]:
     """Node ids due for a sleep request: servers idle past the timeout,
-    access switches whose whole rack is asleep with no traffic, and spine
-    switches that have been idle past the timeout and are safe to lose
-    (the engine's connectivity rule keeps one aggregation switch per
-    active pod and the gateway core up)."""
+    access switches whose whole rack is asleep with no traffic, then
+    aggregation switches and the cores but the gateway (core 0) idle past
+    the timeout and allowed by the engine's connectivity rule."""
     requests: list[int] = []
     cutoff = now - policy.idle_timeout_s
     for sid in state.awake_ids:
@@ -167,12 +119,15 @@ def dns_tick(state: "SimState", policy: SchedulerPolicy, now: float) -> list[int
         if srv.quiet() and srv.idle_since <= cutoff:
             requests.append(sid)
     topo = state.topology
+    live = state.switch_live
     for acc in topo.access_ids:
         sw = state.switches[acc]
-        if sw.asleep or sw.transition_until is not None:
-            continue
-        if (sw.rack_sleepers == topo.spec.servers_per_access
+        if (live[acc] and sw.rack_sleepers == topo.spec.servers_per_access
                 and sw.flow_count == 0):
             requests.append(acc)
-    requests += state.sleepable_spine(cutoff)
+    for nid in (*topo.core_ids[1:], *topo.agg_ids):
+        sw = state.switches[nid]
+        if (live[nid] and sw.flow_count == 0 and sw.idle_since <= cutoff
+                and state.spine_sleep_ok(nid)):
+            requests.append(nid)
     return requests

@@ -67,6 +67,10 @@ class WorkloadSpec:
             raise ValueError("internal_fraction must be in [0, 1]")
         if self.deadline_slack <= 0:
             raise ValueError("deadline_slack must be positive")
+        if self.nic_rate_bps <= 0:
+            raise ValueError("nic_rate_bps must be positive")
+        if self.bytes_per_cpu_second < 0:
+            raise ValueError("bytes_per_cpu_second must be non-negative")
         if (self.job_count is None) == (self.duration is None):
             raise ValueError("exactly one of job_count or duration must be set")
         if self.job_count is not None and self.job_count < 1:

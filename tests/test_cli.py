@@ -216,8 +216,19 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, text, command):
     {"replications": 1.5},
     {"architecture": {"preset": "three_tier", "access_count": 2}},
     {"architecture": {"preset": "three_tier", "server_rate_bps": 2.5e9}},
+    {"switch_power": {"core": {"p_chassis_w": -1.0}}},
+    {"switch_power": {"aggregation": {"p_linecard_w": -1.0}}},
+    {"switch_power": {"access": {"p_sleep_w": -1.0}}},
+    {"switch_power": {"core": {"n_linecards": -1}}},
+    {"switch_power": {"access": {"port_power_by_rate": {"1e9": -0.4, "1e10": 1.0}}}},
+    # a zero NIC rate made every deadline infinite; negative bytes made
+    # negative transfers and deadlines shorter than the compute
+    {"workload": {"nic_rate_bps": 0}},
+    {"workload": {"bytes_per_cpu_second": -1e6}},
 ], ids=["fractional-seed", "negative-seed", "fractional-replications",
-        "fewer-racks-than-pods", "rate-without-port-power"])
+        "fewer-racks-than-pods", "rate-without-port-power", "negative-chassis-power",
+        "negative-linecard-power", "negative-sleep-power", "negative-linecards",
+        "negative-port-power", "zero-nic-rate", "negative-bytes-per-cpu-second"])
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 def test_documents_that_cannot_run_are_config_errors(tmp_path, capsys, doc, command):
     path = tmp_path / "doc.json"
@@ -251,6 +262,21 @@ def test_workloads_expecting_too_many_jobs_are_config_errors(tmp_path, capsys, d
     assert err.startswith("config error: ") and "jobs" in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--out", "afile/x"],
+    ["sweep", "--out", "afile/y"],
+    ["validate", "--dot", "afile/x.dot"],
+], ids=["simulate-out", "sweep-out", "validate-dot"])
+def test_output_paths_that_cannot_be_created_are_config_errors(tmp_path, capsys, argv):
+    path = write_scenario(tmp_path)
+    (tmp_path / "afile").write_text("a regular file\n")
+    argv = [argv[0], "--scenario", path, argv[1], str(tmp_path / argv[2])]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_public_names_resolve():

@@ -273,7 +273,7 @@ def _transitions_pushed(state):
 def test_request_mid_transition_is_a_no_op(small_cfg):
     state = SimState(small_cfg)
     sid = state.topology.server_ids.start
-    core = state.spine_ids[0]      # a non-gateway core: always safe to sleep
+    core = state.topology.core_ids[1]   # a non-gateway core: always safe to sleep
     n_awake = len(state.awake_ids)
     engine._apply_sleeps(state, [sid, core])
     assert _transitions_pushed(state) == 2
@@ -286,7 +286,7 @@ def test_request_mid_transition_is_a_no_op(small_cfg):
 
 def test_wake_of_a_switch_mid_transition_pushes_nothing(small_cfg):
     state = SimState(small_cfg)
-    core = state.spine_ids[0]
+    core = state.topology.core_ids[1]
     engine._apply_sleeps(state, [core])
     engine._wake_switch(state, core)          # falling asleep
     assert _transitions_pushed(state) == 1
@@ -311,6 +311,7 @@ def _check_derived_state(state, seen):
         else:
             assert sw.power_w == pytest.approx(sw.base_w + state._ports_w(nid), rel=1e-9), nid
         class_sum[sw.cls] += sw.power_w
+        assert state.switch_live[nid] == (not sw.asleep and sw.transition_until is None), nid
     servers = [state.servers[s] for s in state.topology.server_ids]
     class_sum[engine.CLS_SERVER] = sum(srv.power_w for srv in servers)
     assert state.class_power == pytest.approx(class_sum, rel=1e-9)
@@ -350,6 +351,72 @@ def test_derived_state_holds_after_every_event(make_cfg, monkeypatch, mix):
     engine.run(cfg)
     assert seen["checks"] > 1000
     assert seen["asleep_switches"] and seen["waking"] and seen["trimmed"]
+
+
+# -- the placement query -------------------------------------------------------
+
+def _placement_reference(state, demand, deadline):
+    """Every server the documented rule lets take the job, by brute force:
+    awake servers whose committed load leaves room for demand over the time
+    left, most-loaded first, ties to the lowest id; then waking servers,
+    reserving over the time left after their transition, in the same order;
+    then the sleeping servers whose rack switch is not falling asleep,
+    lowest id first, reserving over the time left after a wake."""
+    now, eps = state.clock, engine._EPS
+    ranked = []
+    for sid in state.topology.server_ids:
+        srv = state.servers[sid]
+        rack = state.switches[state.topology.access_of_server(sid)]
+        if not srv.asleep and srv.transition_until is None:
+            window = deadline - now
+            if window > 0 and srv.committed <= 1.0 - demand / window + eps:
+                ranked.append(((0, -srv.committed, sid), (sid, demand / window, now, False)))
+        elif srv.asleep and srv.transition_until is not None:
+            window = deadline - srv.transition_until
+            if (deadline > now and window > 0
+                    and srv.committed + demand / window <= 1.0 + eps):
+                ranked.append(((1, -srv.committed, sid),
+                               (sid, demand / window, srv.transition_until, False)))
+        elif srv.asleep and not (rack.transition_until is not None and not rack.asleep):
+            window = deadline - (now + TRANSITION_SECONDS)
+            if window > 0 and demand / window <= 1.0 + eps:
+                ranked.append(((2, 0.0, sid),
+                               (sid, demand / window, now + TRANSITION_SECONDS, True)))
+    return [entry for _key, entry in sorted(ranked)]
+
+
+def test_placement_order_is_the_documented_sort(make_cfg, monkeypatch):
+    """At every arrival of a dns run, for the arriving job and for a tight, a
+    loose and an already-late demand, the query lists exactly the servers the
+    brute-force rule ranks, in its order."""
+    seen = {"calls": 0, "loaded": 0, "waking": 0, "sleeping": 0, "dimming_rack": 0}
+    place = engine.place
+
+    def checked_place(job, state, policy):
+        now = state.clock
+        for demand, deadline in ((job.compute_demand, job.deadline), (0.05, now + 0.12),
+                                 (0.5, now + 10.0), (0.1, now)):
+            want = _placement_reference(state, demand, deadline)
+            assert list(state.placement_order(demand, deadline)) == want
+        servers = [state.servers[s] for s in state.topology.server_ids]
+        racks = [state.switches[state.topology.access_of_server(s.id)] for s in servers]
+        seen["calls"] += 1
+        seen["loaded"] += len({srv.committed for srv in servers if not srv.asleep}) > 2
+        seen["waking"] += any(srv.asleep and srv.transition_until is not None
+                              for srv in servers)
+        seen["sleeping"] += any(srv.asleep and srv.transition_until is None
+                                for srv in servers)
+        seen["dimming_rack"] += any(srv.asleep and not rack.asleep
+                                    and rack.transition_until is not None
+                                    for srv, rack in zip(servers, racks))
+        return place(job, state, policy)
+
+    monkeypatch.setattr(engine, "place", checked_place)
+    cfg = make_cfg(horizon_s=8.0, target_load=0.3,
+                   policy={"scheme": "dns", "idle_timeout_s": 0.1})
+    engine.run(cfg)
+    assert seen["calls"] > 100
+    assert seen["loaded"] and seen["waking"] and seen["sleeping"] and seen["dimming_rack"]
 
 
 # -- the flow layer's fill and the rate-scaling tick ----------------------------

@@ -6,16 +6,12 @@ import math
 
 import pytest
 
-from greendc import report
 from greendc.report import (
     EnergyLedger, ZeroItEnergy, annualize_cost, compute_pue_dcie,
     run_experiment_matrix, run_replications, run_scenario, summarize,
     summarize_replications, t_quantile_95, write_energy_by_architecture_csv,
     write_report_json, write_savings_by_scheme_csv, write_timeseries_csv,
 )
-
-from conftest import small_scenario
-from greendc import config
 
 
 def test_pue_dcie_pair():

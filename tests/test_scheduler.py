@@ -23,6 +23,13 @@ def admit(state, j, policy=None):
     return state.jobs[j.id]
 
 
+def spine_requests(state, policy, now):
+    """dns_tick's sleep requests for aggregation and core switches."""
+    topo = state.topology
+    return [n for n in dns_tick(state, policy, now)
+            if n in topo.agg_ids or n in topo.core_ids]
+
+
 @pytest.fixture
 def state(small_cfg):
     return SimState(small_cfg)
@@ -156,7 +163,7 @@ def test_spine_sleep_keeps_one_aggregation_switch_per_pod(state):
     policy = SchedulerPolicy(scheme="dns", idle_timeout_s=0.5)
     aggs = list(state.topology.agg_ids)
     cores = list(state.topology.core_ids)
-    eligible = state.sleepable_spine(cutoff=1.0)
+    eligible = spine_requests(state, policy, now=1.5)
     # the gateway core is pinned awake; both aggs are offered because the
     # rule is re-checked when sleeps are applied
     assert set(eligible) == {cores[1], *aggs}
@@ -182,7 +189,7 @@ def test_spine_pair_can_sleep_once_pod_is_dark(state):
     for a in topo.access_ids:
         engine._handle_transition(state, 1, a)
     # with zero active racks the partner rule no longer binds
-    engine._apply_sleeps(state, state.sleepable_spine(cutoff=state.clock))
+    engine._apply_sleeps(state, spine_requests(state, policy, now=state.clock + 0.5))
     aggs_down = [a for a in topo.agg_ids
                  if state.switches[a].transition_until is not None]
     assert len(aggs_down) == 2

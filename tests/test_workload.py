@@ -1,13 +1,12 @@
 """Job stream statistics and determinism."""
 
 import collections
-import math
 
 import numpy as np
 import pytest
 
 from greendc.workload import (
-    BALANCED, CIW, COMM_COMPUTE_RATIO, DIW, Job, WorkloadSpec, class_counts,
+    BALANCED, CIW, COMM_COMPUTE_RATIO, DIW, WorkloadSpec, class_counts,
     generate, load_for_target,
 )
 
