@@ -13,6 +13,7 @@ reported on one line without a traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import json
 import os
@@ -42,11 +43,29 @@ def _load_json(path: str) -> dict:
     return data
 
 
-def _make_outdir(path: str) -> None:
+def _make_outdir(path: str, names: dict) -> dict:
+    """Create the output directory and check the files the run will write
+    there, so that a target path taken by a directory fails before the run
+    rather than after it.  ``names`` maps a key to a file name; the result
+    maps the same key to the file's path."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {path}: {exc}") from None
+    targets = {key: os.path.join(path, name) for key, name in names.items()}
+    for target in targets.values():
+        if os.path.isdir(target):
+            raise ConfigError(f"cannot write {target}: it is a directory")
+    return targets
+
+
+@contextlib.contextmanager
+def _writing(outdir: str):
+    """Report a result file that cannot be written as a config error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write results in {outdir}: {exc}") from None
 
 
 def _base_data(args) -> dict:
@@ -96,26 +115,32 @@ def _print_report(rep, out) -> None:
 def cmd_simulate(args) -> int:
     cfg = from_dict(_apply_overrides(_base_data(args), args))
     outdir = args.out or f"run-{cfg.label}-{cfg.policy.scheme}"
-    _make_outdir(outdir)
-    if cfg.replications > 1:
+    n = cfg.replications
+    names = {"report": "report.json", "series": "timeseries.csv", "hash": "trace_hash.txt"}
+    if n > 1:
+        names.update({i: f"report-{i}.json" for i in range(n)}, summary="summary.json")
+    paths = _make_outdir(outdir, names)
+    if n > 1:
         reports = reporting.run_replications(cfg, workers=args.workers)
         summary = reporting.summarize_replications(reports)
-        for i, rep in enumerate(reports):
-            reporting.write_report_json(rep, os.path.join(outdir, f"report-{i}.json"))
-        with open(os.path.join(outdir, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        with _writing(outdir):
+            for i, rep in enumerate(reports):
+                reporting.write_report_json(rep, paths[i])
+            with open(paths["summary"], "w") as fh:
+                json.dump(summary, fh, indent=2, sort_keys=True)
+                fh.write("\n")
         tot = summary["total_wh"]
-        print(f"{cfg.replications} replications: total energy "
+        print(f"{n} replications: total energy "
               f"{tot['mean']:.1f} Wh +/- {tot['ci95_half_width']:.1f} (95% CI)")
         rep = reports[0]
     else:
         rep = reporting.run_scenario(cfg)
         _print_report(rep, sys.stdout)
-    reporting.write_report_json(rep, os.path.join(outdir, "report.json"))
-    reporting.write_timeseries_csv(rep, os.path.join(outdir, "timeseries.csv"))
-    with open(os.path.join(outdir, "trace_hash.txt"), "w") as fh:
-        fh.write(rep.trace_hash + "\n")
+    with _writing(outdir):
+        reporting.write_report_json(rep, paths["report"])
+        reporting.write_timeseries_csv(rep, paths["series"])
+        with open(paths["hash"], "w") as fh:
+            fh.write(rep.trace_hash + "\n")
     print(f"results in {outdir}/")
     return EXIT_OK
 
@@ -138,23 +163,28 @@ def cmd_sweep(args) -> int:
         if s not in SCHEMES:
             raise ConfigError(f"unknown scheme {s!r}")
     outdir = args.out or f"sweep-{cfg.label}"
-    _make_outdir(outdir)
+    base_arch = archs[0] if len(archs) == 1 else "three_tier"
+    names = {(a, s): f"{a}-{s}.json" for a in archs for s in schemes}
+    if "none" in schemes:
+        names["by_architecture"] = "energy_by_architecture.csv"
+        if base_arch in archs:
+            names["savings"] = "savings_by_scheme.csv"
+    paths = _make_outdir(outdir, names)
     results = reporting.run_experiment_matrix(cfg, archs, schemes,
                                               workers=args.workers)
     for (arch, scheme), rep in sorted(results.items()):
-        reporting.write_report_json(rep, os.path.join(outdir, f"{arch}-{scheme}.json"))
         e = rep.energy
         print(f"{arch:14s} {scheme:9s} total={e.total_wh:10.1f} Wh  "
               f"servers={e.share(e.servers_wh):6.1%}  "
               f"violations={rep.sla['violation_fraction']:.4%}")
-    if "none" in schemes:
-        reporting.write_energy_by_architecture_csv(
-            results, os.path.join(outdir, "energy_by_architecture.csv"))
-        base_arch = archs[0] if len(archs) == 1 else "three_tier"
-        if base_arch in archs:
-            reporting.write_savings_by_scheme_csv(
-                results, os.path.join(outdir, "savings_by_scheme.csv"),
-                architecture=base_arch)
+    with _writing(outdir):
+        for cell, rep in results.items():
+            reporting.write_report_json(rep, paths[cell])
+        if "by_architecture" in paths:
+            reporting.write_energy_by_architecture_csv(results, paths["by_architecture"])
+        if "savings" in paths:
+            reporting.write_savings_by_scheme_csv(results, paths["savings"],
+                                                  architecture=base_arch)
     print(f"results in {outdir}/")
     return EXIT_OK
 

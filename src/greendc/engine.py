@@ -45,6 +45,7 @@ import hashlib
 import heapq
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterator
+from functools import cache
 
 from . import fairshare
 from .config import ScenarioConfig
@@ -86,7 +87,7 @@ class _Server:
         self.f = 1.0
         self.committed = 0.0
         self.reserved = 0
-        self.key: tuple[float, int] | None = None
+        self.key: tuple[float, int] | None = (0.0, -sid)   # in cands while set
         self.queue: list[tuple[float, int]] = []   # EDF heap of waiting jobs
         self.serving: int | None = None
         self.stamp = 0.0
@@ -176,9 +177,7 @@ class SimState:
         self.awake_ids: list[int] = list(topo.server_ids)
         self.sleeping: list[int] = []
         self.waking_ids: set[int] = set()
-        self.cands: list[tuple[float, int]] = sorted((0.0, -s) for s in topo.server_ids)
-        for s in topo.server_ids:
-            self.servers[s].key = (0.0, -s)
+        self.cands: list[tuple[float, int]] = sorted(self.servers[s].key for s in topo.server_ids)
 
         self.switches: list[_Switch | None] = [None] * topo.n_nodes
         for nid in range(topo.server_ids.start):
@@ -186,31 +185,32 @@ class SimState:
             params = cfg.switch_power[ROLE_NAMES[role]]
             self.switches[nid] = _Switch(_ROLE_TO_CLS[role], params.base_w, params.p_sleep_w)
 
-        # per-link rate tiers, directional capacities and per-end port power
+        # per-link rate tiers, directional capacities and per-end port power.
+        # Tiers are pure in the native rate and port watts in the rate and
+        # the switch's role, so each is built once and shared across links.
         nlinks = len(topo.links)
-        self.link_tiers = [dvs_rate_tiers(ln.rate_bps) for ln in topo.links]
+        roles = topo.roles
+        tiers_of = cache(dvs_rate_tiers)
+
+        @cache
+        def port_watts(rate: float, role: int) -> tuple[float, ...]:
+            by_rate = cfg.switch_power[ROLE_NAMES[role]].port_power_by_rate
+            return tuple(port_power_at_tier(rate, t, by_rate) for t in tiers_of(rate))
+
+        self.link_tiers = [tiers_of(ln.rate_bps) for ln in topo.links]
+        self._port_w = [[(nid, port_watts(rate, roles[nid])) for nid in (a, b)
+                         if roles[nid] != ROLE_SERVER] for _lid, a, b, rate in topo.links]
         self.native_idx = len(self.link_tiers[0]) - 1
         self.link_tier_idx = [self.native_idx] * nlinks
         self.link_up = [True] * nlinks
         self.links_down = 0           # links with link_up False
-        self.cap = [0.0] * (2 * nlinks)
+        self.cap = [ln.rate_bps for ln in topo.links for _ in (0, 1)]
         self.dir_sum = [0.0] * (2 * nlinks)
         self.dir_flows: list[set[int]] = [set() for _ in range(2 * nlinks)]
         # links whose tier the next rate-scaling pass may move: every link
         # at first, then those a flow was added to or that came back up,
         # and those still carrying flows after the last pass
         self.dvs_pending: set[int] = set(range(nlinks))
-        self._port_w: list[list[tuple[int, tuple[float, ...]]]] = []
-        for ln in topo.links:
-            ends = []
-            for nid in (ln.a, ln.b):
-                if topo.roles[nid] != ROLE_SERVER:
-                    params = cfg.switch_power[ROLE_NAMES[topo.roles[nid]]]
-                    watts = tuple(port_power_at_tier(ln.rate_bps, t, params.port_power_by_rate)
-                                  for t in self.link_tiers[ln.id])
-                    ends.append((nid, watts))
-            self._port_w.append(ends)
-            self.cap[2 * ln.id] = self.cap[2 * ln.id + 1] = ln.rate_bps
 
         self.flows: dict[int, _Flow] = {}
         self.next_flow_id = 0

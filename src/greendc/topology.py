@@ -25,8 +25,9 @@ in the full enumeration.  Nothing is searched or cached per root.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 TWO_TIER = "two_tier"
 THREE_TIER = "three_tier"
@@ -110,8 +111,7 @@ class ArchitectureSpec:
         return self.access_count * self.servers_per_access
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     id: int
     a: int
     b: int
@@ -140,14 +140,21 @@ class Topology:
         self.n_nodes = c + a + x + spec.server_count
         self.roles = ([ROLE_CORE] * c + [ROLE_AGG] * a + [ROLE_ACCESS] * x
                       + [ROLE_SERVER] * spec.server_count)
-        self.links: list[Link] = []
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_nodes)]
-        self._link_by_pair: dict[tuple[int, int], int] = {}
         # aggregation pair of each rack switch, one shared tuple per pod
         # (three-tier; filled by _build)
         self._pair_of_rack: list[tuple[int, int]] = []
-        self._build()
-        for nbrs in self.adj:
+        self.links: list[Link] = []
+        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_nodes)]
+        self._link_by_pair: dict[tuple[int, int], int] = {}
+        links, adj, by_pair = self.links, self.adj, self._link_by_pair
+        for lid, (u, v, rate) in enumerate(self._build()):
+            key = (u, v) if u < v else (v, u)
+            if by_pair.setdefault(key, lid) != lid:
+                raise InvalidSpec(f"duplicate link between nodes {key}")
+            links.append(Link(lid, u, v, rate))
+            adj[u].append((v, lid))
+            adj[v].append((u, lid))
+        for nbrs in adj:
             nbrs.sort()
         # Routing tables, closed forms of the build order.  Every hop of a
         # path joins nodes u < v over link base[v] + off[u]:
@@ -174,30 +181,15 @@ class Topology:
 
     # -- construction -----------------------------------------------------
 
-    def _add_link(self, a: int, b: int, rate: float) -> None:
-        lid = len(self.links)
-        self.links.append(Link(lid, a, b, rate))
-        self.adj[a].append((b, lid))
-        self.adj[b].append((a, lid))
-        key = (a, b) if a < b else (b, a)
-        if key in self._link_by_pair:
-            raise InvalidSpec(f"duplicate link between nodes {key}")
-        self._link_by_pair[key] = lid
-
-    def _build(self) -> None:
+    def _build(self) -> list[tuple[int, int, float]]:
+        """(a, b, native rate) of every link, in link id order."""
         s = self.spec
         if s.kind == TWO_TIER:
-            cores = list(self.core_ids)
-            for i, ci in enumerate(cores):
-                for cj in cores[i + 1:]:
-                    self._add_link(ci, cj, s.core_mesh_bps)
-            for acc in self.access_ids:
-                for ci in cores:
-                    self._add_link(acc, ci, s.access_uplink_bps)
+            triples = [(ci, cj, s.core_mesh_bps) for ci, cj in combinations(self.core_ids, 2)]
+            triples += [(acc, ci, s.access_uplink_bps)
+                        for acc in self.access_ids for ci in self.core_ids]
         else:
-            for agg in self.agg_ids:
-                for ci in self.core_ids:
-                    self._add_link(agg, ci, s.agg_core_bps)
+            triples = [(agg, ci, s.agg_core_bps) for agg in self.agg_ids for ci in self.core_ids]
             pair_count = s.agg_count // 2
             pod_size = s.access_count // pair_count
             pods = [self.aggs_of_pod(p) for p in range(pair_count)]
@@ -205,12 +197,13 @@ class Topology:
                 # contiguous pods: each block of racks dual-homes onto one
                 # aggregation pair, so consolidation by id stays podwise
                 pair = pods[min(k // pod_size, pair_count - 1)]
-                self._add_link(acc, pair[0], s.access_uplink_bps)
-                self._add_link(acc, pair[1], s.access_uplink_bps)
+                triples += [(acc, pair[0], s.access_uplink_bps),
+                            (acc, pair[1], s.access_uplink_bps)]
                 self._pair_of_rack.append(pair)
-        acc0 = self.access_ids.start
-        for k, srv in enumerate(self.server_ids):
-            self._add_link(srv, acc0 + k // s.servers_per_access, s.server_rate_bps)
+        acc0, spa = self.access_ids.start, s.servers_per_access
+        triples += [(srv, acc0 + k // spa, s.server_rate_bps)
+                    for k, srv in enumerate(self.server_ids)]
+        return triples
 
     # -- lookups ----------------------------------------------------------
 

@@ -16,6 +16,7 @@ sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +35,9 @@ COMM_COMPUTE_RATIO = {CIW: 0.1, DIW: 10.0, BALANCED: 1.0}
 MAX_EXPECTED_JOBS = 10_000_000
 
 
-@dataclass(frozen=True)
-class Job:
+class Job(NamedTuple):
+    """One job of the stream: an immutable tuple, built a whole column at a
+    time by generate."""
     id: int
     arrival: float
     job_class: str
@@ -93,12 +95,12 @@ def _materialize(spec: WorkloadSpec, arrivals: np.ndarray, classes: np.ndarray,
     external = total_bytes - internal
     transfer = total_bytes * 8.0 / spec.nic_rate_bps
     deadline = arrivals + spec.deadline_slack * (compute + transfer)
-    names = CLASS_ORDER
-    return [
-        Job(i, float(arrivals[i]), names[classes[i]], float(compute[i]),
-            float(internal[i]), float(external[i]), float(deadline[i]))
-        for i in range(len(arrivals))
-    ]
+    # tolist turns a column into built-in floats (ints for classes) with the
+    # same bits; the jobs are then zipped from the columns in one pass
+    return list(map(Job._make, zip(
+        range(len(arrivals)), arrivals.tolist(),
+        map(CLASS_ORDER.__getitem__, classes.tolist()), compute.tolist(),
+        internal.tolist(), external.tolist(), deadline.tolist())))
 
 
 def class_counts(mix: tuple[float, float, float], n: int) -> tuple[int, int, int]:

@@ -279,6 +279,39 @@ def test_output_paths_that_cannot_be_created_are_config_errors(tmp_path, capsys,
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, target", [
+    (["simulate"], "report.json"),
+    (["simulate", "--replications", "2"], "report-1.json"),
+    (["sweep", "--archs", "three_tier", "--schemes", "none,dns"], "savings_by_scheme.csv"),
+], ids=["simulate", "simulate-replications", "sweep"])
+def test_result_files_that_are_directories_fail_before_the_run(tmp_path, monkeypatch,
+                                                                 capsys, argv, target):
+    path = write_scenario(tmp_path, horizon_s=2.0)
+    out = tmp_path / "out"
+    (out / target).mkdir(parents=True)
+    ran = []
+    monkeypatch.setattr(engine, "run", lambda *a, **k: ran.append(a))
+    assert cli.main([argv[0], "--scenario", path, "--out", str(out), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: cannot write {out / target}: it is a directory\n"
+    assert captured.out == "" and ran == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_result_files_that_cannot_be_written_are_config_errors(tmp_path, monkeypatch,
+                                                                capsys, command):
+    def refuse(rep, path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli.reporting, "write_report_json", refuse)
+    path = write_scenario(tmp_path, horizon_s=0.5)
+    argv = [command, "--scenario", path, "--out", str(tmp_path / "out")]
+    assert cli.main(argv + (["--archs", "three_tier", "--schemes", "none"] if command == "sweep" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write results in {tmp_path / 'out'}: ")
+    assert "Permission denied" in err and err.count("\n") == 1
+
+
 def test_public_names_resolve():
     missing = [name for name in greendc.__all__ if not hasattr(greendc, name)]
     assert missing == []

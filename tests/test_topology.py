@@ -18,7 +18,7 @@ networkx = pytest.importorskip("networkx")
 
 from greendc.presets import ARCHITECTURES
 from greendc.topology import (
-    THREE_TIER, THREE_TIER_HS, TWO_TIER, ArchitectureSpec, InvalidSpec, Path,
+    THREE_TIER, THREE_TIER_HS, TWO_TIER, ArchitectureSpec, InvalidSpec, Path, Topology,
     build_topology, splitmix64,
 )
 
@@ -351,3 +351,67 @@ def test_builds_are_reproducible():
     b = build_topology(small_three_tier())
     assert [(l.a, l.b, l.rate_bps) for l in a.links] == \
            [(l.a, l.b, l.rate_bps) for l in b.links]
+
+
+def _one_link_at_a_time(topo):
+    """(links, adj, pair -> link id) built the way Topology once built them:
+    each link appended to all three as it is added, in build order."""
+    spec = topo.spec
+    links, adj, by_pair = [], [[] for _ in range(topo.n_nodes)], {}
+
+    def add(a, b, rate):
+        lid = len(links)
+        links.append((lid, a, b, rate))
+        adj[a].append((b, lid))
+        adj[b].append((a, lid))
+        by_pair[(a, b) if a < b else (b, a)] = lid
+
+    if spec.kind == TWO_TIER:
+        cores = list(topo.core_ids)
+        for i, ci in enumerate(cores):
+            for cj in cores[i + 1:]:
+                add(ci, cj, spec.core_mesh_bps)
+        for acc in topo.access_ids:
+            for ci in cores:
+                add(acc, ci, spec.access_uplink_bps)
+    else:
+        for agg in topo.agg_ids:
+            for ci in topo.core_ids:
+                add(agg, ci, spec.agg_core_bps)
+        pair_count = spec.agg_count // 2
+        pod_size = spec.access_count // pair_count
+        for k, acc in enumerate(topo.access_ids):
+            pair = topo.aggs_of_pod(min(k // pod_size, pair_count - 1))
+            add(acc, pair[0], spec.access_uplink_bps)
+            add(acc, pair[1], spec.access_uplink_bps)
+    for k, srv in enumerate(topo.server_ids):
+        add(srv, topo.access_ids.start + k // spec.servers_per_access, spec.server_rate_bps)
+    for nbrs in adj:
+        nbrs.sort()
+    return links, adj, by_pair
+
+
+@pytest.mark.parametrize("name", sorted(ARCHITECTURES))
+def test_links_and_adjacency_equal_a_one_link_at_a_time_build(name):
+    topo = build_topology(ARCHITECTURES[name])
+    links, adj, by_pair = _one_link_at_a_time(topo)
+    assert [(ln.id, ln.a, ln.b, ln.rate_bps) for ln in topo.links] == links
+    assert topo.adj == adj
+    for (a, b), lid in by_pair.items():
+        assert topo.link_between(a, b) == topo.link_between(b, a) == lid
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["same-order", "reversed"])
+def test_a_duplicate_link_is_an_invalid_spec(monkeypatch, flip):
+    """The fabric builders never repeat a pair, so the check is reached by
+    a builder that adds agg 3 - core 1 a second time."""
+    build = Topology._build
+
+    def with_duplicate(self):
+        triples = build(self)
+        assert triples[3][:2] == (3, 1)
+        return triples + [(1, 3, 1e10) if flip else (3, 1, 1e10)]
+
+    monkeypatch.setattr(Topology, "_build", with_duplicate)
+    with pytest.raises(InvalidSpec, match=r"^duplicate link between nodes \(1, 3\)$"):
+        build_topology(small_three_tier())

@@ -5,8 +5,9 @@ import collections
 import numpy as np
 import pytest
 
+from greendc import workload
 from greendc.workload import (
-    BALANCED, CIW, COMM_COMPUTE_RATIO, DIW, WorkloadSpec, class_counts,
+    BALANCED, CIW, CLASS_ORDER, COMM_COMPUTE_RATIO, DIW, WorkloadSpec, class_counts,
     generate, load_for_target,
 )
 
@@ -129,3 +130,52 @@ def test_spec_validation_errors():
     with pytest.raises(ValueError):
         WorkloadSpec(job_count=10, internal_fraction=1.2).validate()
 
+
+def _per_index_jobs(spec, arrivals, classes, compute):
+    """The job stream built the way generate once built it from the same
+    draws: whole-column arithmetic, then one numpy scalar at a time."""
+    ratios = np.array([COMM_COMPUTE_RATIO[c] for c in CLASS_ORDER])
+    total_bytes = compute * ratios[classes] * spec.bytes_per_cpu_second
+    internal = total_bytes * spec.internal_fraction
+    external = total_bytes - internal
+    transfer = total_bytes * 8.0 / spec.nic_rate_bps
+    deadline = arrivals + spec.deadline_slack * (compute + transfer)
+    return [(i, float(arrivals[i]), CLASS_ORDER[classes[i]], float(compute[i]),
+             float(internal[i]), float(external[i]), float(deadline[i]))
+            for i in range(len(arrivals))]
+
+
+def _bits(fields):
+    return [x.hex() if isinstance(x, float) else x for x in fields]
+
+
+@pytest.mark.parametrize("seed", [7, 2024])
+@pytest.mark.parametrize("sizing", [{"job_count": 3000}, {"duration": 15.0}],
+                         ids=["job_count", "duration"])
+def test_jobs_are_the_per_index_construction_bit_for_bit(monkeypatch, seed, sizing):
+    draws = []
+    materialize = workload._materialize
+
+    def capture(spec, arrivals, classes, compute):
+        draws.append((spec, arrivals, classes, compute))
+        return materialize(spec, arrivals, classes, compute)
+
+    monkeypatch.setattr(workload, "_materialize", capture)
+    spec = WorkloadSpec(mean_interarrival=0.005, mean_compute=0.2, class_mix=(0.3, 0.3, 0.4),
+                        bytes_per_cpu_second=3e6, internal_fraction=0.7,
+                        deadline_slack=2.5, seed=seed, **sizing)
+    jobs = generate(spec)
+    assert len(draws) == 1 and len(jobs) > 2000
+    want = _per_index_jobs(*draws[0])
+    assert [_bits(j) for j in jobs] == [_bits(w) for w in want]
+    kinds = (int, float, str, float, float, float, float)
+    assert all(tuple(map(type, j)) == kinds for j in jobs)
+    assert {j.job_class for j in jobs} == {CIW, DIW, BALANCED}
+
+
+def test_jobs_are_immutable_and_hashable():
+    job = generate(big_spec(job_count=3))[1]
+    with pytest.raises(AttributeError):
+        job.arrival = 0.0
+    assert job.id == 1 and hash(job) == hash(generate(big_spec(job_count=3))[1])
+    assert repr(job).startswith("Job(id=1, arrival=")
