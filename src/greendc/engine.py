@@ -13,14 +13,14 @@ it cannot move.
 Reservations are the engine's: SimState.placement_order lists the servers
 that can take a job, in scan order, and _maybe_release returns them.
 
-Each transfer is routed once.  Its path is an equal-cost path picked by a
-hash of the job id; while any switch is dark the pick is made among the
-paths whose switches are all up.  Topology.pick_path reads either pick
-straight off the fabric's pod and index arithmetic (the live one in the
-same order as the full enumeration), with no search or per-root cache.
-A job that starts the moment it is placed reuses the paths placement
-chose; only a job that waited for a wake, or whose internal peer went
-away, is routed again.
+Each transfer is routed once, when it starts.  Its path is an equal-cost
+path picked by a hash of the job id; while any switch is dark the pick is
+made among the paths whose switches are all up.  Topology.pick_path reads
+either pick straight off the fabric's pod and index arithmetic (the live
+one in the same order as the full enumeration), with no search or per-root
+cache.  Placement routes only to test a data-intensive job's candidates for
+congestion and hands no path on: routing is pure, so a job that starts the
+moment it is placed gets the paths the test saw.
 
 Completion events for compute phases and transfers are provisional: a
 rate or frequency drop leaves the scheduled event in place and the pop
@@ -75,10 +75,18 @@ class InternalInvariantViolation(RuntimeError):
     """A conservation or capacity invariant broke; the run is invalid."""
 
 
-class _Server:
-    __slots__ = ("id", "asleep", "transition_until", "f", "committed",
-                 "key", "queue", "serving", "stamp", "idle_since", "flow_count",
-                 "pending", "power_w", "epoch", "end_t", "reserved")
+class _Node:
+    __slots__ = ("asleep", "transition_until")
+
+    def dormant(self) -> bool:
+        """Asleep, with no wake under way."""
+        return self.asleep and self.transition_until is None
+
+
+class _Server(_Node):
+    __slots__ = ("id", "f", "committed", "key", "queue", "serving", "stamp",
+                 "idle_since", "flow_count", "pending", "power_w", "epoch", "end_t",
+                 "reserved")
 
     def __init__(self, sid: int):
         self.id = sid
@@ -103,9 +111,8 @@ class _Server:
                 and self.flow_count == 0)
 
 
-class _Switch:
-    __slots__ = ("cls", "asleep", "transition_until", "base_w", "power_w",
-                 "flow_count", "rack_sleepers", "p_sleep_w", "idle_since")
+class _Switch(_Node):
+    __slots__ = ("cls", "base_w", "power_w", "flow_count", "p_sleep_w", "idle_since")
 
     def __init__(self, cls: int, base_w: float, p_sleep_w: float):
         self.cls = cls
@@ -114,7 +121,6 @@ class _Switch:
         self.base_w = base_w
         self.power_w = 0.0
         self.flow_count = 0
-        self.rack_sleepers = 0
         self.p_sleep_w = p_sleep_w
         self.idle_since = 0.0
 
@@ -138,8 +144,7 @@ class _Flow:
 
 class _JobRun:
     __slots__ = ("job", "server", "r", "rem", "done_cpu", "compute_done",
-                 "flows_left", "admitted", "finish_t", "missed", "reason", "dst",
-                 "released")
+                 "flows_left", "admitted", "finish_t", "reason", "dst", "released")
 
     def __init__(self, job: Job):
         self.job = job
@@ -151,7 +156,6 @@ class _JobRun:
         self.flows_left = 0
         self.admitted = False
         self.finish_t: float | None = None
-        self.missed = False
         self.reason = ""
         self.dst: int | None = None
         self.released = False
@@ -206,7 +210,8 @@ class SimState:
         self.links_down = 0           # links with link_up False
         self.cap = [ln.rate_bps for ln in topo.links for _ in (0, 1)]
         self.dir_sum = [0.0] * (2 * nlinks)
-        self.dir_flows: list[set[int]] = [set() for _ in range(2 * nlinks)]
+        # flow set per direction, from its first flow on (fill records hold it)
+        self.dir_flows: list[set[int] | None] = [None] * (2 * nlinks)
         # links whose tier the next rate-scaling pass may move: every link
         # at first, then those a flow was added to or that came back up,
         # and those still carrying flows after the last pass
@@ -216,28 +221,13 @@ class SimState:
         self.next_flow_id = 0
         self.jobs: dict[int, _JobRun] = {}
 
-        # spine sleep structures: which switches may power down and what has
-        # to stay up so every placed job keeps a usable route.  The gateway
-        # core fronts the external uplink and is never asked to sleep.
+        # switch liveness for routing around dark switches.  The gateway core
+        # fronts the external uplink and is never asked to sleep.
         self.dark_switches = 0        # switches not fully up (routing filter)
         # per switch id: fully up, neither asleep nor in a transition.  It
         # flips only where dark_switches moves: a sleep request and a wake
         # completion.
         self.switch_live = [True] * topo.server_ids.start
-        self.agg_partner: dict[int, int] = {}
-        self.agg_pod: dict[int, int] = {}
-        self.pod_of_acc: dict[int, int] = {}
-        pods = topo.pod_count
-        self.pod_active_racks = [0] * pods
-        for p in range(pods):
-            a, b = topo.aggs_of_pod(p)
-            self.agg_partner[a], self.agg_partner[b] = b, a
-            self.agg_pod[a] = self.agg_pod[b] = p
-        for acc in topo.access_ids:
-            if pods:
-                p = topo.pod_of_access(acc)
-                self.pod_of_acc[acc] = p
-                self.pod_active_racks[p] += 1
 
         # energy ledger: joules per class, with compensated accumulation
         self.class_power = [0.0, 0.0, 0.0, 0.0]
@@ -250,12 +240,6 @@ class SimState:
         self.n_serving = 0
 
         self.offered_jobs = 0
-        self.admitted = 0
-        self.rejected = 0
-        self.completed = 0
-        self.missed = 0
-        self.censored = 0
-        self.admitted_cpu = 0.0
         self.flow_bytes_offered = 0.0
         self.flow_bytes_done = 0.0
         self.flow_bytes_left = 0.0
@@ -420,22 +404,21 @@ class SimState:
             return
         roles = self.topology.roles
         for n in path.nodes:
-            if roles[n] != ROLE_SERVER:
-                sw = self.switches[n]
-                if sw.asleep and sw.transition_until is None:
-                    _wake_switch(self, n)
+            if roles[n] != ROLE_SERVER and self.switches[n].dormant():
+                _wake_switch(self, n)
 
     def spine_sleep_ok(self, nid: int) -> bool:
         """Connectivity rule for powering down an aggregation or core
-        switch.  An aggregation switch may sleep only if its pod is out of
-        active racks or its pair partner stays fully up; other switches
-        always may (dns_tick never asks for the gateway core)."""
-        pod = self.agg_pod.get(nid)
-        if pod is None:
+        switch.  An aggregation switch may sleep only if its pair partner
+        stays fully up or every rack switch of its pod is dormant; other
+        switches always may (dns_tick never asks for the gateway core)."""
+        topo = self.topology
+        if topo.roles[nid] != ROLE_AGG:
             return True
-        if self.pod_active_racks[pod] == 0:
-            return True
-        return self.switch_live[self.agg_partner[nid]]
+        pod = topo.pod_of_agg(nid)
+        a, b = topo.aggs_of_pod(pod)
+        return (self.switch_live[b if nid == a else a]
+                or all(self.switches[acc].dormant() for acc in topo.racks_of_pod(pod)))
 
     # -- event plumbing --------------------------------------------------------
 
@@ -695,8 +678,13 @@ def _add_flow(state: SimState, jr: _JobRun, path: Path, nbytes: float) -> None:
         if state.link_tier_idx[lid] != state.native_idx:
             state._set_tier(lid, state.native_idx)
         state.dvs_pending.add(lid)
+    dir_flows = state.dir_flows
     for d in res:
-        state.dir_flows[d].add(fid)
+        fids = dir_flows[d]
+        if fids is None:
+            dir_flows[d] = {fid}
+        else:
+            fids.add(fid)
     _touch_endpoints(state, fl, +1)
     jr.flows_left += 1
     state.flow_bytes_offered += nbytes
@@ -718,58 +706,36 @@ def _remove_flow(state: SimState, fl: _Flow) -> None:
 # job lifecycle
 # ---------------------------------------------------------------------------
 
-def _start_flows(state: SimState, jr: _JobRun, path_int: Path | None = None,
-                 path_ext: Path | None = None) -> None:
-    """Start a job's transfers over the given paths, routing any not given.
-
-    A job that starts the moment it is placed passes the placement's paths:
-    nothing in between changes switch liveness (a wake request only starts
-    a transition on a switch that is already dark), so routing again would
-    pick the same ones.  A job that waited for a wake is routed afresh."""
+def _start_flows(state: SimState, jr: _JobRun) -> None:
+    """Route and start a job's transfers.  The internal peer is the one
+    placement chose while it stays awake, else one re-resolved now."""
     job = jr.job
     if job.comm_internal_bytes > 0.0:
         dst = jr.dst
-        if dst is not None:
-            d = state.servers[dst]
-            if d.asleep or d.transition_until is not None:
-                dst = None
-        if dst is None:
-            # the placement-time peer went away; re-resolve among awake servers
+        if dst is None or (peer := state.servers[dst]).asleep or peer.transition_until is not None:
             dst = state.internal_dst(job.id, jr.server)
-            path_int = None
         if dst is not None:
-            if path_int is None:
-                path_int = state.route(jr.server, dst, job.id * 2)
-            state.ensure_path_live(path_int)
-            _add_flow(state, jr, path_int, job.comm_internal_bytes)
+            path = state.route(jr.server, dst, job.id * 2)
+            state.ensure_path_live(path)
+            _add_flow(state, jr, path, job.comm_internal_bytes)
         # with no possible peer the exchange degenerates to a local copy
     if job.comm_external_bytes > 0.0:
-        if path_ext is None:
-            path_ext = state.route(jr.server, state.topology.gateway, job.id * 2 + 1)
-        state.ensure_path_live(path_ext)
-        _add_flow(state, jr, path_ext, job.comm_external_bytes)
+        path = state.route(jr.server, state.topology.gateway, job.id * 2 + 1)
+        state.ensure_path_live(path)
+        _add_flow(state, jr, path, job.comm_external_bytes)
 
 
 def _job_piece_done(state: SimState, jr: _JobRun) -> None:
     if jr.compute_done and jr.flows_left == 0 and jr.finish_t is None:
-        now = state.clock
-        jr.finish_t = now
-        if now > jr.job.deadline + 1e-9:
-            jr.missed = True
-            state.missed += 1
-        else:
-            state.completed += 1
+        jr.finish_t = state.clock
 
 
 def _wake_switch(state: SimState, nid: int) -> None:
-    """Start a wake transition for a stably sleeping switch."""
+    """Start a wake transition for a dormant switch."""
     sw = state.switches[nid]
-    if not sw.asleep or sw.transition_until is not None:
+    if not sw.dormant():
         return
     sw.transition_until = state.clock + TRANSITION_SECONDS
-    pod = state.pod_of_acc.get(nid)
-    if pod is not None:
-        state.pod_active_racks[pod] += 1
     state.push(sw.transition_until, EV_TRANSITION, 1, nid)
 
 
@@ -781,23 +747,20 @@ def _begin_wake(state: SimState, sid: int) -> None:
     now = state.clock
     topo = state.topology
     acc = topo.access_of_server(sid)
-    sw = state.switches[acc]
     _wake_switch(state, acc)
     if topo.pod_count:
-        pod = state.pod_of_acc[acc]
-        pair = topo.aggs_of_pod(pod)
+        pair = topo.aggs_of_pod(topo.pod_of_access(acc))
         if not any(state.switch_live[a]
                    or (state.switches[a].asleep
                        and state.switches[a].transition_until is not None)
                    for a in pair):
             for a in pair:
-                if state.switches[a].asleep and state.switches[a].transition_until is None:
+                if state.switches[a].dormant():
                     _wake_switch(state, a)
                     break
     srv = state.servers[sid]
     i = bisect_left(state.sleeping, sid)
     del state.sleeping[i]
-    sw.rack_sleepers -= 1
     srv.transition_until = now + TRANSITION_SECONDS
     state.waking_ids.add(sid)
     state.push(srv.transition_until, EV_TRANSITION, 0, sid)
@@ -807,11 +770,8 @@ def _handle_arrival(state: SimState, jid: int) -> None:
     jr = state.jobs[jid]
     decision = place(jr.job, state, state.policy)
     if not decision.admit:
-        state.rejected += 1
         jr.reason = decision.reason
         return
-    state.admitted += 1
-    state.admitted_cpu += jr.job.compute_demand
     jr.admitted = True
     jr.server = decision.server
     jr.r = decision.reserved_rate
@@ -828,7 +788,7 @@ def _handle_arrival(state: SimState, jid: int) -> None:
         srv.pending.append(jid)
         return
     _enqueue_compute(state, srv, jr, now)
-    _start_flows(state, jr, decision.path_internal, decision.path_external)
+    _start_flows(state, jr)
 
 
 def _maybe_release(state: SimState, srv: _Server, jr: _JobRun) -> None:
@@ -919,7 +879,6 @@ def _handle_transition(state: SimState, comp: int, nid: int) -> None:
             srv.asleep = True
             state._set_server_w(srv, state.sparams.p_sleep_w)
             insort(state.sleeping, nid)
-            state.switches[topo.access_of_server(nid)].rack_sleepers += 1
             for _nbr, lid in topo.adj[nid]:
                 state._refresh_link_state(lid)
     else:
@@ -940,9 +899,6 @@ def _handle_transition(state: SimState, comp: int, nid: int) -> None:
         else:
             sw.asleep = True
             state._set_switch_w(sw, sw.p_sleep_w)
-            pod = state.pod_of_acc.get(nid)
-            if pod is not None:
-                state.pod_active_racks[pod] -= 1
             for _nbr, lid in topo.adj[nid]:
                 state._refresh_link_state(lid)
             if sw.flow_count:
@@ -1062,7 +1018,7 @@ def _sample_stats(state: SimState) -> None:
 
 def run(cfg: ScenarioConfig, jobs: list[Job] | None = None,
         topology: Topology | None = None, collect_jobs: bool = False):
-    """Execute one simulation run and return its report."""
+    """Execute one simulation run (jobs in arrival order) and return its report."""
     from .report import build_report
 
     state = SimState(cfg, topology)
@@ -1123,8 +1079,7 @@ def run(cfg: ScenarioConfig, jobs: list[Job] | None = None,
         elif kind == EV_END:
             break
 
-    # settle in-flight work at the horizon; a job still running counts as
-    # missed only once its deadline has actually passed
+    # settle in-flight work at the horizon
     for sid in list(state.awake_ids):
         srv = state.servers[sid]
         if srv.serving is not None:
@@ -1133,12 +1088,5 @@ def run(cfg: ScenarioConfig, jobs: list[Job] | None = None,
         _advance_flow(state, fl, state.clock)
         state.flow_bytes_done += fl.done_bytes
         state.flow_bytes_left += fl.bytes_left
-    for jr in state.jobs.values():
-        if jr.admitted and jr.finish_t is None:
-            if jr.job.deadline <= state.clock:
-                jr.missed = True
-                state.missed += 1
-            else:
-                state.censored += 1
     _sample_stats(state)
     return build_report(cfg, state, collect_jobs)

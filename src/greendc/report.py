@@ -126,8 +126,17 @@ def annualize_cost(total_it_wh: float, horizon_s: float, price_per_kwh: float,
     return yearly_kwh * price_per_kwh
 
 
+def _missed(jr, end: float) -> bool:
+    """Whether an admitted job finished after its deadline, or is unfinished
+    at the end with it passed (with it still ahead, the job is censored)."""
+    if jr.finish_t is None:
+        return jr.job.deadline <= end
+    return jr.finish_t > jr.job.deadline + 1e-9
+
+
 def build_report(cfg: ScenarioConfig, state, collect_jobs: bool = False) -> SimReport:
-    """Assemble the report for a finished engine state."""
+    """Assemble the report for a finished engine state.  SLA counts and
+    admitted work come from the job records, kept in admission order."""
     horizon = cfg.horizon_s
     j = state.ledger_j
     ledger = EnergyLedger(servers_wh=j[0] / 3600.0, core_wh=j[1] / 3600.0,
@@ -137,26 +146,36 @@ def build_report(cfg: ScenarioConfig, state, collect_jobs: bool = False) -> SimR
         "aggregation": j[2] / horizon, "access": j[3] / horizon,
         "total": sum(j) / horizon,
     }
+    end = state.clock
+    admitted = completed = missed = censored = 0
+    work_admitted = delivered = residual = 0.0
+    for jr in state.jobs.values():
+        if jr.admitted:
+            admitted += 1
+            work_admitted += jr.job.compute_demand
+            delivered += jr.done_cpu
+            residual += jr.rem
+            if _missed(jr, end):
+                missed += 1
+            elif jr.finish_t is None:
+                censored += 1
+            else:
+                completed += 1
     offered = state.offered_jobs
-    violations = state.rejected + state.missed
+    rejected = offered - admitted
+    violations = rejected + missed
     sla = {
         "offered": offered,
-        "admitted": state.admitted,
-        "rejected": state.rejected,
-        "completed": state.completed,
-        "deadline_missed": state.missed,
-        "unfinished_censored": state.censored,
+        "admitted": admitted,
+        "rejected": rejected,
+        "completed": completed,
+        "deadline_missed": missed,
+        "unfinished_censored": censored,
         "violations": violations,
         "violation_fraction": violations / offered if offered else 0.0,
     }
-    delivered = 0.0
-    residual = 0.0
-    for jr in state.jobs.values():
-        if jr.admitted:
-            delivered += jr.done_cpu
-            residual += jr.rem
     conservation = {
-        "admitted_cpu_s": state.admitted_cpu,
+        "admitted_cpu_s": work_admitted,
         "delivered_cpu_s": delivered,
         "residual_cpu_s": residual,
         "flow_bytes_offered": state.flow_bytes_offered,
@@ -165,13 +184,16 @@ def build_report(cfg: ScenarioConfig, state, collect_jobs: bool = False) -> SimR
     }
     n_servers = cfg.architecture.server_count
     steady_span = horizon - state.warmup
-    pue, dcie = compute_pue_dcie(ledger.total_wh, ledger.total_wh * cfg.pue_overhead)
+    # facility energy is IT energy times the overhead, so the ratio is the
+    # overhead itself, defined even when the IT draw is zero
+    pue = cfg.pue_overhead
     jobs_out = None
     if collect_jobs:
         jobs_out = [{
             "id": jr.job.id, "class": jr.job.job_class, "arrival": jr.job.arrival,
             "deadline": jr.job.deadline, "admitted": jr.admitted,
-            "server": jr.server, "finish": jr.finish_t, "missed": jr.missed,
+            "server": jr.server, "finish": jr.finish_t,
+            "missed": jr.admitted and _missed(jr, end),
             "reason": jr.reason,
         } for jid, jr in sorted(state.jobs.items())]
     return SimReport(
@@ -188,7 +210,7 @@ def build_report(cfg: ScenarioConfig, state, collect_jobs: bool = False) -> SimR
                                if steady_span > 0 else 0.0),
         serving_fraction=state.serving_integral / (horizon * n_servers),
         pue=pue,
-        dcie=dcie,
+        dcie=1.0 / pue,
         annual_cost_usd=annualize_cost(ledger.total_wh, horizon, cfg.price_per_kwh,
                                        cfg.pue_overhead),
         trace_hash=state.trace.hexdigest(),
@@ -200,15 +222,15 @@ def build_report(cfg: ScenarioConfig, state, collect_jobs: bool = False) -> SimR
     )
 
 
-def run_scenario(cfg: ScenarioConfig, topology=None, collect_jobs: bool = False) -> SimReport:
+def run_scenario(cfg: ScenarioConfig) -> SimReport:
     """Run one scenario once."""
     from . import engine
     cfg.validate()
-    return engine.run(cfg, topology=topology, collect_jobs=collect_jobs)
+    return engine.run(cfg)
 
 
 def run_replications(cfg: ScenarioConfig, count: int | None = None,
-                     topology=None, workers: int | None = None) -> list[SimReport]:
+                     workers: int | None = None) -> list[SimReport]:
     """Run the scenario ``count`` times with consecutive seeds.
 
     ``workers`` > 1 fans replications out to worker processes; results come
@@ -222,8 +244,7 @@ def run_replications(cfg: ScenarioConfig, count: int | None = None,
     if workers is not None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(engine.run, cfgs))
-    if topology is None:
-        topology = build_topology(cfg.architecture)
+    topology = build_topology(cfg.architecture)
     return [engine.run(c, topology=topology) for c in cfgs]
 
 
@@ -353,8 +374,13 @@ def write_savings_by_scheme_csv(results: dict, path: str,
             w.writerow([
                 scheme, f"{e.servers_wh:.3f}", f"{e.switch_wh:.3f}",
                 f"{e.total_wh:.3f}",
-                f"{1.0 - e.servers_wh / base.servers_wh:.4f}",
-                f"{1.0 - e.switch_wh / base.switch_wh:.4f}",
-                f"{1.0 - e.total_wh / base.total_wh:.4f}",
+                _saving(e.servers_wh, base.servers_wh),
+                _saving(e.switch_wh, base.switch_wh),
+                _saving(e.total_wh, base.total_wh),
                 f"{r.sla['violation_fraction']:.5f}",
             ])
+
+
+def _saving(wh: float, base_wh: float) -> str:
+    """Fraction saved against the baseline; nan when the baseline drew nothing."""
+    return f"{1.0 - wh / base_wh:.4f}" if base_wh else "nan"

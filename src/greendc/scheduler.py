@@ -7,14 +7,17 @@ lowest id first, wake latency counting against the deadline.  Load is the
 sum of admission-time rate reservations (compute demand over
 time-to-deadline), so a server's residual capacity is exactly what it can
 still promise.  The first listed server wins; data-intensive jobs skip
-servers whose selected network paths cross a congested link.
+servers whose transfers would be routed over a congested link.  The
+decision names the server and the internal transfer's peer, not paths: the
+engine routes each transfer when it starts.
 
 Frequency setpoints track current load with a headroom factor.  The whole
 sleep policy is dns_tick: it puts to sleep servers idle past a timeout,
-access switches whose whole rack sleeps with no traffic, and aggregation
-and non-gateway core switches idle past the timeout.  The engine's
-connectivity rule keeps one aggregation switch of every pod with active
-racks awake; links of awake switches rate-scale.
+access switches with no traffic whose servers are all dormant (asleep,
+no wake under way), and aggregation and non-gateway core switches idle
+past the timeout.  The engine's connectivity rule keeps one aggregation
+switch of every pod with active racks awake; links of awake switches
+rate-scale.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .topology import Path
 from .workload import DIW, Job
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,8 +76,6 @@ class PlacementDecision:
     available_at: float = 0.0
     needs_wake: bool = False
     internal_dst: int | None = None
-    path_internal: Path | None = None
-    path_external: Path | None = None
     reason: str = "ok"
 
 
@@ -96,15 +96,21 @@ def place(job: Job, state: "SimState", policy: SchedulerPolicy) -> PlacementDeci
     for server, rate, available_at, needs_wake in state.placement_order(
             job.compute_demand, job.deadline):
         dst = state.internal_dst(job.id, server) if job.comm_internal_bytes > 0 else None
-        p_int = state.route(server, dst, job.id * 2) if dst is not None else None
-        p_ext = (state.route(server, state.topology.gateway, job.id * 2 + 1)
-                 if job.comm_external_bytes > 0 else None)
-        if check and any(p is not None and state.path_congested(p, threshold)
-                         for p in (p_int, p_ext)):
+        if check and _congested(state, job, server, dst, threshold):
             continue
-        return PlacementDecision(True, server, rate, available_at, needs_wake,
-                                 dst, p_int, p_ext)
+        return PlacementDecision(True, server, rate, available_at, needs_wake, dst)
     return PlacementDecision(False, reason="no feasible server")
+
+
+def _congested(state: "SimState", job: Job, server: int, dst: int | None,
+               threshold: float) -> bool:
+    """Whether the paths the job's transfers would take from server cross a
+    congested link; the external one is not routed once the internal one is."""
+    if dst is not None and state.path_congested(state.route(server, dst, job.id * 2),
+                                                threshold):
+        return True
+    return job.comm_external_bytes > 0 and state.path_congested(
+        state.route(server, state.topology.gateway, job.id * 2 + 1), threshold)
 
 
 def dns_tick(state: "SimState", policy: SchedulerPolicy, now: float) -> list[int]:
@@ -120,11 +126,14 @@ def dns_tick(state: "SimState", policy: SchedulerPolicy, now: float) -> list[int
             requests.append(sid)
     topo = state.topology
     live = state.switch_live
+    servers = state.servers
     for acc in topo.access_ids:
-        sw = state.switches[acc]
-        if (live[acc] and sw.rack_sleepers == topo.spec.servers_per_access
-                and sw.flow_count == 0):
-            requests.append(acc)
+        if live[acc] and state.switches[acc].flow_count == 0:
+            for sid in topo.servers_of_access(acc):
+                if not servers[sid].dormant():
+                    break
+            else:
+                requests.append(acc)
     for nid in (*topo.core_ids[1:], *topo.agg_ids):
         sw = state.switches[nid]
         if (live[nid] and sw.flow_count == 0 and sw.idle_since <= cutoff

@@ -43,6 +43,9 @@ ROLE_NAMES = {ROLE_CORE: "core", ROLE_AGG: "aggregation",
 
 _MASK64 = (1 << 64) - 1
 
+# most links a fabric may have (the 1536-server presets have 2,624)
+MAX_LINKS = 1_000_000
+
 
 class InvalidSpec(ValueError):
     """Raised when an architecture spec fails validation."""
@@ -92,6 +95,10 @@ class ArchitectureSpec:
                 raise InvalidSpec("uplinks_per_access must be 2 (paired aggregation)")
             if self.agg_core_bps <= 0:
                 raise InvalidSpec("agg_core_bps must be positive")
+        c, x = self.core_count, self.access_count
+        trunks = c * (c - 1) // 2 + x * c if self.kind == TWO_TIER else self.agg_count * c + 2 * x
+        if trunks + self.server_count > MAX_LINKS:
+            raise InvalidSpec(f"the fabric has more than the {MAX_LINKS:,} links a run may hold")
 
     def port_rates(self) -> set[tuple[float, int]]:
         """(native link rate, switch role) of every kind of switch port the
@@ -123,9 +130,6 @@ class Path:
     """A loop-free route as a node sequence plus the link ids joining it."""
     nodes: tuple[int, ...]
     links: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.links)
 
 
 class Topology:
@@ -230,6 +234,16 @@ class Topology:
         pairs = self.pod_count
         k = access - self.access_ids.start
         return min(k // (self.spec.access_count // pairs), pairs - 1)
+
+    def racks_of_pod(self, pod: int) -> range:
+        """Inverse of pod_of_access: contiguous blocks, the last pod taking
+        the remainder."""
+        size, acc = self.spec.access_count // self.pod_count, self.access_ids
+        last = pod == self.pod_count - 1
+        return range(acc.start + pod * size, acc.stop if last else acc.start + (pod + 1) * size)
+
+    def pod_of_agg(self, agg: int) -> int:
+        return (agg - self.agg_ids.start) // 2
 
     def aggs_of_pod(self, pod: int) -> tuple[int, int]:
         a0 = self.agg_ids.start + 2 * pod

@@ -1,9 +1,15 @@
 """Command line and package surface: flags, output files, exit codes and the
 public names."""
 
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import greendc
 from greendc import cli, engine
@@ -225,10 +231,13 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, text, command):
     # negative transfers and deadlines shorter than the compute
     {"workload": {"nic_rate_bps": 0}},
     {"workload": {"bytes_per_cpu_second": -1e6}},
+    # a fabric count past any run's memory made range() overflow
+    {"architecture": {"preset": "three_tier", "servers_per_access": 1e300}},
 ], ids=["fractional-seed", "negative-seed", "fractional-replications",
         "fewer-racks-than-pods", "rate-without-port-power", "negative-chassis-power",
         "negative-linecard-power", "negative-sleep-power", "negative-linecards",
-        "negative-port-power", "zero-nic-rate", "negative-bytes-per-cpu-second"])
+        "negative-port-power", "zero-nic-rate", "negative-bytes-per-cpu-second",
+        "too-many-links"])
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 def test_documents_that_cannot_run_are_config_errors(tmp_path, capsys, doc, command):
     path = tmp_path / "doc.json"
@@ -310,6 +319,138 @@ def test_result_files_that_cannot_be_written_are_config_errors(tmp_path, monkeyp
     err = capsys.readouterr().err
     assert err.startswith(f"config error: cannot write results in {tmp_path / 'out'}: ")
     assert "Permission denied" in err and err.count("\n") == 1
+
+
+def _zero_power(**overrides):
+    """A pocket scenario whose every server and switch power term is 0."""
+    ports = {"1e9": 0.0, "1e10": 0.0}
+    switch = {"p_chassis_w": 0.0, "p_linecard_w": 0.0, "port_power_by_rate": ports,
+              "p_sleep_w": 0.0}
+    return small_scenario(
+        horizon_s=1.0,
+        server_power={"p_fixed_w": 0.0, "p_f_w": 0.0, "p_idle_cpu_w": 0.0, "p_sleep_w": 0.0},
+        switch_power={role: switch for role in ("core", "aggregation", "access")},
+        **overrides)
+
+
+def test_a_fabric_that_draws_nothing_runs(tmp_path, capsys):
+    """Zero IT energy leaves PUE at the facility overhead, and a savings
+    fraction against a zero baseline is nan, not a crash."""
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(_zero_power(pue_overhead=1.5)))
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["energy"]["total_wh"] == 0.0
+    assert (report["pue"], report["dcie"]) == (1.5, 1.0 / 1.5)
+    sweep = tmp_path / "sweep"
+    assert cli.main(["sweep", "--scenario", str(path), "--out", str(sweep),
+                     "--archs", "three_tier", "--schemes", "none,dns"]) == 0
+    rows = (sweep / "savings_by_scheme.csv").read_text().splitlines()
+    assert rows[1].split(",")[4:7] == ["nan", "nan", "nan"]
+    assert capsys.readouterr().err == ""
+
+
+# -- any scenario document runs or is a one-line config error ------------------
+
+_WATTS = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3000.0))
+_VALID_DOCUMENTS = st.fixed_dictionaries({
+    "architecture": st.one_of(
+        st.fixed_dictionaries({
+            "kind": st.sampled_from(["three_tier", "three_tier_hs"]),
+            "core_count": st.integers(1, 3), "agg_count": st.sampled_from([2, 4]),
+            "access_count": st.integers(2, 5), "servers_per_access": st.integers(1, 3)}),
+        st.fixed_dictionaries({
+            "kind": st.just("two_tier"), "core_count": st.integers(1, 3),
+            "agg_count": st.just(0), "access_count": st.integers(1, 5),
+            "servers_per_access": st.integers(1, 3)})),
+    "horizon_s": st.floats(min_value=1e-3, max_value=1.0),
+}, optional={
+    "seed": st.integers(0, 2**40),
+    "target_load": st.one_of(st.none(), st.floats(min_value=0.05, max_value=1.0)),
+    "pue_overhead": st.floats(min_value=1.0, max_value=3.0),
+    "price_per_kwh": st.floats(min_value=0.0, max_value=1.0),
+    "workload": st.fixed_dictionaries({}, optional={
+        "class_mix": st.sampled_from([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                                      [0.3, 0.3, 0.4]]),
+        "mean_compute": st.floats(min_value=0.01, max_value=2.0),
+        "deadline_slack": st.floats(min_value=0.1, max_value=5.0),
+        "internal_fraction": st.floats(min_value=0.0, max_value=1.0),
+        "bytes_per_cpu_second": st.sampled_from([0.0, 1e6, 1e8, 1e9]),
+        "nic_rate_bps": st.sampled_from([1e6, 1e9]),
+    }),
+    "policy": st.fixed_dictionaries({}, optional={
+        "scheme": st.sampled_from(["none", "dvfs", "dns", "dvfs+dns"]),
+        "congestion_threshold": st.floats(min_value=0.01, max_value=1.0),
+        "idle_timeout_s": st.floats(min_value=0.0, max_value=1.0),
+        "dvfs_headroom": st.floats(min_value=0.0, max_value=1.0),
+        "f_min": st.floats(min_value=0.01, max_value=1.0),
+        "tick_interval_s": st.floats(min_value=0.01, max_value=1.0),
+        "stats_interval_s": st.floats(min_value=0.01, max_value=1.0),
+    }),
+    "server_power": st.fixed_dictionaries({}, optional={
+        "p_fixed_w": _WATTS, "p_f_w": _WATTS, "p_idle_cpu_w": _WATTS, "p_sleep_w": _WATTS,
+        "f_max": st.floats(min_value=0.1, max_value=2.0),
+    }),
+    "switch_power": st.fixed_dictionaries({}, optional={
+        role: st.fixed_dictionaries({}, optional={
+            "p_chassis_w": _WATTS, "p_linecard_w": _WATTS, "p_sleep_w": _WATTS,
+            "n_linecards": st.integers(0, 4),
+            "port_power_by_rate": st.fixed_dictionaries(
+                {"1e9": _WATTS, "1e10": _WATTS}, optional={"1e11": _WATTS}),
+        }) for role in ("core", "aggregation", "access")
+    }),
+})
+_BAD_VALUES = (-1, 0, -1e-9, 1e300, "x", None, [], {}, True)
+
+
+def _leaves(doc, prefix=()):
+    for key, value in doc.items():
+        if isinstance(value, dict) and value:
+            yield from _leaves(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+def _with(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# half the documents valid, the other half with one value replaced by a bad one
+_DOCUMENTS = st.one_of(_VALID_DOCUMENTS, _VALID_DOCUMENTS.flatmap(
+    lambda doc: st.builds(_with, st.just(doc), st.sampled_from(list(_leaves(doc))),
+                          st.sampled_from(_BAD_VALUES))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(doc=_DOCUMENTS)
+@example(doc=_zero_power())
+@example(doc={"architecture": {"kind": "two_tier", "core_count": 1e300, "agg_count": 0,
+                               "access_count": 1, "servers_per_access": 1},
+              "horizon_s": 1.0})
+def test_any_document_runs_or_is_a_config_error(doc):
+    """validate and simulate exit 0 or 1 on any document over a pocket fabric
+    and a horizon of at most a second, with at most one line on stderr and
+    never a traceback; a document validate accepts, simulate runs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        codes = []
+        for argv in (["validate"], ["simulate", "--out", os.path.join(tmp, "run")]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                codes.append(cli.main([argv[0], "--scenario", path, *argv[1:]]))
+            text = err.getvalue()
+            assert codes[-1] in (0, 1), text
+            assert text.count("\n") <= 1 and "Traceback" not in text
+        assert codes[0] == codes[1]
+        assert os.path.exists(os.path.join(tmp, "run", "report.json")) == (codes[1] == 0)
 
 
 def test_public_names_resolve():

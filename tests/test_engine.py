@@ -6,7 +6,8 @@ import pytest
 from greendc import config, engine, fairshare, report
 from greendc.engine import EVENT_NAMES, InternalInvariantViolation, SimState
 from greendc.powermodel import TRANSITION_SECONDS, dvs_tier_index
-from greendc.workload import Job
+from greendc.topology import ROLE_ACCESS, ROLE_AGG, ROLE_SERVER
+from greendc.workload import Job, generate
 
 from conftest import small_scenario
 
@@ -554,3 +555,166 @@ def test_link_back_up_is_trimmed_at_the_next_pass(make_cfg):
     engine._handle_transition(state, 1, dark)
     engine._dvs_pass(state)
     assert set(state.link_tier_idx) == {0}
+
+
+# -- facts derived where they are read ------------------------------------------
+
+def test_each_transfer_is_routed_once_at_its_start(make_cfg, monkeypatch):
+    """Placement hands no path on: outside place, the engine routes exactly
+    once per flow it starts, whether the job started when it was placed or
+    after a wake; inside place only data-intensive jobs are routed, for the
+    congestion test."""
+    seen = {"outside": 0, "placing_diw": 0, "placing_other": 0, "flows": 0, "wakes": 0}
+    placing = []
+    route, place, add_flow = SimState.route, engine.place, engine._add_flow
+
+    def counted_route(self, src, dst, salt):
+        if not placing:
+            seen["outside"] += 1
+        elif placing[-1].job_class == "diw":
+            seen["placing_diw"] += 1
+        else:
+            seen["placing_other"] += 1
+        return route(self, src, dst, salt)
+
+    def flagged_place(job, state, policy):
+        placing.append(job)
+        try:
+            decision = place(job, state, policy)
+        finally:
+            placing.pop()
+        seen["wakes"] += decision.needs_wake
+        return decision
+
+    def counted_add_flow(*args):
+        seen["flows"] += 1
+        add_flow(*args)
+
+    monkeypatch.setattr(SimState, "route", counted_route)
+    monkeypatch.setattr(engine, "place", flagged_place)
+    monkeypatch.setattr(engine, "_add_flow", counted_add_flow)
+    cfg = make_cfg(horizon_s=6.0, target_load=0.4,
+                   policy={"scheme": "dvfs+dns", "idle_timeout_s": 0.1},
+                   workload={"class_mix": [0.0, 0.5, 0.5], "deadline_slack": 2.5,
+                             "mean_compute": 0.1})
+    engine.run(cfg)
+    assert seen["flows"] > 100 and seen["wakes"] > 0 and seen["placing_diw"] > 0
+    assert seen["outside"] == seen["flows"]
+    assert seen["placing_other"] == 0
+
+
+@pytest.mark.parametrize("scheme", ["none", "dvfs", "dns", "dvfs+dns"])
+def test_sla_counts_recount_from_the_job_records(make_cfg, scheme):
+    """report.sla and admitted_cpu_s equal a recount of the per-job records:
+    a job is missed when it finished past its deadline or is unfinished with
+    its deadline passed at the horizon, and censored when unfinished with
+    the deadline still ahead.  Admitted work is summed in arrival order.
+    Two transfers too long for their deadlines join the generated stream,
+    because admission reserves compute only."""
+    cfg = make_cfg(horizon_s=4.0, target_load=0.9, policy={"scheme": scheme},
+                   workload={"class_mix": [0.2, 0.4, 0.4], "deadline_slack": 1.5,
+                             "mean_compute": 0.3})
+    late = balanced_job(10_000, 0.5, 0.05, 1.0, external=250e6)      # 2 s of transfer
+    overdue = balanced_job(10_001, 0.6, 0.05, 2.0, external=2e9)     # 16 s of transfer
+    jobs = sorted([*generate(cfg.effective_workload()), late, overdue],
+                  key=lambda job: job.arrival)
+    rep = engine.run(cfg, jobs=jobs, collect_jobs=True)
+    records = {j["id"]: j for j in rep.jobs}
+    offered = [job for job in jobs if job.arrival < cfg.horizon_s]
+    admitted = [records[job.id] for job in offered if records[job.id]["admitted"]]
+    for rec in rep.jobs:
+        finished_late = rec["finish"] is not None and rec["finish"] > rec["deadline"] + 1e-9
+        overdue_at_end = rec["finish"] is None and rec["deadline"] <= cfg.horizon_s
+        assert rec["missed"] == (rec["admitted"] and (finished_late or overdue_at_end)), rec
+    assert records[late.id]["missed"] and records[late.id]["finish"] is not None
+    assert records[overdue.id]["missed"] and records[overdue.id]["finish"] is None
+    missed = sum(rec["missed"] for rec in admitted)
+    censored = sum(rec["finish"] is None and not rec["missed"] for rec in admitted)
+    rejected = len(offered) - len(admitted)
+    assert rep.sla == {
+        "offered": len(offered), "admitted": len(admitted), "rejected": rejected,
+        "completed": len(admitted) - missed - censored, "deadline_missed": missed,
+        "unfinished_censored": censored, "violations": rejected + missed,
+        "violation_fraction": (rejected + missed) / len(offered),
+    }
+    work = 0.0
+    for job in offered:
+        if records[job.id]["admitted"]:
+            work += job.compute_demand
+    assert rep.conservation["admitted_cpu_s"] == work
+    assert rejected and censored
+
+
+def _dormant(node):
+    return node.asleep and node.transition_until is None
+
+
+def _neighbours(topo, nid, role):
+    return [nbr for nbr, _lid in topo.adj[nid] if topo.roles[nbr] == role]
+
+
+def _spine_reference(state, nid):
+    """An aggregation switch may sleep while its pair partner (the other
+    switch its racks are wired to) is fully up, or while every rack switch
+    wired to it is dormant; any other switch always may."""
+    topo = state.topology
+    if topo.roles[nid] != ROLE_AGG:
+        return True
+    return (state.switch_live[_partner(topo, nid)]
+            or all(_dormant(state.switches[r]) for r in _neighbours(topo, nid, ROLE_ACCESS)))
+
+
+def _partner(topo, agg):
+    rack = _neighbours(topo, agg, ROLE_ACCESS)[0]
+    return next(a for a in _neighbours(topo, rack, ROLE_AGG) if a != agg)
+
+
+def _dns_tick_reference(state, policy, now):
+    """dns_tick's requests by brute force over the nodes: quiet servers idle
+    past the timeout; fully-up rack switches with no flow whose wired
+    servers are all dormant; then the non-gateway cores and the aggregation
+    switches, fully up, flowless, idle past the timeout and allowed by the
+    spine rule."""
+    topo, cutoff = state.topology, now - policy.idle_timeout_s
+    out = [s for s in topo.server_ids
+           if not state.servers[s].asleep and state.servers[s].transition_until is None
+           and state.servers[s].quiet() and state.servers[s].idle_since <= cutoff]
+    up = [nid for nid in range(topo.server_ids.start)
+          if not state.switches[nid].asleep and state.switches[nid].transition_until is None
+          and state.switches[nid].flow_count == 0]
+    out += [nid for nid in up if topo.roles[nid] == ROLE_ACCESS
+            and all(_dormant(state.servers[s]) for s in _neighbours(topo, nid, ROLE_SERVER))]
+    return out + [nid for nid in up if topo.roles[nid] != ROLE_ACCESS and nid != topo.gateway
+                  and state.switches[nid].idle_since <= cutoff
+                  and _spine_reference(state, nid)]
+
+
+def test_sleep_rules_equal_brute_force_over_the_nodes(make_cfg, monkeypatch):
+    """At every tick of a two-pod dns run, spine_sleep_ok for every switch
+    and the whole request list of dns_tick equal predicates read straight
+    off the nodes and the fabric's wiring."""
+    seen = {"ticks": 0, "racks": 0, "refused": 0, "dark_pod_ok": 0}
+    tick = engine.dns_tick
+
+    def checked(state, policy, now):
+        topo = state.topology
+        for nid in range(topo.server_ids.start):
+            want = _spine_reference(state, nid)
+            assert state.spine_sleep_ok(nid) == want, nid
+            if topo.roles[nid] == ROLE_AGG:
+                seen["refused"] += not want
+                seen["dark_pod_ok"] += want and not state.switch_live[_partner(topo, nid)]
+        requests = tick(state, policy, now)
+        assert requests == _dns_tick_reference(state, policy, now)
+        seen["ticks"] += 1
+        seen["racks"] += sum(topo.roles[n] == ROLE_ACCESS for n in requests)
+        return requests
+
+    monkeypatch.setattr(engine, "dns_tick", checked)
+    cfg = make_cfg(horizon_s=8.0, target_load=0.2,
+                   architecture={"kind": "three_tier", "core_count": 2, "agg_count": 4,
+                                 "access_count": 4, "servers_per_access": 2},
+                   policy={"scheme": "dns", "idle_timeout_s": 0.1})
+    engine.run(cfg)
+    assert seen["ticks"] >= 30
+    assert seen["racks"] and seen["refused"] and seen["dark_pod_ok"], seen

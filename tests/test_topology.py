@@ -78,6 +78,23 @@ def test_rack_and_pod_lookups():
         assert uplinks == pair
 
 
+@pytest.mark.parametrize("aggs, racks", [(2, 4), (4, 6), (6, 7), (8, 3 * 4 + 3)])
+def test_pod_closed_forms_invert_the_wiring(aggs, racks):
+    """racks_of_pod and pod_of_agg agree with the links: a pod's racks are
+    exactly the rack switches wired to its aggregation pair."""
+    topo = build_topology(ArchitectureSpec(kind=THREE_TIER, core_count=2, agg_count=aggs,
+                                           access_count=racks, servers_per_access=1))
+    covered = []
+    for pod in range(topo.pod_count):
+        pair = topo.aggs_of_pod(pod)
+        assert [topo.pod_of_agg(g) for g in pair] == [pod, pod]
+        wired = sorted(nbr for nbr, _lid in topo.adj[pair[0]] if nbr in topo.access_ids)
+        assert list(topo.racks_of_pod(pod)) == wired
+        assert all(topo.pod_of_access(acc) == pod for acc in wired)
+        covered += wired
+    assert covered == list(topo.access_ids)
+
+
 def test_two_tier_has_no_pods():
     topo = build_topology(ArchitectureSpec(kind=TWO_TIER, core_count=3,
                                            agg_count=0, access_count=4,
