@@ -10,8 +10,16 @@ the set of flows or a link capacity changes.  Only the connected component
 of flows sharing links with the change is recomputed; allocations outside
 it cannot move.
 
+Servers and switches share one node table, SimState.nodes, indexed by
+node id: switches first, then servers.  Each node carries its energy
+class, its sleep/wake mode, its draw and the count of flows crossing it,
+and every mode question is read off the node.
+
 Reservations are the engine's: SimState.placement_order lists the servers
-that can take a job, in scan order, and _maybe_release returns them.
+that can take a job, in scan order, and _maybe_release returns them.  A
+job placed on a server that is asleep or waking waits in the server's
+pending list until the wake completes, even when it arrives at the very
+instant the wake ends; so a server carrying a flow is always awake.
 
 Each transfer is routed once, when it starts.  Its path is an equal-cost
 path picked by a hash of the job id; while any switch is dark the pick is
@@ -76,7 +84,17 @@ class InternalInvariantViolation(RuntimeError):
 
 
 class _Node:
-    __slots__ = ("asleep", "transition_until")
+    """What servers and switches share: the energy class, the sleep/wake
+    mode, the draw and the flows crossing the node."""
+    __slots__ = ("cls", "asleep", "transition_until", "power_w", "flow_count", "idle_since")
+
+    def __init__(self, cls: int):
+        self.cls = cls
+        self.asleep = False
+        self.transition_until: float | None = None
+        self.power_w = 0.0
+        self.flow_count = 0
+        self.idle_since = 0.0
 
     def dormant(self) -> bool:
         """Asleep, with no wake under way."""
@@ -85,13 +103,11 @@ class _Node:
 
 class _Server(_Node):
     __slots__ = ("id", "f", "committed", "key", "queue", "serving", "stamp",
-                 "idle_since", "flow_count", "pending", "power_w", "epoch", "end_t",
-                 "reserved")
+                 "pending", "epoch", "end_t", "reserved")
 
     def __init__(self, sid: int):
+        super().__init__(CLS_SERVER)
         self.id = sid
-        self.asleep = False
-        self.transition_until: float | None = None
         self.f = 1.0
         self.committed = 0.0
         self.reserved = 0
@@ -99,10 +115,7 @@ class _Server(_Node):
         self.queue: list[tuple[float, int]] = []   # EDF heap of waiting jobs
         self.serving: int | None = None
         self.stamp = 0.0
-        self.idle_since = 0.0
-        self.flow_count = 0
-        self.pending: list[int] = []               # assigned while waking up
-        self.power_w = 0.0
+        self.pending: list[int] = []               # assigned while asleep
         self.epoch = 0
         self.end_t = float("inf")
 
@@ -112,17 +125,15 @@ class _Server(_Node):
 
 
 class _Switch(_Node):
-    __slots__ = ("cls", "base_w", "power_w", "flow_count", "p_sleep_w", "idle_since")
+    __slots__ = ("base_w", "p_sleep_w")
 
     def __init__(self, cls: int, base_w: float, p_sleep_w: float):
-        self.cls = cls
-        self.asleep = False
-        self.transition_until: float | None = None
+        super().__init__(cls)
         self.base_w = base_w
-        self.power_w = 0.0
-        self.flow_count = 0
         self.p_sleep_w = p_sleep_w
-        self.idle_since = 0.0
+
+    def quiet(self) -> bool:
+        return self.flow_count == 0
 
 
 class _Flow:
@@ -175,19 +186,17 @@ class SimState:
         self.heap: list[tuple] = []
         topo = self.topology
 
-        # indexed by node id, None at switch ids
-        self.servers: list[_Server | None] = [None] * topo.server_ids.start
-        self.servers += [_Server(s) for s in topo.server_ids]
-        self.awake_ids: list[int] = list(topo.server_ids)
-        self.sleeping: list[int] = []
-        self.waking_ids: set[int] = set()
-        self.cands: list[tuple[float, int]] = sorted(self.servers[s].key for s in topo.server_ids)
-
-        self.switches: list[_Switch | None] = [None] * topo.n_nodes
+        # the node table, indexed by node id: switches, then servers
+        self.nodes: list[_Node] = []
         for nid in range(topo.server_ids.start):
             role = topo.roles[nid]
             params = cfg.switch_power[ROLE_NAMES[role]]
-            self.switches[nid] = _Switch(_ROLE_TO_CLS[role], params.base_w, params.p_sleep_w)
+            self.nodes.append(_Switch(_ROLE_TO_CLS[role], params.base_w, params.p_sleep_w))
+        self.nodes += [_Server(s) for s in topo.server_ids]
+        self.awake_ids: list[int] = list(topo.server_ids)
+        self.sleeping: list[int] = []
+        self.waking_ids: set[int] = set()
+        self.cands: list[tuple[float, int]] = sorted(self.nodes[s].key for s in topo.server_ids)
 
         # per-link rate tiers, directional capacities and per-end port power.
         # Tiers are pure in the native rate and port watts in the rate and
@@ -207,7 +216,6 @@ class SimState:
         self.native_idx = len(self.link_tiers[0]) - 1
         self.link_tier_idx = [self.native_idx] * nlinks
         self.link_up = [True] * nlinks
-        self.links_down = 0           # links with link_up False
         self.cap = [ln.rate_bps for ln in topo.links for _ in (0, 1)]
         self.dir_sum = [0.0] * (2 * nlinks)
         # flow set per direction, from its first flow on (fill records hold it)
@@ -248,20 +256,16 @@ class SimState:
         self.trace = hashlib.sha256()
 
         for s in topo.server_ids:
-            self._set_server_w(self.servers[s], self.sparams.idle_w)
+            self._set_w(self.nodes[s], self.sparams.idle_w)
         for nid in range(topo.server_ids.start):
-            sw = self.switches[nid]
-            self._set_switch_w(sw, sw.base_w + self._ports_w(nid))
+            sw = self.nodes[nid]
+            self._set_w(sw, sw.base_w + self._ports_w(nid))
 
     # -- power bookkeeping ---------------------------------------------------
 
-    def _set_server_w(self, srv: _Server, watts: float) -> None:
-        self.class_power[CLS_SERVER] += watts - srv.power_w
-        srv.power_w = watts
-
-    def _set_switch_w(self, sw: _Switch, watts: float) -> None:
-        self.class_power[sw.cls] += watts - sw.power_w
-        sw.power_w = watts
+    def _set_w(self, node: _Node, watts: float) -> None:
+        self.class_power[node.cls] += watts - node.power_w
+        node.power_w = watts
 
     def _ports_w(self, nid: int) -> float:
         total = 0.0
@@ -275,24 +279,18 @@ class SimState:
     def _refresh_link_state(self, lid: int) -> None:
         """Re-evaluate link up/down after an endpoint mode flip."""
         ln = self.topology.links[lid]
-        up = not self._asleep(ln.a) and not self._asleep(ln.b)
+        up = not self.nodes[ln.a].asleep and not self.nodes[ln.b].asleep
         if up == self.link_up[lid]:
             return
         self.link_up[lid] = up
-        self.links_down += -1 if up else 1
         if up:
             self.dvs_pending.add(lid)
         sign = 1.0 if up else -1.0
         idx = self.link_tier_idx[lid]
         for end, watts in self._port_w[lid]:
-            sw = self.switches[end]
+            sw = self.nodes[end]
             if not sw.asleep:
-                self._set_switch_w(sw, sw.power_w + sign * watts[idx])
-
-    def _asleep(self, nid: int) -> bool:
-        if self.topology.roles[nid] == ROLE_SERVER:
-            return self.servers[nid].asleep
-        return self.switches[nid].asleep
+                self._set_w(sw, sw.power_w + sign * watts[idx])
 
     def _set_tier(self, lid: int, new_idx: int) -> None:
         old_idx = self.link_tier_idx[lid]
@@ -303,9 +301,9 @@ class SimState:
         self.cap[2 * lid] = self.cap[2 * lid + 1] = rate
         if self.link_up[lid]:
             for end, watts in self._port_w[lid]:
-                sw = self.switches[end]
+                sw = self.nodes[end]
                 delta = watts[new_idx] - watts[old_idx]
-                self._set_switch_w(sw, sw.power_w + delta)
+                self._set_w(sw, sw.power_w + delta)
 
     # -- candidate list --------------------------------------------------------
 
@@ -328,13 +326,13 @@ class SimState:
     # -- queries used by the placement policy ----------------------------------
 
     def placement_order(self, demand: float,
-                        deadline: float) -> Iterator[tuple[int, float, float, bool]]:
-        """(server, reserved rate, available at, needs wake) for each server
-        whose committed load plus demand over its time left fits in full
-        speed, in scan order: awake ones most-loaded first, ties to the
-        lowest id; waking ones alike, from the end of their transition; then
-        wakeable sleeping ones by id, from the end of a wake.  Lazy: consume
-        it before the state changes."""
+                        deadline: float) -> Iterator[tuple[int, float, bool]]:
+        """(server, reserved rate, needs wake) for each server whose
+        committed load plus demand over its time left fits in full speed, in
+        scan order: awake ones most-loaded first, ties to the lowest id;
+        waking ones alike, from the end of their transition; then wakeable
+        sleeping ones by id, from the end of a wake.  Lazy: consume it
+        before the state changes."""
         now = self.clock
         window = deadline - now
         if window > 0:
@@ -342,30 +340,29 @@ class SimState:
             # cands ascends by (committed, -id): walk left from the cut
             cands = self.cands
             for i in range(bisect_right(cands, (1.0 - r + _EPS, 1)) - 1, -1, -1):
-                yield -cands[i][1], r, now, False
-            servers = self.servers
-            for sid in sorted(self.waking_ids, key=lambda s: (-servers[s].committed, s)):
-                srv = servers[sid]
+                yield -cands[i][1], r, False
+            nodes = self.nodes
+            for sid in sorted(self.waking_ids, key=lambda s: (-nodes[s].committed, s)):
+                srv = nodes[sid]
                 w = deadline - srv.transition_until
                 if w > 0 and srv.committed + demand / w <= 1.0 + _EPS:
-                    yield sid, demand / w, srv.transition_until, False
-        avail = now + TRANSITION_SECONDS
-        window = deadline - avail
+                    yield sid, demand / w, False
+        window = deadline - (now + TRANSITION_SECONDS)
         if window <= 0 or demand / window > 1.0 + _EPS:
             return
         for sid in self.sleeping:
-            sw = self.switches[self.topology.access_of_server(sid)]
+            sw = self.nodes[self.topology.access_of_server(sid)]
             if sw.transition_until is not None and not sw.asleep:
                 continue  # rack switch is mid sleep-transition
-            yield sid, demand / window, avail, True
+            yield sid, demand / window, True
 
     def internal_dst(self, job_id: int, src: int) -> int | None:
         """Peer for an internal transfer: a rack sibling when one is awake
         (keeping the exchange off the fabric spine), else any awake server."""
         sibs = [s for s in self.topology.servers_of_access(
                     self.topology.access_of_server(src))
-                if s != src and not self.servers[s].asleep
-                and self.servers[s].transition_until is None]
+                if s != src and not self.nodes[s].asleep
+                and self.nodes[s].transition_until is None]
         if sibs:
             return sibs[splitmix64(job_id) % len(sibs)]
         awake = self.awake_ids
@@ -399,12 +396,14 @@ class SimState:
     def ensure_path_live(self, path: Path) -> None:
         """Request wake-up of any stably sleeping switch on the path.  A
         switch caught mid sleep-transition is re-woken when that transition
-        completes, because the flow keeps its count above zero."""
+        completes, because the flow keeps its count above zero.  The path's
+        ends are awake servers or the gateway, which never sleeps, so only
+        its inner switches can be dormant."""
         if self.dark_switches == 0:
             return
-        roles = self.topology.roles
-        for n in path.nodes:
-            if roles[n] != ROLE_SERVER and self.switches[n].dormant():
+        nodes = self.nodes
+        for n in path.nodes[1:-1]:
+            if nodes[n].dormant():
                 _wake_switch(self, n)
 
     def spine_sleep_ok(self, nid: int) -> bool:
@@ -418,7 +417,7 @@ class SimState:
         pod = topo.pod_of_agg(nid)
         a, b = topo.aggs_of_pod(pod)
         return (self.switch_live[b if nid == a else a]
-                or all(self.switches[acc].dormant() for acc in topo.racks_of_pod(pod)))
+                or all(self.nodes[acc].dormant() for acc in topo.racks_of_pod(pod)))
 
     # -- event plumbing --------------------------------------------------------
 
@@ -448,31 +447,23 @@ def _advance_serving(state: SimState, srv: _Server, now: float) -> None:
 def _dvfs_load(state: SimState, srv: _Server, now: float) -> float:
     """Current load signal: sum of remaining-work over time-to-deadline.
 
-    The pending, serving and queued jobs are summed in that order, in
-    place: the float sum depends on it."""
+    The serving and queued jobs are summed in that order, in place: the
+    float sum depends on it.  None of them has finished its compute, and
+    the server is awake, so it holds no pending job."""
     jobs = state.jobs
     total = 0.0
-    for jid in srv.pending:
-        jr = jobs[jid]
-        if not jr.compute_done:
-            w = jr.job.deadline - now
-            if w <= 0.0:
-                return 1.0
-            total += jr.rem / w
     if srv.serving is not None:
         jr = jobs[srv.serving]
-        if not jr.compute_done:
-            w = jr.job.deadline - now
-            if w <= 0.0:
-                return 1.0
-            total += jr.rem / w
+        w = jr.job.deadline - now
+        if w <= 0.0:
+            return 1.0
+        total += jr.rem / w
     for _d, jid in srv.queue:
         jr = jobs[jid]
-        if not jr.compute_done:
-            w = jr.job.deadline - now
-            if w <= 0.0:
-                return 1.0
-            total += jr.rem / w
+        w = jr.job.deadline - now
+        if w <= 0.0:
+            return 1.0
+        total += jr.rem / w
     return total
 
 
@@ -497,7 +488,7 @@ def _refresh_setpoint(state: SimState, srv: _Server, now: float) -> None:
     rising = f > srv.f
     srv.f = f
     if srv.serving is not None:
-        state._set_server_w(srv, state.sparams.busy_w(f))
+        state._set_w(srv, state.sparams.busy_w(f))
         jr = state.jobs[srv.serving]
         end = now + jr.rem / f
         if rising and end < srv.end_t - _EPS:
@@ -514,14 +505,14 @@ def _serve_next(state: SimState, srv: _Server, now: float) -> None:
         srv.serving = jid
         srv.stamp = now
         state.n_serving += 1
-        state._set_server_w(srv, state.sparams.busy_w(srv.f))
+        state._set_w(srv, state.sparams.busy_w(srv.f))
         srv.epoch += 1
         srv.end_t = now + state.jobs[jid].rem / srv.f
         state.push(srv.end_t, EV_COMPUTE_END, srv.id, srv.epoch)
     else:
         srv.serving = None
         srv.end_t = float("inf")
-        state._set_server_w(srv, state.sparams.idle_w)
+        state._set_w(srv, state.sparams.idle_w)
         if srv.quiet():
             srv.idle_since = now
 
@@ -569,13 +560,13 @@ def _recompute(state: SimState, seed_dirs) -> None:
     live capacity as the residual, its flow count as the unfrozen count
     and its flow set from dir_flows as the members, and per flow its
     directed links.  Flows crossing a link that is down (an endpoint
-    switch asleep or mid transition to sleep) are stalled: they get rate
-    zero up front and are taken off their records' counts, so they hold no
-    bandwidth elsewhere while they wait for the wake; the scan for them is
-    skipped while no link of the component is down.  The flows are
-    advanced to now in id order, fairshare.fill runs over the records, and
-    new rates are applied and rescheduled in id order.  Every directed
-    link of the component is checked against its capacity afterwards.
+    switch asleep) are stalled: they get rate zero up front and are taken
+    off their records' counts, so they hold no bandwidth elsewhere while
+    they wait for the wake; the scan for them is skipped while no link of
+    the component is down.  The flows are advanced to now in id order,
+    fairshare.fill runs over the records, and new rates are applied and
+    rescheduled in id order.  Every directed link of the component is
+    checked against its capacity afterwards.
     """
     flows = state.flows
     dir_flows = state.dir_flows
@@ -603,9 +594,13 @@ def _recompute(state: SimState, seed_dirs) -> None:
     order = sorted(members)
     rates: dict[int, float] = {}
     # every flow's links are among the records, so with none of them down
-    # no flow of the component is stalled
+    # no flow of the component is stalled.  Only a sleeping switch can take
+    # a flow's link down: a flow's servers stay awake while it runs (its
+    # source is awake when it starts, its peer awake and in no transition,
+    # and a server carrying a flow is never quiet, so never put to sleep),
+    # and a sleeping switch counts in dark_switches.
     link_up = state.link_up
-    if state.links_down and not all(link_up[d >> 1] for d in records):
+    if state.dark_switches and not all(link_up[d >> 1] for d in records):
         for fid in order:
             res = members[fid]
             if not all(link_up[d >> 1] for d in res):
@@ -648,19 +643,12 @@ def _recompute(state: SimState, seed_dirs) -> None:
 def _touch_endpoints(state: SimState, fl: _Flow, delta: int) -> None:
     """Maintain per-node flow counts (and idle stamps) along a flow's path."""
     now = state.clock
-    roles = state.topology.roles
-    for node in (fl.nodes[0], fl.nodes[-1]):
-        if roles[node] == ROLE_SERVER:
-            srv = state.servers[node]
-            srv.flow_count += delta
-            if delta < 0 and srv.quiet():
-                srv.idle_since = now
-    for node in fl.nodes:
-        if roles[node] != ROLE_SERVER:
-            sw = state.switches[node]
-            sw.flow_count += delta
-            if delta < 0 and sw.flow_count == 0:
-                sw.idle_since = now
+    nodes = state.nodes
+    for nid in fl.nodes:
+        node = nodes[nid]
+        node.flow_count += delta
+        if delta < 0 and node.quiet():
+            node.idle_since = now
 
 
 def _add_flow(state: SimState, jr: _JobRun, path: Path, nbytes: float) -> None:
@@ -712,7 +700,7 @@ def _start_flows(state: SimState, jr: _JobRun) -> None:
     job = jr.job
     if job.comm_internal_bytes > 0.0:
         dst = jr.dst
-        if dst is None or (peer := state.servers[dst]).asleep or peer.transition_until is not None:
+        if dst is None or (peer := state.nodes[dst]).asleep or peer.transition_until is not None:
             dst = state.internal_dst(job.id, jr.server)
         if dst is not None:
             path = state.route(jr.server, dst, job.id * 2)
@@ -732,7 +720,7 @@ def _job_piece_done(state: SimState, jr: _JobRun) -> None:
 
 def _wake_switch(state: SimState, nid: int) -> None:
     """Start a wake transition for a dormant switch."""
-    sw = state.switches[nid]
+    sw = state.nodes[nid]
     if not sw.dormant():
         return
     sw.transition_until = state.clock + TRANSITION_SECONDS
@@ -751,14 +739,14 @@ def _begin_wake(state: SimState, sid: int) -> None:
     if topo.pod_count:
         pair = topo.aggs_of_pod(topo.pod_of_access(acc))
         if not any(state.switch_live[a]
-                   or (state.switches[a].asleep
-                       and state.switches[a].transition_until is not None)
+                   or (state.nodes[a].asleep
+                       and state.nodes[a].transition_until is not None)
                    for a in pair):
             for a in pair:
-                if state.switches[a].dormant():
+                if state.nodes[a].dormant():
                     _wake_switch(state, a)
                     break
-    srv = state.servers[sid]
+    srv = state.nodes[sid]
     i = bisect_left(state.sleeping, sid)
     del state.sleeping[i]
     srv.transition_until = now + TRANSITION_SECONDS
@@ -776,18 +764,19 @@ def _handle_arrival(state: SimState, jid: int) -> None:
     jr.server = decision.server
     jr.r = decision.reserved_rate
     jr.dst = decision.internal_dst
-    srv = state.servers[decision.server]
+    srv = state.nodes[decision.server]
     if decision.needs_wake:
         _begin_wake(state, decision.server)
     srv.committed += jr.r
     srv.reserved += 1
     state._cand_update(srv)      # no-op while the server is not a candidate
-    now = state.clock
     state.push(jr.job.deadline, EV_RELEASE, decision.server, jid)
-    if decision.available_at > now:
+    if srv.asleep:
+        # asleep or waking: the job starts when the wake completes, also
+        # when it arrives at the very instant the wake ends
         srv.pending.append(jid)
         return
-    _enqueue_compute(state, srv, jr, now)
+    _enqueue_compute(state, srv, jr, state.clock)
     _start_flows(state, jr)
 
 
@@ -812,7 +801,7 @@ def _maybe_release(state: SimState, srv: _Server, jr: _JobRun) -> None:
 
 
 def _handle_compute_end(state: SimState, sid: int, epoch: int) -> None:
-    srv = state.servers[sid]
+    srv = state.nodes[sid]
     now = state.clock
     _advance_serving(state, srv, now)
     jr = state.jobs[srv.serving]
@@ -858,13 +847,13 @@ def _handle_transition(state: SimState, comp: int, nid: int) -> None:
     now = state.clock
     topo = state.topology
     if comp == 0:
-        srv = state.servers[nid]
+        srv = state.nodes[nid]
         srv.transition_until = None
         if srv.asleep:   # a wake: a sleep starts only while awake
             srv.asleep = False
             state.waking_ids.discard(nid)
             insort(state.awake_ids, nid)
-            state._set_server_w(srv, state.sparams.idle_w)
+            state._set_w(srv, state.sparams.idle_w)
             srv.f = 1.0
             srv.idle_since = now
             state._cand_insert(srv)
@@ -877,16 +866,16 @@ def _handle_transition(state: SimState, comp: int, nid: int) -> None:
                 _start_flows(state, jr)
         else:
             srv.asleep = True
-            state._set_server_w(srv, state.sparams.p_sleep_w)
+            state._set_w(srv, state.sparams.p_sleep_w)
             insort(state.sleeping, nid)
             for _nbr, lid in topo.adj[nid]:
                 state._refresh_link_state(lid)
     else:
-        sw = state.switches[nid]
+        sw = state.nodes[nid]
         sw.transition_until = None
         if sw.asleep:
             sw.asleep = False
-            state._set_switch_w(sw, sw.base_w)
+            state._set_w(sw, sw.base_w)
             state.dark_switches -= 1
             state.switch_live[nid] = True
             for _nbr, lid in topo.adj[nid]:
@@ -898,7 +887,7 @@ def _handle_transition(state: SimState, comp: int, nid: int) -> None:
                 _recompute(state, dirs)
         else:
             sw.asleep = True
-            state._set_switch_w(sw, sw.p_sleep_w)
+            state._set_w(sw, sw.p_sleep_w)
             for _nbr, lid in topo.adj[nid]:
                 state._refresh_link_state(lid)
             if sw.flow_count:
@@ -909,27 +898,23 @@ def _handle_transition(state: SimState, comp: int, nid: int) -> None:
 
 def _apply_sleeps(state: SimState, requests: list[int]) -> None:
     now = state.clock
-    roles = state.topology.roles
     for nid in requests:
-        if roles[nid] == ROLE_SERVER:
-            srv = state.servers[nid]
-            if srv.transition_until is not None or srv.asleep or not srv.quiet():
-                continue
-            srv.transition_until = now + TRANSITION_SECONDS
+        node = state.nodes[nid]
+        if node.transition_until is not None or node.asleep or not node.quiet():
+            continue
+        if node.cls == CLS_SERVER:
+            node.transition_until = now + TRANSITION_SECONDS
             i = bisect_left(state.awake_ids, nid)
             del state.awake_ids[i]
-            state._cand_remove(srv)
-            state.push(srv.transition_until, EV_TRANSITION, 0, nid)
-        else:
-            sw = state.switches[nid]
-            if sw.transition_until is not None or sw.asleep or sw.flow_count:
-                continue
-            if not state.spine_sleep_ok(nid):   # always True off the aggregation layer
-                continue   # an earlier request this tick took the partner down
-            sw.transition_until = now + TRANSITION_SECONDS
+            state._cand_remove(node)
+            state.push(node.transition_until, EV_TRANSITION, 0, nid)
+        # the connectivity rule, always met off the aggregation layer, fails
+        # when an earlier request this tick took the partner down
+        elif state.spine_sleep_ok(nid):
+            node.transition_until = now + TRANSITION_SECONDS
             state.dark_switches += 1
             state.switch_live[nid] = False
-            state.push(sw.transition_until, EV_TRANSITION, 1, nid)
+            state.push(node.transition_until, EV_TRANSITION, 1, nid)
 
 
 def _dvs_pass(state: SimState) -> None:
@@ -972,7 +957,7 @@ def _handle_tick(state: SimState) -> None:
     if policy.dvfs_enabled:
         _dvs_pass(state)
         for sid in state.awake_ids:
-            srv = state.servers[sid]
+            srv = state.nodes[sid]
             if srv.serving is not None:
                 _refresh_setpoint(state, srv, now)
     if policy.dns_enabled:
@@ -1046,7 +1031,7 @@ def run(cfg: ScenarioConfig, jobs: list[Job] | None = None,
             if a not in state.flows:
                 continue
         elif kind == EV_COMPUTE_END:
-            srv = state.servers[a]
+            srv = state.nodes[a]
             if srv.epoch != b or srv.serving is None:
                 continue
         elif kind == EV_RELEASE:
@@ -1075,13 +1060,13 @@ def run(cfg: ScenarioConfig, jobs: list[Job] | None = None,
             if nxt < cfg.horizon_s:
                 state.push(nxt, EV_STATS, 0, 0)
         elif kind == EV_RELEASE:
-            _maybe_release(state, state.servers[a], state.jobs[b])
+            _maybe_release(state, state.nodes[a], state.jobs[b])
         elif kind == EV_END:
             break
 
     # settle in-flight work at the horizon
     for sid in list(state.awake_ids):
-        srv = state.servers[sid]
+        srv = state.nodes[sid]
         if srv.serving is not None:
             _advance_serving(state, srv, state.clock)
     for fl in state.flows.values():

@@ -8,8 +8,10 @@ sum of admission-time rate reservations (compute demand over
 time-to-deadline), so a server's residual capacity is exactly what it can
 still promise.  The first listed server wins; data-intensive jobs skip
 servers whose transfers would be routed over a congested link.  The
-decision names the server and the internal transfer's peer, not paths: the
-engine routes each transfer when it starts.
+decision names the server, whether it must be woken and the internal
+transfer's peer, not paths: the engine routes each transfer when it starts.
+When the job starts is not the decision's either: the engine holds it while
+the server is asleep or waking, and starts it when the wake completes.
 
 Frequency setpoints track current load with a headroom factor.  The whole
 sleep policy is dns_tick: it puts to sleep servers idle past a timeout,
@@ -17,7 +19,8 @@ access switches with no traffic whose servers are all dormant (asleep,
 no wake under way), and aggregation and non-gateway core switches idle
 past the timeout.  The engine's connectivity rule keeps one aggregation
 switch of every pod with active racks awake; links of awake switches
-rate-scale.
+rate-scale.  dns_tick reads each node's mode, flows and idle stamp off the
+engine's node table.
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ class PlacementDecision:
     admit: bool
     server: int | None = None
     reserved_rate: float = 0.0
-    available_at: float = 0.0
     needs_wake: bool = False
     internal_dst: int | None = None
     reason: str = "ok"
@@ -93,12 +95,11 @@ def place(job: Job, state: "SimState", policy: SchedulerPolicy) -> PlacementDeci
     rejection, an SLA violation."""
     check = job.job_class == DIW
     threshold = policy.congestion_threshold
-    for server, rate, available_at, needs_wake in state.placement_order(
-            job.compute_demand, job.deadline):
+    for server, rate, needs_wake in state.placement_order(job.compute_demand, job.deadline):
         dst = state.internal_dst(job.id, server) if job.comm_internal_bytes > 0 else None
         if check and _congested(state, job, server, dst, threshold):
             continue
-        return PlacementDecision(True, server, rate, available_at, needs_wake, dst)
+        return PlacementDecision(True, server, rate, needs_wake, dst)
     return PlacementDecision(False, reason="no feasible server")
 
 
@@ -120,22 +121,22 @@ def dns_tick(state: "SimState", policy: SchedulerPolicy, now: float) -> list[int
     the timeout and allowed by the engine's connectivity rule."""
     requests: list[int] = []
     cutoff = now - policy.idle_timeout_s
+    nodes = state.nodes
     for sid in state.awake_ids:
-        srv = state.servers[sid]
+        srv = nodes[sid]
         if srv.quiet() and srv.idle_since <= cutoff:
             requests.append(sid)
     topo = state.topology
     live = state.switch_live
-    servers = state.servers
     for acc in topo.access_ids:
-        if live[acc] and state.switches[acc].flow_count == 0:
+        if live[acc] and nodes[acc].flow_count == 0:
             for sid in topo.servers_of_access(acc):
-                if not servers[sid].dormant():
+                if not nodes[sid].dormant():
                     break
             else:
                 requests.append(acc)
     for nid in (*topo.core_ids[1:], *topo.agg_ids):
-        sw = state.switches[nid]
+        sw = nodes[nid]
         if (live[nid] and sw.flow_count == 0 and sw.idle_since <= cutoff
                 and state.spine_sleep_ok(nid)):
             requests.append(nid)

@@ -149,12 +149,12 @@ class Topology:
         self._pair_of_rack: list[tuple[int, int]] = []
         self.links: list[Link] = []
         self.adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_nodes)]
-        self._link_by_pair: dict[tuple[int, int], int] = {}
-        links, adj, by_pair = self.links, self.adj, self._link_by_pair
+        links, adj, pairs = self.links, self.adj, set()
         for lid, (u, v, rate) in enumerate(self._build()):
             key = (u, v) if u < v else (v, u)
-            if by_pair.setdefault(key, lid) != lid:
+            if key in pairs:
                 raise InvalidSpec(f"duplicate link between nodes {key}")
+            pairs.add(key)
             links.append(Link(lid, u, v, rate))
             adj[u].append((v, lid))
             adj[v].append((u, lid))
@@ -249,10 +249,6 @@ class Topology:
         a0 = self.agg_ids.start + 2 * pod
         return (a0, a0 + 1)
 
-    def link_between(self, a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        return self._link_by_pair[key]
-
     # -- equal-cost paths --------------------------------------------------
 
     def _tiers(self, src: int, dst: int) -> tuple[int, int, tuple]:
@@ -324,31 +320,18 @@ class Topology:
             raise IndexError(f"path index {k} out of range ({n} paths)")
         return self._path(src, dst, a, b, tiers, k)
 
-    def live_path(self, src: int, dst: int, k: int, live: Sequence[bool]) -> Path | None:
-        """The (k mod m)-th of the m equal-cost paths whose switches are all
-        live (live[switch id] true), or None when m is 0.
-
-        Live paths keep their order in the full enumeration, so this equals
-        ``[p for p in equal_cost_paths(src, dst) if <p is live>][k % m]``.
-        """
-        a, b, tiers = self._tiers(src, dst)
-        up = self._live_tiers(a, b, tiers, live)
-        return None if up is None else self._path(src, dst, a, b, up, k)
-
     def pick_path(self, src: int, dst: int, k: int, live: Sequence[bool] | None = None) -> Path:
-        """The path a transfer hashed to k takes: live_path(src, dst, k, live)
-        when live is given and some path is live, else the (k mod n)-th of
-        all n paths.  Checks the endpoints and decodes once."""
+        """The path a transfer hashed to k takes: when live is given and
+        some of the equal-cost paths have all their switches live
+        (live[switch id] true), the (k mod m)-th of those m, which keep their
+        order in the full enumeration; else the (k mod n)-th of all n paths.
+        Checks the endpoints and decodes once."""
         a, b, tiers = self._tiers(src, dst)
         if live is not None:
             up = self._live_tiers(a, b, tiers, live)
             if up is not None:
                 tiers = up
         return self._path(src, dst, a, b, tiers, k)
-
-    def equal_cost_paths(self, src: int, dst: int) -> list[Path]:
-        """Exhaustive set of minimum-hop paths between two endpoints."""
-        return [self.kth_path(src, dst, k) for k in range(self.path_count(src, dst))]
 
     # -- export ------------------------------------------------------------
 

@@ -249,7 +249,7 @@ def test_same_seed_reproduces_trace_and_report(scheme_runs, repeat_run):
 
 
 def test_replication_confidence_interval_tight(reference_cfg):
-    reps = run_replications(reference_cfg, count=20)
+    reps = run_replications(reference_cfg, count=20, workers=2)
     stats = summarize([r.energy.servers_wh for r in reps])
     rel = stats["ci95_half_width"] / stats["mean"]
     check("20-replication server-energy CI", rel < 0.005,

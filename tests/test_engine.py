@@ -6,7 +6,7 @@ import pytest
 from greendc import config, engine, fairshare, report
 from greendc.engine import EVENT_NAMES, InternalInvariantViolation, SimState
 from greendc.powermodel import TRANSITION_SECONDS, dvs_tier_index
-from greendc.topology import ROLE_ACCESS, ROLE_AGG, ROLE_SERVER
+from greendc.topology import ROLE_ACCESS, ROLE_AGG, ROLE_CORE, ROLE_SERVER
 from greendc.workload import Job, generate
 
 from conftest import small_scenario
@@ -179,6 +179,24 @@ def test_dns_wakes_server_for_late_arrival(make_cfg):
     assert finish_of(rep, 1) >= 8.0 + TRANSITION_SECONDS + 0.5 - 1e-9
 
 
+def test_arrival_at_the_instant_a_wake_ends_waits_for_the_wake(make_cfg):
+    """Every server is asleep by t=1.0.  Job 0 wakes server 8, whose wake
+    ends at 1.0 + 0.1 == 1.1, the arrival time of job 1.  Arrivals pop
+    before the wake's event at the same instant, so job 1 is placed on the
+    still-waking server: it must wait for the wake like job 0, and its
+    transfer must run to the end."""
+    cfg = make_cfg(horizon_s=10.0, policy={"scheme": "dns"})
+    assert 1.0 + TRANSITION_SECONDS == 1.1
+    jobs = [balanced_job(0, 1.0, 0.5, 5.0),
+            balanced_job(1, 1.1, 0.5, 5.0, external=1e6)]
+    rep = engine.run(cfg, jobs=jobs, collect_jobs=True)
+    assert server_of(rep, 0) == server_of(rep, 1) == 8
+    assert rep.sla["completed"] == 2 and rep.sla["violations"] == 0
+    c = rep.conservation
+    assert c["flow_bytes_done"] == c["flow_bytes_offered"] == 1e6
+    assert finish_of(rep, 0) < finish_of(rep, 1)
+
+
 # -- invariants and reproducibility -------------------------------------------
 
 @pytest.mark.parametrize("arch", ["two_tier", "three_tier", "three_tier_hs"])
@@ -234,7 +252,7 @@ def test_internal_peer_prefers_rack_sibling(small_cfg):
     for jid in range(50):
         assert state.internal_dst(jid, src) == sib
     # with the sibling asleep the peer comes from the rest of the fleet
-    state.servers[sib].asleep = True
+    state.nodes[sib].asleep = True
     state.awake_ids.remove(sib)
     peers = {state.internal_dst(jid, src) for jid in range(50)}
     assert sib not in peers and src not in peers
@@ -243,7 +261,7 @@ def test_internal_peer_prefers_rack_sibling(small_cfg):
 
 def test_candidate_bookkeeping_detects_corruption(small_cfg):
     state = SimState(small_cfg)
-    srv = state.servers[state.topology.server_ids.start]
+    srv = state.nodes[state.topology.server_ids.start]
     srv.key = (0.123, -srv.id)   # not what the candidate list holds
     with pytest.raises(InternalInvariantViolation):
         state._cand_remove(srv)
@@ -258,7 +276,7 @@ def test_sleep_transition_draws_pre_transition_power(small_cfg):
     state.clock = TRANSITION_SECONDS
     engine._handle_transition(state, 0, sid)
     assert state.class_power[0] == pytest.approx(before - IDLE_W)
-    assert state.servers[sid].asleep
+    assert state.nodes[sid].asleep
     # waking restores idle draw only after the wake transition completes
     engine._begin_wake(state, sid)
     assert state.class_power[0] == pytest.approx(before - IDLE_W)
@@ -300,12 +318,21 @@ def test_wake_of_a_switch_mid_transition_pushes_nothing(small_cfg):
     assert state.dark_switches == 1
 
 
+_CLS_OF_ROLE = {ROLE_CORE: engine.CLS_CORE, ROLE_AGG: engine.CLS_AGG,
+                ROLE_ACCESS: engine.CLS_ACCESS, ROLE_SERVER: engine.CLS_SERVER}
+
+
 def _check_derived_state(state, seen):
-    """The facts the engine keeps once and derives where needed: switch
-    draw from its mode and port tiers, class power from its members,
-    server mode sets from the per-server flags, and single-visit paths."""
+    """The facts the engine keeps once and derives where needed: each
+    node's class from its role, switch draw from its mode and port tiers,
+    class power from its members, server mode sets from the per-server
+    flags, pending jobs only on sleeping or waking servers, flows only
+    between awake servers, and single-visit paths."""
+    topo = state.topology
+    assert len(state.nodes) == topo.n_nodes
+    assert [node.cls for node in state.nodes] == [_CLS_OF_ROLE[r] for r in topo.roles]
     class_sum = [0.0, 0.0, 0.0, 0.0]
-    for nid, sw in enumerate(state.switches[:state.topology.server_ids.start]):
+    for nid, sw in enumerate(state.nodes[:topo.server_ids.start]):
         if sw.asleep:
             assert sw.power_w == sw.p_sleep_w, nid
             seen["asleep_switches"] += 1
@@ -313,7 +340,7 @@ def _check_derived_state(state, seen):
             assert sw.power_w == pytest.approx(sw.base_w + state._ports_w(nid), rel=1e-9), nid
         class_sum[sw.cls] += sw.power_w
         assert state.switch_live[nid] == (not sw.asleep and sw.transition_until is None), nid
-    servers = [state.servers[s] for s in state.topology.server_ids]
+    servers = [state.nodes[s] for s in topo.server_ids]
     class_sum[engine.CLS_SERVER] = sum(srv.power_w for srv in servers)
     assert state.class_power == pytest.approx(class_sum, rel=1e-9)
     assert state.waking_ids == {srv.id for srv in servers
@@ -321,8 +348,13 @@ def _check_derived_state(state, seen):
     assert state.awake_ids == [srv.id for srv in servers
                                if not srv.asleep and srv.transition_until is None]
     seen["waking"] += len(state.waking_ids)
+    for srv in servers:
+        assert srv.asleep or not srv.pending, srv.id
+        seen["pending"] += len(srv.pending)
     for fl in state.flows.values():
         assert len({d >> 1 for d in fl.res}) == len(fl.res), fl.id
+        for end in (fl.nodes[0], fl.nodes[-1]):
+            assert end not in topo.server_ids or not state.nodes[end].asleep, (fl.id, end)
     seen["trimmed"] += sum(i != state.native_idx for i in state.link_tier_idx)
     seen["checks"] += 1
 
@@ -331,7 +363,7 @@ def _check_derived_state(state, seen):
 def test_derived_state_holds_after_every_event(make_cfg, monkeypatch, mix):
     """Checked before each event's energy step (the state the previous event
     left) and on the final state handed to the report."""
-    seen = {"checks": 0, "asleep_switches": 0, "waking": 0, "trimmed": 0}
+    seen = {"checks": 0, "asleep_switches": 0, "waking": 0, "trimmed": 0, "pending": 0}
     integrate = engine.integrate_energy
 
     def checked_integrate(state, dt):
@@ -351,7 +383,7 @@ def test_derived_state_holds_after_every_event(make_cfg, monkeypatch, mix):
                              "mean_compute": 0.1})
     engine.run(cfg)
     assert seen["checks"] > 1000
-    assert seen["asleep_switches"] and seen["waking"] and seen["trimmed"]
+    assert seen["asleep_switches"] and seen["waking"] and seen["trimmed"] and seen["pending"]
 
 
 # -- the placement query -------------------------------------------------------
@@ -362,27 +394,26 @@ def _placement_reference(state, demand, deadline):
     left, most-loaded first, ties to the lowest id; then waking servers,
     reserving over the time left after their transition, in the same order;
     then the sleeping servers whose rack switch is not falling asleep,
-    lowest id first, reserving over the time left after a wake."""
+    lowest id first, reserving over the time left after a wake, which they
+    need."""
     now, eps = state.clock, engine._EPS
     ranked = []
     for sid in state.topology.server_ids:
-        srv = state.servers[sid]
-        rack = state.switches[state.topology.access_of_server(sid)]
+        srv = state.nodes[sid]
+        rack = state.nodes[state.topology.access_of_server(sid)]
         if not srv.asleep and srv.transition_until is None:
             window = deadline - now
             if window > 0 and srv.committed <= 1.0 - demand / window + eps:
-                ranked.append(((0, -srv.committed, sid), (sid, demand / window, now, False)))
+                ranked.append(((0, -srv.committed, sid), (sid, demand / window, False)))
         elif srv.asleep and srv.transition_until is not None:
             window = deadline - srv.transition_until
             if (deadline > now and window > 0
                     and srv.committed + demand / window <= 1.0 + eps):
-                ranked.append(((1, -srv.committed, sid),
-                               (sid, demand / window, srv.transition_until, False)))
+                ranked.append(((1, -srv.committed, sid), (sid, demand / window, False)))
         elif srv.asleep and not (rack.transition_until is not None and not rack.asleep):
             window = deadline - (now + TRANSITION_SECONDS)
             if window > 0 and demand / window <= 1.0 + eps:
-                ranked.append(((2, 0.0, sid),
-                               (sid, demand / window, now + TRANSITION_SECONDS, True)))
+                ranked.append(((2, 0.0, sid), (sid, demand / window, True)))
     return [entry for _key, entry in sorted(ranked)]
 
 
@@ -399,8 +430,8 @@ def test_placement_order_is_the_documented_sort(make_cfg, monkeypatch):
                                  (0.5, now + 10.0), (0.1, now)):
             want = _placement_reference(state, demand, deadline)
             assert list(state.placement_order(demand, deadline)) == want
-        servers = [state.servers[s] for s in state.topology.server_ids]
-        racks = [state.switches[state.topology.access_of_server(s.id)] for s in servers]
+        servers = [state.nodes[s] for s in state.topology.server_ids]
+        racks = [state.nodes[state.topology.access_of_server(s.id)] for s in servers]
         seen["calls"] += 1
         seen["loaded"] += len({srv.committed for srv in servers if not srv.asleep}) > 2
         seen["waking"] += any(srv.asleep and srv.transition_until is not None
@@ -483,7 +514,7 @@ def test_recompute_stalls_flows_over_a_dark_switch(make_cfg, checked_recompute):
     engine._apply_sleeps(state, [dark])
     state.clock = TRANSITION_SECONDS
     engine._handle_transition(state, 1, dark)
-    assert state.links_down
+    assert state.dark_switches == 1 and not all(state.link_up)
     jr = engine._JobRun(balanced_job(0, 0.0, 1.0, 100.0))
     servers = topo.server_ids
     for i, src in enumerate(servers):
@@ -498,7 +529,7 @@ def test_recompute_stalls_flows_over_a_dark_switch(make_cfg, checked_recompute):
     engine._wake_switch(state, dark)
     state.clock += TRANSITION_SECONDS
     engine._handle_transition(state, 1, dark)
-    assert not state.links_down
+    assert state.dark_switches == 0 and all(state.link_up)
     assert all(fl.rate > 0.0 for fl in state.flows.values())
 
 
@@ -548,7 +579,8 @@ def test_link_back_up_is_trimmed_at_the_next_pass(make_cfg):
     engine._add_flow(state, engine._JobRun(balanced_job(0, 0.0, 1.0, 100.0)), path, 1e6)
     engine._remove_flow(state, next(iter(state.flows.values())))
     engine._dvs_pass(state)                  # the dark switch's links are down
-    trunk = topo.link_between(path.nodes[2], path.nodes[3])
+    link_of = {frozenset((ln.a, ln.b)): ln.id for ln in topo.links}
+    trunk = link_of[frozenset(path.nodes[2:4])]
     assert not state.link_up[trunk] and state.link_tier_idx[trunk] == state.native_idx
     engine._wake_switch(state, dark)
     state.clock += TRANSITION_SECONDS
@@ -661,7 +693,7 @@ def _spine_reference(state, nid):
     if topo.roles[nid] != ROLE_AGG:
         return True
     return (state.switch_live[_partner(topo, nid)]
-            or all(_dormant(state.switches[r]) for r in _neighbours(topo, nid, ROLE_ACCESS)))
+            or all(_dormant(state.nodes[r]) for r in _neighbours(topo, nid, ROLE_ACCESS)))
 
 
 def _partner(topo, agg):
@@ -677,15 +709,15 @@ def _dns_tick_reference(state, policy, now):
     spine rule."""
     topo, cutoff = state.topology, now - policy.idle_timeout_s
     out = [s for s in topo.server_ids
-           if not state.servers[s].asleep and state.servers[s].transition_until is None
-           and state.servers[s].quiet() and state.servers[s].idle_since <= cutoff]
+           if not state.nodes[s].asleep and state.nodes[s].transition_until is None
+           and state.nodes[s].quiet() and state.nodes[s].idle_since <= cutoff]
     up = [nid for nid in range(topo.server_ids.start)
-          if not state.switches[nid].asleep and state.switches[nid].transition_until is None
-          and state.switches[nid].flow_count == 0]
+          if not state.nodes[nid].asleep and state.nodes[nid].transition_until is None
+          and state.nodes[nid].flow_count == 0]
     out += [nid for nid in up if topo.roles[nid] == ROLE_ACCESS
-            and all(_dormant(state.servers[s]) for s in _neighbours(topo, nid, ROLE_SERVER))]
+            and all(_dormant(state.nodes[s]) for s in _neighbours(topo, nid, ROLE_SERVER))]
     return out + [nid for nid in up if topo.roles[nid] != ROLE_ACCESS and nid != topo.gateway
-                  and state.switches[nid].idle_since <= cutoff
+                  and state.nodes[nid].idle_since <= cutoff
                   and _spine_reference(state, nid)]
 
 

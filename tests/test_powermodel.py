@@ -41,7 +41,7 @@ def test_sleeping_server_draws_sleep_power():
     engine._apply_sleeps(state, [sid])
     state.clock = TRANSITION_SECONDS
     engine._handle_transition(state, 0, sid)
-    assert state.servers[sid].power_w == 4.5
+    assert state.nodes[sid].power_w == 4.5
 
 
 @given(st.floats(0.05, 1.0), st.floats(0.05, 1.0))

@@ -91,11 +91,15 @@ def test_placement_wakes_lowest_sleeping_server(state):
     for s in sids:
         engine._handle_transition(state, 0, s)
     # everything is asleep now; the next job must trigger a wake
-    decision = place(job(0, state.clock, 0.5, state.clock + 5.0), state,
-                     state.policy)
+    j = job(0, state.clock, 0.5, state.clock + 5.0)
+    decision = place(j, state, state.policy)
     assert decision.admit and decision.needs_wake
     assert decision.server == sids[0]
-    assert decision.available_at == pytest.approx(state.clock + TRANSITION_SECONDS)
+    # admitted, the job waits on the waking server until its wake ends
+    jr = admit(state, j)
+    srv = state.nodes[jr.server]
+    assert jr.server == sids[0] and srv.asleep and srv.pending == [j.id]
+    assert srv.transition_until == pytest.approx(state.clock + TRANSITION_SECONDS)
 
 
 def test_wake_latency_counts_against_deadline(state):
@@ -169,11 +173,11 @@ def test_spine_sleep_keeps_one_aggregation_switch_per_pod(state):
     assert set(eligible) == {cores[1], *aggs}
     engine._apply_sleeps(state, eligible)
     transitioning = [n for n in eligible
-                     if state.switches[n].transition_until is not None]
+                     if state.nodes[n].transition_until is not None]
     # exactly one aggregation switch of the pair went down
     assert len([n for n in transitioning if n in aggs]) == 1
     assert cores[1] in transitioning
-    assert state.switches[cores[0]].transition_until is None
+    assert state.nodes[cores[0]].transition_until is None
 
 
 def test_spine_pair_can_sleep_once_pod_is_dark(state):
@@ -191,5 +195,5 @@ def test_spine_pair_can_sleep_once_pod_is_dark(state):
     # with zero active racks the partner rule no longer binds
     engine._apply_sleeps(state, spine_requests(state, policy, now=state.clock + 0.5))
     aggs_down = [a for a in topo.agg_ids
-                 if state.switches[a].transition_until is not None]
+                 if state.nodes[a].transition_until is not None]
     assert len(aggs_down) == 2

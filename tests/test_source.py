@@ -13,6 +13,13 @@ READ_OUTSIDE = {
     "_sp_cache": "bench/run.py reports Topology._sp_cache's length as topology.bfs_sources",
 }
 
+# functions and methods the package defines but only code outside it calls
+CALLED_OUTSIDE = {
+    "allocate": "bench/spans.py wraps it",
+    "kth_path": "bench/spans.py wraps it",
+    "path_count": "bench/spans.py wraps it",
+}
+
 
 def test_every_assigned_attribute_is_read():
     """An attribute the package writes and never reads is state nothing
@@ -37,6 +44,35 @@ def test_every_assigned_attribute_is_read():
     # an allow-listed name the package starts reading needs no entry
     assert not (set(READ_OUTSIDE) & read)
     assert set(READ_OUTSIDE) <= set(stored)
+
+
+def test_every_defined_function_is_called():
+    """A function, method or class the package defines and never loads by
+    name (as a name or an attribute) is a helper nothing calls, unless
+    __all__ exports it.  Names are matched across the whole package; dunder
+    names are called by the language and exempt."""
+    defined, loaded, exported = {}, set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                exported.update(elt.value for elt in node.value.elts)
+    assert defined, "no definitions found; is the source path right?"
+    uncalled = {name: where for name, where in defined.items()
+                if not (name.startswith("__") and name.endswith("__"))
+                and name not in loaded and name not in exported
+                and name not in CALLED_OUTSIDE}
+    assert uncalled == {}
+    # an allow-listed name the package starts calling needs no entry
+    assert not (set(CALLED_OUTSIDE) & loaded)
+    assert set(CALLED_OUTSIDE) <= set(defined)
 
 
 def _imported_names(tree):
@@ -89,11 +125,11 @@ def test_every_imported_name_is_used():
 
 # what the placement and sleep policies may ask of the engine's state: the
 # placement query, peer choice, routing and congestion for place; the awake
-# servers and the switches' liveness, idle stamps and connectivity rule for
-# dns_tick
+# servers, the node table (modes, flows and idle stamps), the switches'
+# liveness and the connectivity rule for dns_tick
 SCHEDULER_READS = {
     "placement_order", "internal_dst", "route", "path_congested", "topology",
-    "awake_ids", "servers", "switches", "switch_live", "spine_sleep_ok",
+    "awake_ids", "nodes", "switch_live", "spine_sleep_ok",
 }
 
 

@@ -37,6 +37,19 @@ def as_nx(topo):
     return g
 
 
+def link_ids(topo):
+    """Link id of each node pair, both ways round, from the link list."""
+    out = {}
+    for ln in topo.links:
+        out[ln.a, ln.b] = out[ln.b, ln.a] = ln.id
+    return out
+
+
+def all_paths(topo, src, dst):
+    """Every equal-cost path, in enumeration order."""
+    return [topo.kth_path(src, dst, k) for k in range(topo.path_count(src, dst))]
+
+
 # -- id layout and construction ------------------------------------------
 
 def test_layer_major_id_ranges():
@@ -138,18 +151,18 @@ def test_equal_cost_paths_match_networkx_on_small_fabric():
     # every endpoint pair of a pocket fabric of each kind
     for kind, topo in POCKET_TOPOLOGIES.items():
         g = as_nx(topo)
+        link_of = link_ids(topo)
         ends = [*topo.server_ids, topo.gateway]
         for src in ends:
             for dst in ends:
                 if src == dst:
                     continue
                 want = {tuple(p) for p in networkx.all_shortest_paths(g, src, dst)}
-                paths = topo.equal_cost_paths(src, dst)
+                paths = all_paths(topo, src, dst)
                 assert {p.nodes for p in paths} == want, (kind, src, dst)
                 assert topo.path_count(src, dst) == len(want)
                 for p in paths:
-                    assert list(p.links) == [topo.link_between(u, v)
-                                             for u, v in zip(p.nodes, p.nodes[1:])]
+                    assert list(p.links) == [link_of[u, v] for u, v in zip(p.nodes, p.nodes[1:])]
 
 
 class BfsReference:
@@ -247,7 +260,7 @@ def test_preset_paths_equal_the_bfs_reference_on_sampled_pairs():
         pairs += [(servers[0], servers[1]), (servers[0], servers[3 * 4])]
         for src, dst in pairs:
             want = ref.paths(src, dst)
-            assert topo.equal_cost_paths(src, dst) == want, (name, src, dst)
+            assert all_paths(topo, src, dst) == want, (name, src, dst)
 
 
 @settings(max_examples=300, deadline=None)
@@ -263,10 +276,12 @@ def test_live_and_picked_paths_match_the_filtered_bfs_reference(kind, data, k):
     dst = data.draw(st.sampled_from([e for e in ends if e != src]), label="dst")
     every = REFERENCES[kind].paths(src, dst)
     want = [p for p in every if all(live[n] for n in p.nodes if n < n_switches)]
-    assert topo.live_path(src, dst, k, live) == (want[k % len(want)] if want else None)
-    # the engine's pick falls back to the whole enumeration when none is live
-    pool = want or every
-    assert topo.pick_path(src, dst, k, live) == pool[k % len(pool)]
+    got = topo.pick_path(src, dst, k, live)
+    if want:
+        assert got == want[k % len(want)]
+    else:
+        # with none live the pick falls back to the whole enumeration
+        assert got == topo.kth_path(src, dst, k % len(every)) == every[k % len(every)]
     assert topo.pick_path(src, dst, k) == every[k % len(every)]
 
 
@@ -279,16 +294,19 @@ def test_kth_path_enumeration_is_disjoint_and_complete():
     assert len({p.nodes for p in paths}) == n
     with pytest.raises(IndexError):
         topo.kth_path(src, dst, n)
+    link_of = link_ids(topo)
     for p in paths:
         # node sequence and link ids must agree
         for u, v, lid in zip(p.nodes, p.nodes[1:], p.links):
-            assert topo.link_between(u, v) == lid
+            assert link_of[u, v] == lid
 
 
 @settings(max_examples=300, deadline=None)
 @given(kind=st.sampled_from(sorted(POCKET_FABRICS)), data=st.data(),
        k=st.integers(min_value=0, max_value=2**64 - 1))
 def test_live_path_is_the_kth_of_the_filtered_enumeration(kind, data, k):
+    """pick_path's live pick is the k-th of the enumeration cut to the paths
+    whose switches are all live, and the k-th of all paths when none is."""
     topo = POCKET_TOPOLOGIES[kind]
     n_switches = topo.server_ids.start
     live = data.draw(st.lists(st.booleans(), min_size=n_switches, max_size=n_switches),
@@ -296,13 +314,13 @@ def test_live_path_is_the_kth_of_the_filtered_enumeration(kind, data, k):
     ends = [*topo.server_ids, topo.gateway]
     src = data.draw(st.sampled_from(ends), label="src")
     dst = data.draw(st.sampled_from([e for e in ends if e != src]), label="dst")
-    want = [p for p in topo.equal_cost_paths(src, dst)
-            if all(live[n] for n in p.nodes if n < n_switches)]
-    got = topo.live_path(src, dst, k, live)
+    every = all_paths(topo, src, dst)
+    want = [p for p in every if all(live[n] for n in p.nodes if n < n_switches)]
+    got = topo.pick_path(src, dst, k, live)
     if want:
         assert got == want[k % len(want)]
     else:
-        assert got is None
+        assert got == every[k % len(every)]
 
 
 def test_live_path_with_every_switch_up_is_kth_path():
@@ -311,7 +329,7 @@ def test_live_path_with_every_switch_up_is_kth_path():
     src, dst = topo.server_ids.start, topo.server_ids[-1]
     n = topo.path_count(src, dst)
     for k in range(3 * n):
-        assert topo.live_path(src, dst, k, live) == topo.kth_path(src, dst, k % n)
+        assert topo.pick_path(src, dst, k, live) == topo.kth_path(src, dst, k % n)
 
 
 def test_preset_path_counts():
@@ -414,8 +432,10 @@ def test_links_and_adjacency_equal_a_one_link_at_a_time_build(name):
     links, adj, by_pair = _one_link_at_a_time(topo)
     assert [(ln.id, ln.a, ln.b, ln.rate_bps) for ln in topo.links] == links
     assert topo.adj == adj
+    link_of = link_ids(topo)
+    assert len(link_of) == 2 * len(by_pair)
     for (a, b), lid in by_pair.items():
-        assert topo.link_between(a, b) == topo.link_between(b, a) == lid
+        assert link_of[a, b] == link_of[b, a] == lid
 
 
 @pytest.mark.parametrize("flip", [False, True], ids=["same-order", "reversed"])
