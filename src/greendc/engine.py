@@ -1,7 +1,10 @@
 """Discrete-event simulation core.
 
 Events are ordered by (time, sequence), so runs are reproducible to the
-bit on any platform.  Servers serve one job at a time under preemptive
+bit on any platform.  Job arrivals, known in full before the run, keep
+sequence numbers 1..N and are taken from a list of their own rather than
+the heap: the next one is taken whenever it precedes the heap's head, which
+is the same total order.  Servers serve one job at a time under preemptive
 earliest-deadline-first at their current frequency setpoint; admission
 reserves compute-demand over time-to-deadline, which keeps deadlines safe
 at full frequency.  Transfers are flow-level: every active flow gets its
@@ -42,7 +45,9 @@ never throttled by a stale low tier, but idle or lightly loaded ports pay
 only their scaled power.
 
 Power levels change only at events, so integrating per-component power
-between events is exact; sums are compensated.  A component in a mode
+between events is exact.  The run loop does it as each event is taken, in
+compensated (Kahan) sums per energy class held in locals, and writes the
+ledger back to the state when the loop ends.  A component in a mode
 transition draws its pre-transition power until the transition completes,
 and its links count as up only while both endpoints are awake.
 """
@@ -240,7 +245,6 @@ class SimState:
         # energy ledger: joules per class, with compensated accumulation
         self.class_power = [0.0, 0.0, 0.0, 0.0]
         self.ledger_j = [0.0, 0.0, 0.0, 0.0]
-        self._ledger_c = [0.0, 0.0, 0.0, 0.0]
         self.awake_integral = 0.0
         self.awake_integral_steady = 0.0
         self.serving_integral = 0.0
@@ -556,17 +560,20 @@ def _recompute(state: SimState, seed_dirs) -> None:
 
     One pass: the component (every flow and directed link reachable from
     the seeds through shared links) is walked once, breadth first.  The
-    walk builds the fill's own records as it goes: per directed link, its
-    live capacity as the residual, its flow count as the unfrozen count
-    and its flow set from dir_flows as the members, and per flow its
-    directed links.  Flows crossing a link that is down (an endpoint
-    switch asleep) are stalled: they get rate zero up front and are taken
-    off their records' counts, so they hold no bandwidth elsewhere while
-    they wait for the wake; the scan for them is skipped while no link of
-    the component is down.  The flows are advanced to now in id order,
+    walk advances each flow to now as it first finds it and builds the
+    fill's own records as it goes: per directed link, its live capacity as
+    the residual, its flow count as the unfrozen count and its flow set
+    from dir_flows as the members, and per flow its directed links.  Flows
+    crossing a link that is down (an endpoint switch asleep) are stalled:
+    they get rate zero up front and are taken off their records' counts,
+    so they hold no bandwidth elsewhere while they wait for the wake; the
+    scan for them is skipped while no link of the component is down.
     fairshare.fill runs over the records, and new rates are applied and
-    rescheduled in id order.  Every directed link of the component is
-    checked against its capacity afterwards.
+    rescheduled in id order.  A component of one flow skips the records'
+    sort and the fill: its rate is the fill's own lone-flow step, the
+    smallest capacity on its path, or 0.0 while it is stalled.  Every
+    directed link of the component is checked against its capacity
+    afterwards.
     """
     flows = state.flows
     dir_flows = state.dir_flows
@@ -580,19 +587,27 @@ def _recompute(state: SimState, seed_dirs) -> None:
             queue.append(fids)
     if not queue:
         return
+    now = state.clock
     members: dict[int, tuple[int, ...]] = {}   # flow -> its directed links
     for fids in queue:   # queue grows while it is walked, breadth first
         for fid in fids:
             if fid not in members:
-                res = members[fid] = flows[fid].res
+                fl = flows[fid]
+                res = members[fid] = fl.res
+                # _advance_flow, inlined: this runs for every flow of every fill
+                dt = now - fl.stamp
+                if dt > 0.0 and fl.rate > 0.0:
+                    delta = fl.rate * dt * 0.125  # bits/s * s -> bytes
+                    if delta > fl.bytes_left:
+                        delta = fl.bytes_left
+                    fl.bytes_left -= delta
+                    fl.done_bytes += delta
+                fl.stamp = now
                 for d2 in res:
                     if d2 not in records:
                         f2 = dir_flows[d2]
                         records[d2] = [cap[d2], len(f2), f2]
                         queue.append(f2)
-    now = state.clock
-    order = sorted(members)
-    rates: dict[int, float] = {}
     # every flow's links are among the records, so with none of them down
     # no flow of the component is stalled.  Only a sleeping switch can take
     # a flow's link down: a flow's servers stay awake while it runs (its
@@ -600,26 +615,25 @@ def _recompute(state: SimState, seed_dirs) -> None:
     # and a server carrying a flow is never quiet, so never put to sleep),
     # and a sleeping switch counts in dark_switches.
     link_up = state.link_up
-    if state.dark_switches and not all(link_up[d >> 1] for d in records):
-        for fid in order:
-            res = members[fid]
-            if not all(link_up[d >> 1] for d in res):
-                rates[fid] = 0.0
-                for d in res:
-                    records[d][1] -= 1
-    for fid in order:
-        fl = flows[fid]
-        # _advance_flow, inlined: this loop runs for every flow of every fill
-        dt = now - fl.stamp
-        if dt > 0.0 and fl.rate > 0.0:
-            delta = fl.rate * dt * 0.125  # bits/s * s -> bytes
-            if delta > fl.bytes_left:
-                delta = fl.bytes_left
-            fl.bytes_left -= delta
-            fl.done_bytes += delta
-        fl.stamp = now
+    stalls = state.dark_switches and not all(link_up[d >> 1] for d in records)
+    if len(members) == 1:
+        # a lone flow's records are its own links: a stall is one of them
+        # being down, and otherwise the fill would take its one step
+        (fid, res), = members.items()
+        order = (fid,)
+        rates = {fid: 0.0 if stalls else 0.0 + min([cap[d] for d in res])}
+    else:
+        order = sorted(members)
+        rates = {}
+        if stalls:
+            for fid in order:
+                res = members[fid]
+                if not all(link_up[d >> 1] for d in res):
+                    rates[fid] = 0.0
+                    for d in res:
+                        records[d][1] -= 1
+        rates = fairshare.fill(records, members, rates)
     dir_sum = state.dir_sum
-    rates = fairshare.fill(records, members, rates)
     for fid in order:
         fl = flows[fid]
         new = rates[fid]
@@ -640,32 +654,24 @@ def _recompute(state: SimState, seed_dirs) -> None:
                 f"directed link {d} oversubscribed: {dir_sum[d]} > {cap[d]}")
 
 
-def _touch_endpoints(state: SimState, fl: _Flow, delta: int) -> None:
-    """Maintain per-node flow counts (and idle stamps) along a flow's path."""
-    now = state.clock
-    nodes = state.nodes
-    for nid in fl.nodes:
-        node = nodes[nid]
-        node.flow_count += delta
-        if delta < 0 and node.quiet():
-            node.idle_since = now
-
-
 def _add_flow(state: SimState, jr: _JobRun, path: Path, nbytes: float) -> None:
     fid = state.next_flow_id
     state.next_flow_id += 1
     nodes = path.nodes
-    res = tuple(2 * lid + (1 if u > v else 0)
-                for u, v, lid in zip(nodes, nodes[1:], path.links))
+    res = tuple([2 * lid + (1 if u > v else 0)
+                 for u, v, lid in zip(nodes, nodes[1:], path.links)])
     fl = _Flow(fid, jr.job.id, res, nodes, nbytes)
     fl.stamp = state.clock
     state.flows[fid] = fl
+    tier_idx = state.link_tier_idx
+    native = state.native_idx
+    pending = state.dvs_pending
     for lid in path.links:
         # demand brings a scaled-down link straight back to native rate;
         # the management tick trims it again once the burst has passed
-        if state.link_tier_idx[lid] != state.native_idx:
-            state._set_tier(lid, state.native_idx)
-        state.dvs_pending.add(lid)
+        if tier_idx[lid] != native:
+            state._set_tier(lid, native)
+        pending.add(lid)
     dir_flows = state.dir_flows
     for d in res:
         fids = dir_flows[d]
@@ -673,19 +679,29 @@ def _add_flow(state: SimState, jr: _JobRun, path: Path, nbytes: float) -> None:
             dir_flows[d] = {fid}
         else:
             fids.add(fid)
-    _touch_endpoints(state, fl, +1)
+    table = state.nodes
+    for nid in nodes:
+        table[nid].flow_count += 1
     jr.flows_left += 1
     state.flow_bytes_offered += nbytes
     _recompute(state, fl.res)
 
 
 def _remove_flow(state: SimState, fl: _Flow) -> None:
+    dir_flows = state.dir_flows
+    dir_sum = state.dir_sum
     for d in fl.res:
-        state.dir_flows[d].discard(fl.id)
-        state.dir_sum[d] -= fl.rate
+        dir_flows[d].discard(fl.id)
+        dir_sum[d] -= fl.rate
     fl.rate = 0.0
     del state.flows[fl.id]
-    _touch_endpoints(state, fl, -1)
+    now = state.clock
+    table = state.nodes
+    for nid in fl.nodes:
+        node = table[nid]
+        node.flow_count -= 1
+        if node.flow_count == 0 and node.quiet():
+            node.idle_since = now
     state.flow_bytes_done += fl.done_bytes
     _recompute(state, fl.res)
 
@@ -964,26 +980,6 @@ def _handle_tick(state: SimState) -> None:
         _apply_sleeps(state, dns_tick(state, policy, now))
 
 
-def integrate_energy(state: SimState, dt: float) -> None:
-    """Accumulate class power over dt into the energy ledger."""
-    if dt <= 0.0:
-        return
-    # compensated (Kahan) sums, one per class
-    ledger = state.ledger_j
-    comp = state._ledger_c
-    for k, watts in enumerate(state.class_power):
-        y = watts * dt - comp[k]
-        t = ledger[k] + y
-        comp[k] = (t - ledger[k]) - y
-        ledger[k] = t
-    t0 = state.clock
-    awake = len(state.awake_ids)
-    state.awake_integral += awake * dt
-    state.serving_integral += state.n_serving * dt
-    if t0 + dt > state.warmup:
-        state.awake_integral_steady += awake * (t0 + dt - max(t0, state.warmup))
-
-
 def _sample_stats(state: SimState) -> None:
     state.timeseries.append({
         "t": state.clock,
@@ -1003,44 +999,105 @@ def _sample_stats(state: SimState) -> None:
 
 def run(cfg: ScenarioConfig, jobs: list[Job] | None = None,
         topology: Topology | None = None, collect_jobs: bool = False):
-    """Execute one simulation run (jobs in arrival order) and return its report."""
+    """Execute one simulation run and return its report.
+
+    jobs must come in arrival order with distinct ids, as generate makes
+    them; a job that arrives before the one ahead of it or repeats an id
+    raises ValueError before the run starts.  Arrivals are taken from their
+    own list, latest first from its end, whenever the next one precedes the
+    heap's head in (time, sequence) order; every arrival is before the
+    horizon, so all of them are taken before SimEnd.  The energy step runs
+    in the loop: its sums live in locals and are written back to the state
+    when the loop ends."""
     from .report import build_report
 
     state = SimState(cfg, topology)
     if jobs is None:
         jobs = generate(cfg.effective_workload())
+    runs = state.jobs
+    last = float("-inf")
     for job in jobs:
-        state.jobs[job.id] = _JobRun(job)
-    offered = [(job.arrival, i + 1, EV_ARRIVAL, job.id, 0)
-               for i, job in enumerate(jobs) if job.arrival < cfg.horizon_s]
-    state.offered_jobs = len(offered)
-    state.seq = len(offered) + 1
-    state.heap = offered            # already time-ordered, a valid heap
-    state.push(cfg.horizon_s, EV_END, 0, 0)
+        if job.arrival < last:
+            raise ValueError(f"job {job.id} arrives at {job.arrival}, "
+                             f"before the job ahead of it ({last})")
+        if job.id in runs:
+            raise ValueError(f"job id {job.id} repeats")
+        last = job.arrival
+        runs[job.id] = _JobRun(job)
+    horizon = cfg.horizon_s
+    # heap-shaped entries with sequence numbers 1..N, popped from the end
+    arrivals = [(job.arrival, i + 1, EV_ARRIVAL, job.id, 0)
+                for i, job in enumerate(jobs) if job.arrival < horizon]
+    arrivals.reverse()
+    state.offered_jobs = len(arrivals)
+    state.seq = len(arrivals) + 1
+    state.push(horizon, EV_END, 0, 0)
     if cfg.policy.scheme != "none":
         state.push(0.0, EV_TICK, 0, 0)
     state.push(cfg.policy.stats_interval_s, EV_STATS, 0, 0)
     _sample_stats(state)
 
     heap = state.heap
-    trace = state.trace
-    while heap:
-        t, _seq, kind, a, b = heapq.heappop(heap)
-        # stale guards first: skipped entries never touch time or the trace
-        if kind == EV_FLOW_END:
-            if a not in state.flows:
-                continue
-        elif kind == EV_COMPUTE_END:
-            srv = state.nodes[a]
-            if srv.epoch != b or srv.serving is None:
-                continue
-        elif kind == EV_RELEASE:
-            if state.jobs[b].released:
-                continue
-        integrate_energy(state, t - state.clock)
-        state.clock = t
-        state.events_processed += 1
-        trace.update(b"%d|%s|%d|%d\n" % (kind, t.hex().encode(), a, b))
+    heappop = heapq.heappop
+    trace = state.trace.update
+    flows, nodes = state.flows, state.nodes
+    class_power = state.class_power   # updated in place, never rebound
+    awake_ids = state.awake_ids       # likewise
+    warmup = state.warmup
+    tick_s = cfg.policy.tick_interval_s
+    stats_s = cfg.policy.stats_interval_s
+    clock = state.clock
+    # the energy ledger: a compensated (Kahan) sum of watts * dt per class
+    l0, l1, l2, l3 = state.ledger_j
+    c0 = c1 = c2 = c3 = 0.0
+    awake_int = state.awake_integral
+    steady_int = state.awake_integral_steady
+    serving_int = state.serving_integral
+    events = state.events_processed
+    while True:
+        if arrivals and arrivals[-1] < heap[0]:
+            t, _seq, kind, a, b = arrivals.pop()
+        else:
+            t, _seq, kind, a, b = heappop(heap)
+            # stale guards first: skipped entries never touch time or the trace
+            if kind == EV_FLOW_END:
+                if a not in flows:
+                    continue
+            elif kind == EV_COMPUTE_END:
+                srv = nodes[a]
+                if srv.epoch != b or srv.serving is None:
+                    continue
+            elif kind == EV_RELEASE:
+                if runs[b].released:
+                    continue
+        dt = t - clock
+        if dt > 0.0:
+            # power changes only at events, so each interval adds power * dt
+            p0, p1, p2, p3 = class_power
+            y = p0 * dt - c0
+            u = l0 + y
+            c0 = (u - l0) - y
+            l0 = u
+            y = p1 * dt - c1
+            u = l1 + y
+            c1 = (u - l1) - y
+            l1 = u
+            y = p2 * dt - c2
+            u = l2 + y
+            c2 = (u - l2) - y
+            l2 = u
+            y = p3 * dt - c3
+            u = l3 + y
+            c3 = (u - l3) - y
+            l3 = u
+            awake = len(awake_ids)
+            awake_int += awake * dt
+            serving_int += state.n_serving * dt
+            if clock + dt > warmup:
+                steady_int += awake * (clock + dt - max(clock, warmup))
+        state.clock = clock = t
+        events += 1
+        trace(b"%d|%s|%d|%d\n" % (kind, t.hex().encode(), a, b))
         if kind == EV_ARRIVAL:
             _handle_arrival(state, a)
         elif kind == EV_COMPUTE_END:
@@ -1051,18 +1108,23 @@ def run(cfg: ScenarioConfig, jobs: list[Job] | None = None,
             _handle_transition(state, a, b)
         elif kind == EV_TICK:
             _handle_tick(state)
-            nxt = t + cfg.policy.tick_interval_s
-            if nxt < cfg.horizon_s:
+            nxt = t + tick_s
+            if nxt < horizon:
                 state.push(nxt, EV_TICK, 0, 0)
         elif kind == EV_STATS:
             _sample_stats(state)
-            nxt = t + cfg.policy.stats_interval_s
-            if nxt < cfg.horizon_s:
+            nxt = t + stats_s
+            if nxt < horizon:
                 state.push(nxt, EV_STATS, 0, 0)
         elif kind == EV_RELEASE:
-            _maybe_release(state, state.nodes[a], state.jobs[b])
+            _maybe_release(state, nodes[a], runs[b])
         elif kind == EV_END:
             break
+    state.ledger_j[:] = (l0, l1, l2, l3)
+    state.awake_integral = awake_int
+    state.awake_integral_steady = steady_int
+    state.serving_integral = serving_int
+    state.events_processed = events
 
     # settle in-flight work at the horizon
     for sid in list(state.awake_ids):

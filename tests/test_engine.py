@@ -197,6 +197,17 @@ def test_arrival_at_the_instant_a_wake_ends_waits_for_the_wake(make_cfg):
     assert finish_of(rep, 0) < finish_of(rep, 1)
 
 
+def test_arrival_is_taken_before_a_heap_event_at_the_same_instant(make_cfg):
+    """Arrivals hold the lowest sequence numbers, so at a tie in time the
+    arrival comes first: the stats sample at t=1.0 sees the job that arrives
+    at 1.0 already being served."""
+    cfg = make_cfg(horizon_s=4.0, policy={"scheme": "none", "stats_interval_s": 1.0})
+    rep = engine.run(cfg, jobs=[balanced_job(0, 1.0, 0.5, 3.0)], collect_jobs=True)
+    rows = {row["t"]: row["serving_servers"] for row in rep.timeseries}
+    assert rows[0.0] == 0 and rows[1.0] == 1 and rows[2.0] == 0
+    assert finish_of(rep, 0) == 1.5
+
+
 # -- invariants and reproducibility -------------------------------------------
 
 @pytest.mark.parametrize("arch", ["two_tier", "three_tier", "three_tier_hs"])
@@ -359,31 +370,118 @@ def _check_derived_state(state, seen):
     seen["checks"] += 1
 
 
-@pytest.mark.parametrize("mix", [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-def test_derived_state_holds_after_every_event(make_cfg, monkeypatch, mix):
-    """Checked before each event's energy step (the state the previous event
-    left) and on the final state handed to the report."""
-    seen = {"checks": 0, "asleep_switches": 0, "waking": 0, "trimmed": 0, "pending": 0}
-    integrate = engine.integrate_energy
+# every handler run calls for an event, looked up on the module at each call
+_HANDLERS = ("_handle_arrival", "_handle_compute_end", "_handle_flow_end",
+             "_handle_transition", "_handle_tick", "_maybe_release", "_sample_stats")
 
-    def checked_integrate(state, dt):
-        _check_derived_state(state, seen)
-        integrate(state, dt)
 
+def _on_each_event(monkeypatch, hook):
+    """Call hook(state) as each event's handler starts, on the state the
+    previous event left (after the event's energy step and clock move, which
+    change no state a handler reads but the clock).  A handler called from
+    inside another (_maybe_release at a compute end) is not an event of its
+    own and is not hooked again.  The _sample_stats calls before the loop and
+    after it are hooked as well."""
+    depth = [0]
+    for name in _HANDLERS:
+        def wrapped(state, *args, _original=getattr(engine, name)):
+            if not depth[0]:
+                hook(state)
+            depth[0] += 1
+            try:
+                return _original(state, *args)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(engine, name, wrapped)
+
+
+def _final_state(monkeypatch):
+    """The state run hands to build_report, once the run is done."""
+    got = []
     build = report.build_report
 
-    def checked_build(cfg, state, collect_jobs=False):
-        _check_derived_state(state, seen)
+    def capture(cfg, state, collect_jobs=False):
+        got.append(state)
         return build(cfg, state, collect_jobs)
 
-    monkeypatch.setattr(engine, "integrate_energy", checked_integrate)
-    monkeypatch.setattr(report, "build_report", checked_build)
+    monkeypatch.setattr(report, "build_report", capture)
+    return got
+
+
+@pytest.mark.parametrize("mix", [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+def test_derived_state_holds_after_every_event(make_cfg, monkeypatch, mix):
+    """Checked as each event's handler starts (the state the previous event
+    left) and on the final state handed to the report."""
+    seen = {"checks": 0, "asleep_switches": 0, "waking": 0, "trimmed": 0, "pending": 0}
+    _on_each_event(monkeypatch, lambda state: _check_derived_state(state, seen))
+    final = _final_state(monkeypatch)
     cfg = make_cfg(horizon_s=6.0, target_load=0.5, policy={"scheme": "dvfs+dns"},
                    workload={"class_mix": mix, "deadline_slack": 2.5,
                              "mean_compute": 0.1})
     engine.run(cfg)
+    _check_derived_state(final[0], seen)
     assert seen["checks"] > 1000
     assert seen["asleep_switches"] and seen["waking"] and seen["trimmed"] and seen["pending"]
+
+
+def test_energy_ledger_is_the_documented_kahan_sum(make_cfg, monkeypatch):
+    """Power changes only at events, so the draw a handler finds on entry is
+    the draw over the interval that ended at its event.  Re-integrating those
+    draws with the documented steps (a Kahan sum of watts * dt per class;
+    awake and serving counts times dt; the awake count over the part of each
+    interval past the warm-up) gives the run's ledger and integrals to the
+    bit.  The last interval ends at SimEnd, which has no handler: the
+    _sample_stats after the loop sees its draw."""
+    marks = []
+    _on_each_event(monkeypatch, lambda state: marks.append(
+        (state.clock, tuple(state.class_power), len(state.awake_ids), state.n_serving)))
+    final = _final_state(monkeypatch)
+    cfg = make_cfg(horizon_s=6.0, target_load=0.5, policy={"scheme": "dvfs+dns"},
+                   workload={"class_mix": [0.0, 0.5, 0.5], "deadline_slack": 2.5,
+                             "mean_compute": 0.1})
+    engine.run(cfg)
+    state = final[0]
+    assert 0.0 < state.warmup < cfg.horizon_s and marks[-1][0] == cfg.horizon_s
+    ledger, comp = [0.0] * 4, [0.0] * 4
+    awake_int = steady_int = serving_int = 0.0
+    clock = 0.0
+    for t, power, awake, serving in marks:
+        dt = t - clock
+        if dt <= 0.0:
+            continue
+        for k in range(4):
+            y = power[k] * dt - comp[k]
+            u = ledger[k] + y
+            comp[k] = (u - ledger[k]) - y
+            ledger[k] = u
+        awake_int += awake * dt
+        serving_int += serving * dt
+        if clock + dt > state.warmup:
+            steady_int += awake * (clock + dt - max(clock, state.warmup))
+        clock = t
+    assert [x.hex() for x in state.ledger_j] == [x.hex() for x in ledger]
+    assert state.awake_integral.hex() == awake_int.hex()
+    assert state.awake_integral_steady.hex() == steady_int.hex()
+    assert state.serving_integral.hex() == serving_int.hex()
+    # the run slept servers and served jobs on both sides of the warm-up
+    assert 0.0 < steady_int < awake_int < len(state.topology.server_ids) * cfg.horizon_s
+    assert serving_int > 0.0 and all(x > 0.0 for x in ledger)
+
+
+@pytest.mark.parametrize("case", ["reversed", "repeated id"])
+def test_jobs_out_of_arrival_order_are_refused(make_cfg, case):
+    """Taken as given, a reversed list runs the clock backwards and a
+    repeated id shares one job record between two arrivals; both are
+    refused before the run starts."""
+    cfg = make_cfg(horizon_s=4.0)
+    jobs = generate(cfg.effective_workload())
+    assert len(jobs) > 2
+    if case == "reversed":
+        jobs, match = jobs[::-1], "before the job ahead of it"
+    else:
+        jobs, match = jobs[:1] + jobs, "repeats"
+    with pytest.raises(ValueError, match=match):
+        engine.run(cfg, jobs=jobs)
 
 
 # -- the placement query -------------------------------------------------------
@@ -473,7 +571,7 @@ def checked_recompute(monkeypatch):
     """Wrap _recompute: after each call, every flow of the component must
     hold exactly fairshare.allocate's rate over the component's live flows,
     and every flow crossing a down link must be at 0.0."""
-    seen = {"calls": 0, "multi": 0, "stalled": 0, "shared": 0}
+    seen = {"calls": 0, "single": 0, "multi": 0, "stalled": 0, "shared": 0}
     original = engine._recompute
 
     def checked(state, seed_dirs):
@@ -485,6 +583,7 @@ def checked_recompute(monkeypatch):
         for fid in comp:
             assert state.flows[fid].rate == want.get(fid, 0.0), fid
         seen["calls"] += 1
+        seen["single"] += len(comp) == 1
         seen["multi"] += len(live) > 1
         seen["stalled"] += len(comp) - len(live)
         seen["shared"] += len(live) > 1 and len(comp) > len(live)
@@ -500,6 +599,7 @@ def test_recompute_rates_equal_the_fill_over_each_component(make_cfg, checked_re
                              "mean_compute": 0.1})
     engine.run(cfg)
     assert checked_recompute["calls"] > 100 and checked_recompute["multi"] > 100
+    assert checked_recompute["single"] > 100
 
 
 def test_recompute_stalls_flows_over_a_dark_switch(make_cfg, checked_recompute):
@@ -531,6 +631,36 @@ def test_recompute_stalls_flows_over_a_dark_switch(make_cfg, checked_recompute):
     engine._handle_transition(state, 1, dark)
     assert state.dark_switches == 0 and all(state.link_up)
     assert all(fl.rate > 0.0 for fl in state.flows.values())
+
+
+def _flow_ends(state):
+    return [ev for ev in state.heap if ev[2] == engine.EV_FLOW_END]
+
+
+def test_lone_flow_over_a_dark_switch_waits_for_the_wake(make_cfg, checked_recompute):
+    """A component of one flow takes the closed form: stalled at 0.0 with no
+    TransferEnd pushed while a switch on its path sleeps, then the smallest
+    capacity on its path, with its end pushed, once the wake completes."""
+    state = SimState(make_cfg(policy={"scheme": "dvfs+dns"}))
+    topo = state.topology
+    dark, _partner = topo.aggs_of_pod(0)
+    engine._apply_sleeps(state, [dark])
+    state.clock = TRANSITION_SECONDS
+    engine._handle_transition(state, 1, dark)
+    src = topo.server_ids[0]
+    path = next(p for k in range(topo.path_count(src, topo.gateway))
+                if dark in (p := topo.kth_path(src, topo.gateway, k)).nodes)
+    engine._add_flow(state, engine._JobRun(balanced_job(0, 0.0, 1.0, 100.0)), path, 1e6)
+    (fl,) = state.flows.values()
+    assert fl.rate == 0.0 and fl.end_t == float("inf") and not _flow_ends(state)
+    assert checked_recompute["single"] == 1 and checked_recompute["stalled"] == 1
+    engine._wake_switch(state, dark)
+    state.clock += TRANSITION_SECONDS
+    engine._handle_transition(state, 1, dark)
+    assert checked_recompute["single"] == 2 and all(state.link_up)
+    assert fl.rate == min(state.cap[d] for d in fl.res) > 0.0
+    assert _flow_ends(state) == [(fl.end_t, state.seq, engine.EV_FLOW_END, fl.id, 0)]
+    assert fl.end_t == state.clock + 1e6 * 8.0 / fl.rate
 
 
 @pytest.mark.parametrize("scheme", ["dvfs", "dvfs+dns"])
