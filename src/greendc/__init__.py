@@ -12,7 +12,6 @@ from .report import (
     EnergyLedger,
     SimReport,
     annualize_cost,
-    compute_pue_dcie,
     run_experiment_matrix,
     run_replications,
     run_scenario,
@@ -40,7 +39,6 @@ __all__ = [
     "WorkloadSpec",
     "annualize_cost",
     "build_topology",
-    "compute_pue_dcie",
     "from_dict",
     "generate",
     "load_for_target",

@@ -7,11 +7,9 @@ the heap: the next one is taken whenever it precedes the heap's head, which
 is the same total order.  Servers serve one job at a time under preemptive
 earliest-deadline-first at their current frequency setpoint; admission
 reserves compute-demand over time-to-deadline, which keeps deadlines safe
-at full frequency.  Transfers are flow-level: every active flow gets its
-max-min fair share of each directed link it crosses, recomputed whenever
-the set of flows or a link capacity changes.  Only the connected component
-of flows sharing links with the change is recomputed; allocations outside
-it cannot move.
+at full frequency.  Transfers are the flow network's (fairshare.FlowNet):
+it holds the flows, the links' capacities, tiers and up states, and their
+max-min rates, and pushes each flow's end event through SimState.push.
 
 Servers and switches share one node table, SimState.nodes, indexed by
 node id: switches first, then servers.  Each node carries its energy
@@ -33,16 +31,10 @@ cache.  Placement routes only to test a data-intensive job's candidates for
 congestion and hands no path on: routing is pure, so a job that starts the
 moment it is placed gets the paths the test saw.
 
-Completion events for compute phases and transfers are provisional: a
-rate or frequency drop leaves the scheduled event in place and the pop
+Compute completion events are provisional, as the network's flow ends
+are: a frequency drop leaves the scheduled event in place and the pop
 re-arms from live state, while a rise pushes an earlier event.  Stale
 entries are skipped.
-
-Link rate scaling is asymmetric on purpose: a link jumps to its native
-rate the moment a flow is routed over it, and is trimmed back toward the
-offered load (with headroom) at the periodic management tick.  Demand is
-never throttled by a stale low tier, but idle or lightly loaded ports pay
-only their scaled power.
 
 Power levels change only at events, so integrating per-component power
 between events is exact.  The run loop does it as each event is taken, in
@@ -60,9 +52,9 @@ from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterator
 from functools import cache
 
-from . import fairshare
 from .config import ScenarioConfig
-from .powermodel import TRANSITION_SECONDS, dvs_rate_tiers, dvs_tier_index, port_power_at_tier
+from .fairshare import FlowNet, InternalInvariantViolation
+from .powermodel import TRANSITION_SECONDS, dvs_rate_tiers, port_power_at_tier
 from .scheduler import SchedulerPolicy, dns_tick, dvfs_setpoint, place
 from .topology import (ROLE_ACCESS, ROLE_AGG, ROLE_CORE, ROLE_NAMES, ROLE_SERVER,
                        Path, Topology, build_topology, splitmix64)
@@ -82,10 +74,6 @@ EVENT_NAMES = ("JobArrival", "ComputePhaseEnd", "FlowRateRecompute",
                "ReservationRelease", "SimEnd")
 
 _EPS = 1e-12
-
-
-class InternalInvariantViolation(RuntimeError):
-    """A conservation or capacity invariant broke; the run is invalid."""
 
 
 class _Node:
@@ -141,23 +129,6 @@ class _Switch(_Node):
         return self.flow_count == 0
 
 
-class _Flow:
-    __slots__ = ("id", "jid", "res", "nodes", "bytes_left", "done_bytes",
-                 "rate", "stamp", "end_t")
-
-    def __init__(self, fid: int, jid: int, res: tuple[int, ...],
-                 nodes: tuple[int, ...], nbytes: float):
-        self.id = fid
-        self.jid = jid
-        self.res = res
-        self.nodes = nodes
-        self.bytes_left = nbytes
-        self.done_bytes = 0.0
-        self.rate = 0.0
-        self.stamp = 0.0
-        self.end_t = float("inf")
-
-
 class _JobRun:
     __slots__ = ("job", "server", "r", "rem", "done_cpu", "compute_done",
                  "flows_left", "admitted", "finish_t", "reason", "dst", "released")
@@ -203,35 +174,19 @@ class SimState:
         self.waking_ids: set[int] = set()
         self.cands: list[tuple[float, int]] = sorted(self.nodes[s].key for s in topo.server_ids)
 
-        # per-link rate tiers, directional capacities and per-end port power.
-        # Tiers are pure in the native rate and port watts in the rate and
-        # the switch's role, so each is built once and shared across links.
-        nlinks = len(topo.links)
+        # the flows and the links they share; pushes go through self.push
+        self.net = FlowNet(topo, self.push, EV_FLOW_END)
+        # per-end port watts of each link by rate tier, pure in the native
+        # rate and the switch's role, so built once and shared across links
         roles = topo.roles
-        tiers_of = cache(dvs_rate_tiers)
 
         @cache
         def port_watts(rate: float, role: int) -> tuple[float, ...]:
             by_rate = cfg.switch_power[ROLE_NAMES[role]].port_power_by_rate
-            return tuple(port_power_at_tier(rate, t, by_rate) for t in tiers_of(rate))
+            return tuple(port_power_at_tier(rate, t, by_rate) for t in dvs_rate_tiers(rate))
 
-        self.link_tiers = [tiers_of(ln.rate_bps) for ln in topo.links]
         self._port_w = [[(nid, port_watts(rate, roles[nid])) for nid in (a, b)
                          if roles[nid] != ROLE_SERVER] for _lid, a, b, rate in topo.links]
-        self.native_idx = len(self.link_tiers[0]) - 1
-        self.link_tier_idx = [self.native_idx] * nlinks
-        self.link_up = [True] * nlinks
-        self.cap = [ln.rate_bps for ln in topo.links for _ in (0, 1)]
-        self.dir_sum = [0.0] * (2 * nlinks)
-        # flow set per direction, from its first flow on (fill records hold it)
-        self.dir_flows: list[set[int] | None] = [None] * (2 * nlinks)
-        # links whose tier the next rate-scaling pass may move: every link
-        # at first, then those a flow was added to or that came back up,
-        # and those still carrying flows after the last pass
-        self.dvs_pending: set[int] = set(range(nlinks))
-
-        self.flows: dict[int, _Flow] = {}
-        self.next_flow_id = 0
         self.jobs: dict[int, _JobRun] = {}
 
         # switch liveness for routing around dark switches.  The gateway core
@@ -252,9 +207,6 @@ class SimState:
         self.n_serving = 0
 
         self.offered_jobs = 0
-        self.flow_bytes_offered = 0.0
-        self.flow_bytes_done = 0.0
-        self.flow_bytes_left = 0.0
         self.events_processed = 0
         self.timeseries: list[dict] = []
         self.trace = hashlib.sha256()
@@ -272,42 +224,40 @@ class SimState:
         node.power_w = watts
 
     def _ports_w(self, nid: int) -> float:
+        net = self.net
         total = 0.0
         for _nbr, lid in self.topology.adj[nid]:
-            if self.link_up[lid]:
+            if net.link_up[lid]:
                 for end, watts in self._port_w[lid]:
                     if end == nid:
-                        total += watts[self.link_tier_idx[lid]]
+                        total += watts[net.link_tier_idx[lid]]
         return total
 
-    def _refresh_link_state(self, lid: int) -> None:
-        """Re-evaluate link up/down after an endpoint mode flip."""
-        ln = self.topology.links[lid]
-        up = not self.nodes[ln.a].asleep and not self.nodes[ln.b].asleep
-        if up == self.link_up[lid]:
-            return
-        self.link_up[lid] = up
-        if up:
-            self.dvs_pending.add(lid)
-        sign = 1.0 if up else -1.0
-        idx = self.link_tier_idx[lid]
-        for end, watts in self._port_w[lid]:
-            sw = self.nodes[end]
-            if not sw.asleep:
-                self._set_w(sw, sw.power_w + sign * watts[idx])
+    def _refresh_links(self, nid: int) -> list[int]:
+        """Re-evaluate up/down of a node's links after its mode flipped, and
+        price each flip; returns the links."""
+        lids = [lid for _nbr, lid in self.topology.adj[nid]]
+        for lid in lids:
+            ln = self.topology.links[lid]
+            up = not self.nodes[ln.a].asleep and not self.nodes[ln.b].asleep
+            if self.net.set_link(lid, up):
+                sign = 1.0 if up else -1.0
+                idx = self.net.link_tier_idx[lid]
+                for end, watts in self._port_w[lid]:
+                    sw = self.nodes[end]
+                    if not sw.asleep:
+                        self._set_w(sw, sw.power_w + sign * watts[idx])
+        return lids
 
-    def _set_tier(self, lid: int, new_idx: int) -> None:
-        old_idx = self.link_tier_idx[lid]
-        if new_idx == old_idx:
-            return
-        self.link_tier_idx[lid] = new_idx
-        rate = self.link_tiers[lid][new_idx]
-        self.cap[2 * lid] = self.cap[2 * lid + 1] = rate
-        if self.link_up[lid]:
-            for end, watts in self._port_w[lid]:
-                sw = self.nodes[end]
-                delta = watts[new_idx] - watts[old_idx]
-                self._set_w(sw, sw.power_w + delta)
+    def _price_tiers(self, changes: list[tuple[int, int, int]]) -> None:
+        """Port power for the network's tier changes (link, old, new)."""
+        link_up = self.net.link_up
+        for lid, old_idx, new_idx in changes:
+            if link_up[lid]:
+                for end, watts in self._port_w[lid]:
+                    sw = self.nodes[end]
+                    delta = watts[new_idx] - watts[old_idx]
+                    self._set_w(sw, sw.power_w + delta)
 
     # -- candidate list --------------------------------------------------------
 
@@ -388,14 +338,6 @@ class SimState:
         whether to wake anything (see ensure_path_live)."""
         return self.topology.pick_path(src, dst, splitmix64(salt),
                                        self.switch_live if self.dark_switches else None)
-
-    def path_congested(self, path: Path, threshold: float) -> bool:
-        nodes = path.nodes
-        for u, v, lid in zip(nodes, nodes[1:], path.links):
-            dk = 2 * lid + (1 if u > v else 0)
-            if self.dir_sum[dk] > threshold * self.cap[dk]:
-                return True
-        return False
 
     def ensure_path_live(self, path: Path) -> None:
         """Request wake-up of any stably sleeping switch on the path.  A
@@ -541,174 +483,18 @@ def _enqueue_compute(state: SimState, srv: _Server, jr: _JobRun, now: float) -> 
 
 
 # ---------------------------------------------------------------------------
-# flow side
-# ---------------------------------------------------------------------------
-
-def _advance_flow(state: SimState, fl: _Flow, now: float) -> None:
-    dt = now - fl.stamp
-    if dt > 0.0 and fl.rate > 0.0:
-        delta = fl.rate * dt * 0.125  # bits/s * s -> bytes
-        if delta > fl.bytes_left:
-            delta = fl.bytes_left
-        fl.bytes_left -= delta
-        fl.done_bytes += delta
-    fl.stamp = now
-
-
-def _recompute(state: SimState, seed_dirs) -> None:
-    """Max-min re-allocation over the affected component, with rescheduling.
-
-    One pass: the component (every flow and directed link reachable from
-    the seeds through shared links) is walked once, breadth first.  The
-    walk advances each flow to now as it first finds it and builds the
-    fill's own records as it goes: per directed link, its live capacity as
-    the residual, its flow count as the unfrozen count and its flow set
-    from dir_flows as the members, and per flow its directed links.  Flows
-    crossing a link that is down (an endpoint switch asleep) are stalled:
-    they get rate zero up front and are taken off their records' counts,
-    so they hold no bandwidth elsewhere while they wait for the wake; the
-    scan for them is skipped while no link of the component is down.
-    fairshare.fill runs over the records, and new rates are applied and
-    rescheduled in id order.  A component of one flow skips the records'
-    sort and the fill: its rate is the fill's own lone-flow step, the
-    smallest capacity on its path, or 0.0 while it is stalled.  Every
-    directed link of the component is checked against its capacity
-    afterwards.
-    """
-    flows = state.flows
-    dir_flows = state.dir_flows
-    cap = state.cap
-    records: dict[int, list] = {}   # directed link -> [residual, unfrozen, members]
-    queue: list[set[int]] = []
-    for d in seed_dirs:
-        fids = dir_flows[d]
-        if fids and d not in records:
-            records[d] = [cap[d], len(fids), fids]
-            queue.append(fids)
-    if not queue:
-        return
-    now = state.clock
-    members: dict[int, tuple[int, ...]] = {}   # flow -> its directed links
-    for fids in queue:   # queue grows while it is walked, breadth first
-        for fid in fids:
-            if fid not in members:
-                fl = flows[fid]
-                res = members[fid] = fl.res
-                # _advance_flow, inlined: this runs for every flow of every fill
-                dt = now - fl.stamp
-                if dt > 0.0 and fl.rate > 0.0:
-                    delta = fl.rate * dt * 0.125  # bits/s * s -> bytes
-                    if delta > fl.bytes_left:
-                        delta = fl.bytes_left
-                    fl.bytes_left -= delta
-                    fl.done_bytes += delta
-                fl.stamp = now
-                for d2 in res:
-                    if d2 not in records:
-                        f2 = dir_flows[d2]
-                        records[d2] = [cap[d2], len(f2), f2]
-                        queue.append(f2)
-    # every flow's links are among the records, so with none of them down
-    # no flow of the component is stalled.  Only a sleeping switch can take
-    # a flow's link down: a flow's servers stay awake while it runs (its
-    # source is awake when it starts, its peer awake and in no transition,
-    # and a server carrying a flow is never quiet, so never put to sleep),
-    # and a sleeping switch counts in dark_switches.
-    link_up = state.link_up
-    stalls = state.dark_switches and not all(link_up[d >> 1] for d in records)
-    if len(members) == 1:
-        # a lone flow's records are its own links: a stall is one of them
-        # being down, and otherwise the fill would take its one step
-        (fid, res), = members.items()
-        order = (fid,)
-        rates = {fid: 0.0 if stalls else 0.0 + min([cap[d] for d in res])}
-    else:
-        order = sorted(members)
-        rates = {}
-        if stalls:
-            for fid in order:
-                res = members[fid]
-                if not all(link_up[d >> 1] for d in res):
-                    rates[fid] = 0.0
-                    for d in res:
-                        records[d][1] -= 1
-        rates = fairshare.fill(records, members, rates)
-    dir_sum = state.dir_sum
-    for fid in order:
-        fl = flows[fid]
-        new = rates[fid]
-        if new != fl.rate:
-            diff = new - fl.rate
-            for d in fl.res:
-                dir_sum[d] += diff
-            fl.rate = new
-        if new > 0.0:
-            end = now + fl.bytes_left * 8.0 / new
-            if end < fl.end_t - _EPS:
-                fl.end_t = end
-                state.push(end, EV_FLOW_END, fid, 0)
-            # slower flows keep their event; it pops early and re-arms
-    for d in records:
-        if dir_sum[d] > cap[d] * (1.0 + 1e-9):
-            raise InternalInvariantViolation(
-                f"directed link {d} oversubscribed: {dir_sum[d]} > {cap[d]}")
-
-
-def _add_flow(state: SimState, jr: _JobRun, path: Path, nbytes: float) -> None:
-    fid = state.next_flow_id
-    state.next_flow_id += 1
-    nodes = path.nodes
-    res = tuple([2 * lid + (1 if u > v else 0)
-                 for u, v, lid in zip(nodes, nodes[1:], path.links)])
-    fl = _Flow(fid, jr.job.id, res, nodes, nbytes)
-    fl.stamp = state.clock
-    state.flows[fid] = fl
-    tier_idx = state.link_tier_idx
-    native = state.native_idx
-    pending = state.dvs_pending
-    for lid in path.links:
-        # demand brings a scaled-down link straight back to native rate;
-        # the management tick trims it again once the burst has passed
-        if tier_idx[lid] != native:
-            state._set_tier(lid, native)
-        pending.add(lid)
-    dir_flows = state.dir_flows
-    for d in res:
-        fids = dir_flows[d]
-        if fids is None:
-            dir_flows[d] = {fid}
-        else:
-            fids.add(fid)
-    table = state.nodes
-    for nid in nodes:
-        table[nid].flow_count += 1
-    jr.flows_left += 1
-    state.flow_bytes_offered += nbytes
-    _recompute(state, fl.res)
-
-
-def _remove_flow(state: SimState, fl: _Flow) -> None:
-    dir_flows = state.dir_flows
-    dir_sum = state.dir_sum
-    for d in fl.res:
-        dir_flows[d].discard(fl.id)
-        dir_sum[d] -= fl.rate
-    fl.rate = 0.0
-    del state.flows[fl.id]
-    now = state.clock
-    table = state.nodes
-    for nid in fl.nodes:
-        node = table[nid]
-        node.flow_count -= 1
-        if node.flow_count == 0 and node.quiet():
-            node.idle_since = now
-    state.flow_bytes_done += fl.done_bytes
-    _recompute(state, fl.res)
-
-
-# ---------------------------------------------------------------------------
 # job lifecycle
 # ---------------------------------------------------------------------------
+
+def _add_flow(state: SimState, jr: _JobRun, path: Path, nbytes: float) -> None:
+    changes = state.net.add(jr.job.id, path, nbytes, state.clock)
+    if changes:
+        state._price_tiers(changes)
+    table = state.nodes
+    for nid in path.nodes:
+        table[nid].flow_count += 1
+    jr.flows_left += 1
+
 
 def _start_flows(state: SimState, jr: _JobRun) -> None:
     """Route and start a job's transfers.  The internal peer is the one
@@ -838,30 +624,24 @@ def _handle_compute_end(state: SimState, sid: int, epoch: int) -> None:
 
 
 def _handle_flow_end(state: SimState, fid: int) -> None:
-    fl = state.flows[fid]
+    """When the flow's bytes are done, its nodes and its job let go of it."""
     now = state.clock
-    _advance_flow(state, fl, now)
-    if fl.bytes_left > 1e-6:
-        if fl.rate > 0.0:
-            # the rate dropped since this event was scheduled; re-arm
-            fl.end_t = now + fl.bytes_left * 8.0 / fl.rate
-            state.push(fl.end_t, EV_FLOW_END, fid, 0)
-        else:
-            # stalled on a dark path; the wake-completion recompute pushes
-            # a fresh event, which must beat this sentinel
-            fl.end_t = float("inf")
+    fl = state.net.finish(fid, now)
+    if fl is None:
         return
-    fl.done_bytes += fl.bytes_left
-    fl.bytes_left = 0.0
+    table = state.nodes
+    for nid in fl.nodes:
+        node = table[nid]
+        node.flow_count -= 1
+        if node.flow_count == 0 and node.quiet():
+            node.idle_since = now
     jr = state.jobs[fl.jid]
-    _remove_flow(state, fl)
     jr.flows_left -= 1
     _job_piece_done(state, jr)
 
 
 def _handle_transition(state: SimState, comp: int, nid: int) -> None:
     now = state.clock
-    topo = state.topology
     if comp == 0:
         srv = state.nodes[nid]
         srv.transition_until = None
@@ -873,8 +653,7 @@ def _handle_transition(state: SimState, comp: int, nid: int) -> None:
             srv.f = 1.0
             srv.idle_since = now
             state._cand_insert(srv)
-            for _nbr, lid in topo.adj[nid]:
-                state._refresh_link_state(lid)
+            state._refresh_links(nid)
             pending, srv.pending = srv.pending, []
             for jid in pending:
                 jr = state.jobs[jid]
@@ -884,8 +663,7 @@ def _handle_transition(state: SimState, comp: int, nid: int) -> None:
             srv.asleep = True
             state._set_w(srv, state.sparams.p_sleep_w)
             insort(state.sleeping, nid)
-            for _nbr, lid in topo.adj[nid]:
-                state._refresh_link_state(lid)
+            state._refresh_links(nid)
     else:
         sw = state.nodes[nid]
         sw.transition_until = None
@@ -894,18 +672,13 @@ def _handle_transition(state: SimState, comp: int, nid: int) -> None:
             state._set_w(sw, sw.base_w)
             state.dark_switches -= 1
             state.switch_live[nid] = True
-            for _nbr, lid in topo.adj[nid]:
-                state._refresh_link_state(lid)   # re-adds port power per up link
-            # flows that stalled on this switch's links can move again
-            dirs = [d for _nbr, lid in topo.adj[nid]
-                    for d in (2 * lid, 2 * lid + 1) if state.dir_flows[d]]
-            if dirs:
-                _recompute(state, dirs)
+            # port power comes back per up link, and flows that stalled on
+            # this switch's links can move again
+            state.net.refill(state._refresh_links(nid), now)
         else:
             sw.asleep = True
             state._set_w(sw, sw.p_sleep_w)
-            for _nbr, lid in topo.adj[nid]:
-                state._refresh_link_state(lid)
+            state._refresh_links(nid)
             if sw.flow_count:
                 # traffic was mapped here while the shutdown was in motion;
                 # turn straight back on
@@ -933,45 +706,13 @@ def _apply_sleeps(state: SimState, requests: list[int]) -> None:
             state.push(node.transition_until, EV_TRANSITION, 1, nid)
 
 
-def _dvs_pass(state: SimState) -> None:
-    """Trim link rates toward offered load; raises happen at flow arrival.
-
-    Only the links in dvs_pending are visited, in link id order: those
-    carrying flows at the last pass, those a flow was added to since and
-    those that came back up since.  Any other link has carried no flow
-    since a pass set it to its target tier, so its offered load, its tier
-    and that target are all unchanged; a scan of every powered link would
-    leave it alone too.  Idle links settle to the bottom tier, which is
-    where most of the transceiver saving comes from.  Afterwards only the
-    links still carrying flows stay pending."""
-    touched: list[int] = []
-    link_up = state.link_up
-    link_tiers = state.link_tiers
-    tier_idx = state.link_tier_idx
-    dir_sum = state.dir_sum
-    dir_flows = state.dir_flows
-    for lid in sorted(state.dvs_pending):
-        if not link_up[lid]:
-            continue
-        # subtraction residue can leave a drained direction at ~-1e-13
-        offered = max(dir_sum[2 * lid], dir_sum[2 * lid + 1], 0.0)
-        new_idx = dvs_tier_index(offered, link_tiers[lid])
-        if new_idx != tier_idx[lid]:
-            state._set_tier(lid, new_idx)
-            if dir_flows[2 * lid] or dir_flows[2 * lid + 1]:
-                touched.append(2 * lid)
-                touched.append(2 * lid + 1)
-    state.dvs_pending = {lid for lid in state.dvs_pending
-                         if dir_flows[2 * lid] or dir_flows[2 * lid + 1]}
-    if touched:
-        _recompute(state, touched)
-
-
 def _handle_tick(state: SimState) -> None:
     policy = state.policy
     now = state.clock
     if policy.dvfs_enabled:
-        _dvs_pass(state)
+        changes = state.net.trim(now)
+        if changes:
+            state._price_tiers(changes)
         for sid in state.awake_ids:
             srv = state.nodes[sid]
             if srv.serving is not None:
@@ -989,7 +730,7 @@ def _sample_stats(state: SimState) -> None:
         "access_w": state.class_power[CLS_ACCESS],
         "awake_servers": len(state.awake_ids),
         "serving_servers": state.n_serving,
-        "active_flows": len(state.flows),
+        "active_flows": len(state.net.flows),
     })
 
 
@@ -1001,8 +742,8 @@ def run(cfg: ScenarioConfig, jobs: list[Job] | None = None,
         topology: Topology | None = None, collect_jobs: bool = False):
     """Execute one simulation run and return its report.
 
-    jobs must come in arrival order with distinct ids, as generate makes
-    them; a job that arrives before the one ahead of it or repeats an id
+    jobs must come in arrival order with distinct ids and finite arrival
+    times from 0 on, as generate makes them; a job that breaks any of these
     raises ValueError before the run starts.  Arrivals are taken from their
     own list, latest first from its end, whenever the next one precedes the
     heap's head in (time, sequence) order; every arrival is before the
@@ -1017,6 +758,9 @@ def run(cfg: ScenarioConfig, jobs: list[Job] | None = None,
     runs = state.jobs
     last = float("-inf")
     for job in jobs:
+        if not 0.0 <= job.arrival < float("inf"):
+            raise ValueError(f"job {job.id} arrives at {job.arrival}, not a finite "
+                             f"time from 0 on")
         if job.arrival < last:
             raise ValueError(f"job {job.id} arrives at {job.arrival}, "
                              f"before the job ahead of it ({last})")
@@ -1040,7 +784,7 @@ def run(cfg: ScenarioConfig, jobs: list[Job] | None = None,
     heap = state.heap
     heappop = heapq.heappop
     trace = state.trace.update
-    flows, nodes = state.flows, state.nodes
+    flows, nodes = state.net.flows, state.nodes
     class_power = state.class_power   # updated in place, never rebound
     awake_ids = state.awake_ids       # likewise
     warmup = state.warmup
@@ -1131,9 +875,6 @@ def run(cfg: ScenarioConfig, jobs: list[Job] | None = None,
         srv = state.nodes[sid]
         if srv.serving is not None:
             _advance_serving(state, srv, state.clock)
-    for fl in state.flows.values():
-        _advance_flow(state, fl, state.clock)
-        state.flow_bytes_done += fl.done_bytes
-        state.flow_bytes_left += fl.bytes_left
+    state.net.settle(state.clock)
     _sample_stats(state)
     return build_report(cfg, state, collect_jobs)

@@ -27,10 +27,6 @@ _T95 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447,
         25: 2.060, 26: 2.056, 27: 2.052, 28: 2.048, 29: 2.045, 30: 2.042}
 
 
-class ZeroItEnergy(ValueError):
-    """Efficiency metrics are undefined when no IT energy was consumed."""
-
-
 @dataclass(frozen=True)
 class EnergyLedger:
     """Energy per component class over one run, in watt-hours."""
@@ -106,17 +102,6 @@ class SimReport:
         return out
 
 
-def compute_pue_dcie(it_energy_wh: float, facility_energy_wh: float) -> tuple[float, float]:
-    """Power usage effectiveness and its inverse, data center infrastructure
-    efficiency, from IT and whole-facility energy."""
-    if it_energy_wh <= 0.0:
-        raise ZeroItEnergy("IT energy must be positive to define PUE/DCIE")
-    if facility_energy_wh < it_energy_wh:
-        raise ValueError("facility energy cannot be below IT energy")
-    pue = facility_energy_wh / it_energy_wh
-    return pue, 1.0 / pue
-
-
 def annualize_cost(total_it_wh: float, horizon_s: float, price_per_kwh: float,
                    pue_overhead: float = 1.0) -> float:
     """Yearly electricity bill implied by one run's consumption rate."""
@@ -178,9 +163,9 @@ def build_report(cfg: ScenarioConfig, state, collect_jobs: bool = False) -> SimR
         "admitted_cpu_s": work_admitted,
         "delivered_cpu_s": delivered,
         "residual_cpu_s": residual,
-        "flow_bytes_offered": state.flow_bytes_offered,
-        "flow_bytes_done": state.flow_bytes_done,
-        "flow_bytes_left": state.flow_bytes_left,
+        "flow_bytes_offered": state.net.bytes_offered,
+        "flow_bytes_done": state.net.bytes_done,
+        "flow_bytes_left": state.net.bytes_left,
     }
     n_servers = cfg.architecture.server_count
     steady_span = horizon - state.warmup

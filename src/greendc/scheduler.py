@@ -107,10 +107,10 @@ def _congested(state: "SimState", job: Job, server: int, dst: int | None,
                threshold: float) -> bool:
     """Whether the paths the job's transfers would take from server cross a
     congested link; the external one is not routed once the internal one is."""
-    if dst is not None and state.path_congested(state.route(server, dst, job.id * 2),
-                                                threshold):
+    if dst is not None and state.net.congested(state.route(server, dst, job.id * 2),
+                                               threshold):
         return True
-    return job.comm_external_bytes > 0 and state.path_congested(
+    return job.comm_external_bytes > 0 and state.net.congested(
         state.route(server, state.topology.gateway, job.id * 2 + 1), threshold)
 
 

@@ -10,6 +10,7 @@ from greendc.topology import ROLE_ACCESS, ROLE_AGG, ROLE_CORE, ROLE_SERVER
 from greendc.workload import Job, generate
 
 from conftest import small_scenario
+from test_fairshare import check_fill
 
 # the small fabric from conftest: 2 cores, 2 aggs, 4 access, 8 servers
 N_SERVERS = 8
@@ -362,11 +363,11 @@ def _check_derived_state(state, seen):
     for srv in servers:
         assert srv.asleep or not srv.pending, srv.id
         seen["pending"] += len(srv.pending)
-    for fl in state.flows.values():
-        assert len({d >> 1 for d in fl.res}) == len(fl.res), fl.id
+    for fid, fl in state.net.flows.items():
+        assert len({d >> 1 for d in fl.res}) == len(fl.res), fid
         for end in (fl.nodes[0], fl.nodes[-1]):
-            assert end not in topo.server_ids or not state.nodes[end].asleep, (fl.id, end)
-    seen["trimmed"] += sum(i != state.native_idx for i in state.link_tier_idx)
+            assert end not in topo.server_ids or not state.nodes[end].asleep, (fid, end)
+    seen["trimmed"] += sum(i != state.net.native_idx for i in state.net.link_tier_idx)
     seen["checks"] += 1
 
 
@@ -484,6 +485,18 @@ def test_jobs_out_of_arrival_order_are_refused(make_cfg, case):
         engine.run(cfg, jobs=jobs)
 
 
+@pytest.mark.parametrize("arrival", [-1.0, float("nan"), float("inf")])
+def test_jobs_arriving_at_no_valid_time_are_refused(make_cfg, arrival):
+    """A negative arrival ran and drew energy before time zero, and a NaN
+    or infinite one dropped the job unseen; each is refused before the run
+    starts."""
+    cfg = make_cfg(horizon_s=4.0)
+    jobs = generate(cfg.effective_workload())
+    jobs[0] = jobs[0]._replace(arrival=arrival)
+    with pytest.raises(ValueError, match="not a finite time from 0 on"):
+        engine.run(cfg, jobs=jobs)
+
+
 # -- the placement query -------------------------------------------------------
 
 def _placement_reference(state, demand, deadline):
@@ -551,44 +564,24 @@ def test_placement_order_is_the_documented_sort(make_cfg, monkeypatch):
 
 # -- the flow layer's fill and the rate-scaling tick ----------------------------
 
-def _component(state, seed_dirs):
-    """Flows reachable from the seed directed links through shared links."""
-    todo = [d for d in seed_dirs if state.dir_flows[d]]
-    seen_dirs, comp = set(todo), set()
-    while todo:
-        for fid in state.dir_flows[todo.pop()]:
-            if fid not in comp:
-                comp.add(fid)
-                for d in state.flows[fid].res:
-                    if d not in seen_dirs:
-                        seen_dirs.add(d)
-                        todo.append(d)
-    return comp
-
-
 @pytest.fixture
 def checked_recompute(monkeypatch):
-    """Wrap _recompute: after each call, every flow of the component must
-    hold exactly fairshare.allocate's rate over the component's live flows,
-    and every flow crossing a down link must be at 0.0."""
+    """Wrap FlowNet._recompute: after each call, every flow of the component
+    must hold exactly fairshare.allocate's rate over the component's live
+    flows, and every flow crossing a down link must be at 0.0."""
     seen = {"calls": 0, "single": 0, "multi": 0, "stalled": 0, "shared": 0}
-    original = engine._recompute
+    original = fairshare.FlowNet._recompute
 
-    def checked(state, seed_dirs):
-        original(state, seed_dirs)
-        comp = _component(state, seed_dirs)
-        live = {fid: state.flows[fid].res for fid in comp
-                if all(state.link_up[d >> 1] for d in state.flows[fid].res)}
-        want = fairshare.allocate(live, state.cap)
-        for fid in comp:
-            assert state.flows[fid].rate == want.get(fid, 0.0), fid
+    def checked(net, seed_dirs, now):
+        original(net, seed_dirs, now)
+        comp, live = check_fill(net, seed_dirs)
         seen["calls"] += 1
         seen["single"] += len(comp) == 1
         seen["multi"] += len(live) > 1
         seen["stalled"] += len(comp) - len(live)
         seen["shared"] += len(live) > 1 and len(comp) > len(live)
 
-    monkeypatch.setattr(engine, "_recompute", checked)
+    monkeypatch.setattr(fairshare.FlowNet, "_recompute", checked)
     return seen
 
 
@@ -614,7 +607,7 @@ def test_recompute_stalls_flows_over_a_dark_switch(make_cfg, checked_recompute):
     engine._apply_sleeps(state, [dark])
     state.clock = TRANSITION_SECONDS
     engine._handle_transition(state, 1, dark)
-    assert state.dark_switches == 1 and not all(state.link_up)
+    assert state.dark_switches == 1 and not all(state.net.link_up)
     jr = engine._JobRun(balanced_job(0, 0.0, 1.0, 100.0))
     servers = topo.server_ids
     for i, src in enumerate(servers):
@@ -623,14 +616,15 @@ def test_recompute_stalls_flows_over_a_dark_switch(make_cfg, checked_recompute):
             for k in range(topo.path_count(src, dst)):
                 engine._add_flow(state, jr, topo.kth_path(src, dst, k), 1e9)
     assert checked_recompute["stalled"] > 0 and checked_recompute["shared"] > 0
-    stalled = [fl for fl in state.flows.values() if dark in fl.nodes]
+    stalled = [fl for fl in state.net.flows.values() if dark in fl.nodes]
     assert stalled and all(fl.rate == 0.0 for fl in stalled)
-    engine._remove_flow(state, next(iter(state.flows.values())))
+    state.net.remove(next(iter(state.net.flows)), state.clock)
     engine._wake_switch(state, dark)
     state.clock += TRANSITION_SECONDS
     engine._handle_transition(state, 1, dark)
-    assert state.dark_switches == 0 and all(state.link_up)
-    assert all(fl.rate > 0.0 for fl in state.flows.values())
+    assert state.dark_switches == 0 and all(state.net.link_up)
+    assert state.net.stalled_links == 0
+    assert all(fl.rate > 0.0 for fl in state.net.flows.values())
 
 
 def _flow_ends(state):
@@ -651,15 +645,15 @@ def test_lone_flow_over_a_dark_switch_waits_for_the_wake(make_cfg, checked_recom
     path = next(p for k in range(topo.path_count(src, topo.gateway))
                 if dark in (p := topo.kth_path(src, topo.gateway, k)).nodes)
     engine._add_flow(state, engine._JobRun(balanced_job(0, 0.0, 1.0, 100.0)), path, 1e6)
-    (fl,) = state.flows.values()
+    ((fid, fl),) = state.net.flows.items()
     assert fl.rate == 0.0 and fl.end_t == float("inf") and not _flow_ends(state)
     assert checked_recompute["single"] == 1 and checked_recompute["stalled"] == 1
     engine._wake_switch(state, dark)
     state.clock += TRANSITION_SECONDS
     engine._handle_transition(state, 1, dark)
-    assert checked_recompute["single"] == 2 and all(state.link_up)
-    assert fl.rate == min(state.cap[d] for d in fl.res) > 0.0
-    assert _flow_ends(state) == [(fl.end_t, state.seq, engine.EV_FLOW_END, fl.id, 0)]
+    assert checked_recompute["single"] == 2 and all(state.net.link_up)
+    assert fl.rate == min(state.net.cap[d] for d in fl.res) > 0.0
+    assert _flow_ends(state) == [(fl.end_t, state.seq, engine.EV_FLOW_END, fid, 0)]
     assert fl.end_t == state.clock + 1e6 * 8.0 / fl.rate
 
 
@@ -668,22 +662,25 @@ def test_lone_flow_over_a_dark_switch_waits_for_the_wake(make_cfg, checked_recom
 def test_rate_scaling_pass_matches_a_scan_of_every_link(make_cfg, monkeypatch, scheme, mix):
     """The pass visits only the links whose tier can move; afterwards every
     up link must sit at the tier a scan of every link picks."""
-    original = engine._dvs_pass
+    original = fairshare.FlowNet.trim
     seen = {"passes": 0, "trimmed": 0}
 
-    def checked(state):
+    def checked(net, now):
         want = {}
-        for lid, tiers in enumerate(state.link_tiers):
-            if state.link_up[lid]:
-                offered = max(state.dir_sum[2 * lid], state.dir_sum[2 * lid + 1], 0.0)
+        for lid, tiers in enumerate(net.link_tiers):
+            if net.link_up[lid]:
+                offered = max(net.dir_sum[2 * lid], net.dir_sum[2 * lid + 1], 0.0)
                 want[lid] = dvs_tier_index(offered, tiers)
-        before = list(state.link_tier_idx)
-        original(state)
-        assert {lid: state.link_tier_idx[lid] for lid in want} == want
+        before = list(net.link_tier_idx)
+        changes = original(net, now)
+        assert {lid: net.link_tier_idx[lid] for lid in want} == want
+        assert changes == [(lid, a, b) for lid, (a, b)
+                           in enumerate(zip(before, net.link_tier_idx)) if a != b]
         seen["passes"] += 1
-        seen["trimmed"] += sum(a != b for a, b in zip(before, state.link_tier_idx))
+        seen["trimmed"] += len(changes)
+        return changes
 
-    monkeypatch.setattr(engine, "_dvs_pass", checked)
+    monkeypatch.setattr(fairshare.FlowNet, "trim", checked)
     cfg = make_cfg(horizon_s=8.0, target_load=0.5,
                    policy={"scheme": scheme},
                    workload={"class_mix": mix, "deadline_slack": 2.5,
@@ -696,9 +693,10 @@ def test_link_back_up_is_trimmed_at_the_next_pass(make_cfg):
     """A link raised to native while down, drained and passed over while
     down is off the pending set; coming back up must put it back on."""
     state = SimState(make_cfg(policy={"scheme": "dvfs"}))
+    net = state.net
     topo = state.topology
-    engine._dvs_pass(state)                  # every idle link to the bottom tier
-    assert set(state.link_tier_idx) == {0}
+    engine._handle_tick(state)               # every idle link to the bottom tier
+    assert set(net.link_tier_idx) == {0}
     dark, _partner = topo.aggs_of_pod(0)
     engine._apply_sleeps(state, [dark])
     state.clock = TRANSITION_SECONDS
@@ -707,16 +705,16 @@ def test_link_back_up_is_trimmed_at_the_next_pass(make_cfg):
     path = next(p for k in range(topo.path_count(src, topo.gateway))
                 if dark in (p := topo.kth_path(src, topo.gateway, k)).nodes)
     engine._add_flow(state, engine._JobRun(balanced_job(0, 0.0, 1.0, 100.0)), path, 1e6)
-    engine._remove_flow(state, next(iter(state.flows.values())))
-    engine._dvs_pass(state)                  # the dark switch's links are down
+    net.remove(next(iter(net.flows)), state.clock)
+    engine._handle_tick(state)               # the dark switch's links are down
     link_of = {frozenset((ln.a, ln.b)): ln.id for ln in topo.links}
     trunk = link_of[frozenset(path.nodes[2:4])]
-    assert not state.link_up[trunk] and state.link_tier_idx[trunk] == state.native_idx
+    assert not net.link_up[trunk] and net.link_tier_idx[trunk] == net.native_idx
     engine._wake_switch(state, dark)
     state.clock += TRANSITION_SECONDS
     engine._handle_transition(state, 1, dark)
-    engine._dvs_pass(state)
-    assert set(state.link_tier_idx) == {0}
+    engine._handle_tick(state)
+    assert set(net.link_tier_idx) == {0}
 
 
 # -- facts derived where they are read ------------------------------------------

@@ -6,17 +6,23 @@ increment, freezing flows as their resources saturate.  It shares no code
 with the engine's allocator, so agreement is meaningful.  The plain fill
 rescans every resource at each waterline step; the allocator must give
 exactly its floats, because the rates feed event times and the trace.
-The engine hands `fill` its records in the order its component walk met
+The network hands `fill` its records in the order its component walk met
 them, so `fill` must give those floats over any record order.
+
+FlowNet is driven by a stateful test over two pocket fabrics: random adds,
+removes, finishes, rate trims and links going down and up, with every
+refill checked bit for bit against `allocate` over the component it walked.
 """
 
 import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from greendc.fairshare import allocate, fill
+from greendc.fairshare import FlowNet, allocate, fill
+from greendc.topology import ArchitectureSpec, build_topology
 
 
 def waterfill_oracle(flow_resources, capacity):
@@ -253,7 +259,7 @@ def test_fill_skips_flows_fixed_in_advance():
     flows = {0: [0, 1], 1: [0], 2: [0]}
     records = {0: [6.0, 2, {0, 1, 2}], 1: [1.0, 0, {0}]}
     assert fill(records, flows, {0: 0.0}) == {0: 0.0, 1: 3.0, 2: 3.0}
-    # with one flow left unfixed the closed form applies
+    # with one flow left unfixed the fill takes its single step
     records = {0: [6.0, 1, {0, 1}], 1: [1.0, 0, {0}]}
     assert fill(records, {0: [0, 1], 1: [0]}, {0: 0.0}) == {0: 0.0, 1: 6.0}
 
@@ -263,3 +269,147 @@ def test_fill_rejects_a_count_its_members_do_not_hold():
     # saturates it could never leave the fill
     with pytest.raises(ValueError):
         fill({0: [4.0, 3, {7, 8}]}, {7: [0], 8: [0]}, {})
+
+
+# -- the flow network, driven step by step -------------------------------------
+
+def component(net, seed_dirs):
+    """Flows reachable from the seed directed links through shared links."""
+    todo = [d for d in seed_dirs if net.dir_flows[d]]
+    seen_dirs, comp = set(todo), set()
+    while todo:
+        for fid in net.dir_flows[todo.pop()]:
+            if fid not in comp:
+                comp.add(fid)
+                for d in net.flows[fid].res:
+                    if d not in seen_dirs:
+                        seen_dirs.add(d)
+                        todo.append(d)
+    return comp
+
+
+def check_fill(net, seed_dirs):
+    """After a refill from seed_dirs, every flow of the component it walked
+    holds exactly allocate's rate over the component's live flows, and
+    every flow crossing a down link is at 0.0.  Returns the component and
+    its live flows."""
+    comp = component(net, seed_dirs)
+    live = {fid: net.flows[fid].res for fid in comp
+            if all(net.link_up[d >> 1] for d in net.flows[fid].res)}
+    want = allocate(live, net.cap)
+    for fid in comp:
+        assert net.flows[fid].rate == want.get(fid, 0.0), fid
+    return comp, live
+
+
+class _FlowNetSteps(RuleBasedStateMachine):
+    """Random steps on one pocket fabric's network.  Every refill is checked
+    as it happens; after every step, each flow still holds the rate of its
+    last refill with no capacity of its path lowered since, is at 0.0
+    exactly when it crosses a down link and has its end pushed no later
+    than its bytes run out, no direction is over its capacity, and the
+    stall count equals a recount."""
+    spec: ArchitectureSpec
+
+    def __init__(self):
+        super().__init__()
+        self.topo = build_topology(self.spec)
+        self.ends = set()
+        self.net = net = FlowNet(self.topo, lambda t, kind, fid, _b: self.ends.add((t, fid)), 3)
+        self.ends_at = [*self.topo.server_ids, self.topo.gateway]
+        self.now = 0.0
+        self.filled = {}   # flow -> its rate and its links' capacities at its last refill
+        refill = net._recompute
+
+        def checked(seed_dirs, now):
+            refill(seed_dirs, now)
+            for fid in check_fill(net, seed_dirs)[0]:
+                fl = net.flows[fid]
+                self.filled[fid] = (fl.rate, [net.cap[d] for d in fl.res])
+
+        net._recompute = checked
+
+    def _pick(self, i):
+        return sorted(self.net.flows)[i % len(self.net.flows)]
+
+    @rule(a=st.integers(0, 99), b=st.integers(1, 99), k=st.integers(0, 2 ** 32),
+          nbytes=st.floats(1e3, 1e8))
+    def add(self, a, b, k, nbytes):
+        n = len(self.ends_at)
+        src = a % n
+        dst = (src + 1 + b % (n - 1)) % n   # any end but src
+        path = self.topo.pick_path(self.ends_at[src], self.ends_at[dst], k)
+        before = list(self.net.link_tier_idx)
+        raised = self.net.add(0, path, nbytes, self.now)
+        native = self.net.native_idx
+        assert raised == [(lid, before[lid], native) for lid in path.links if before[lid] != native]
+
+    @precondition(lambda self: self.net.flows)
+    @rule(i=st.integers(0, 99))
+    def remove(self, i):
+        fid = self._pick(i)
+        fl = self.net.flows[fid]
+        assert self.net.remove(fid, self.now) is fl and fid not in self.net.flows
+
+    @precondition(lambda self: self.net.flows)
+    @rule(i=st.integers(0, 99), at_end=st.booleans())
+    def finish(self, i, at_end):
+        fid = self._pick(i)
+        fl = self.net.flows[fid]
+        if at_end and fl.end_t < float("inf"):
+            self.now = max(self.now, fl.end_t)
+        done = self.net.finish(fid, self.now)
+        assert (done is fl) == (fid not in self.net.flows)
+        if done:
+            assert fl.bytes_left == 0.0 and fl.rate == 0.0
+
+    @rule(dt=st.floats(0.0, 0.05))
+    def wait(self, dt):
+        self.now += dt
+
+    @rule()
+    def trim(self):
+        self.net.trim(self.now)
+
+    @rule(i=st.integers(0, 10 ** 4), up=st.booleans())
+    def flip(self, i, up):
+        lid = i % len(self.topo.links)
+        self.net.set_link(lid, up)
+        self.net.refill([lid], self.now)
+
+    @invariant()
+    def rates_and_capacities_hold(self):
+        net = self.net
+        for fid, fl in net.flows.items():
+            rate, caps = self.filled[fid]
+            assert fl.rate == rate, fid
+            # a flow raising a link to native refills only its own direction,
+            # so the other one may see more capacity than its last refill did
+            assert all(net.cap[d] >= c for d, c in zip(fl.res, caps)), fid
+            assert (fl.rate == 0.0) == (not all(net.link_up[d >> 1] for d in fl.res)), fid
+            if fl.rate > 0.0:
+                assert (fl.end_t, fid) in self.ends
+                assert fl.end_t <= fl.stamp + fl.bytes_left * 8.0 / fl.rate * (1 + 1e-9)
+        for d, fids in enumerate(net.dir_flows):
+            total = sum(net.flows[fid].rate for fid in fids or ())
+            assert net.dir_sum[d] == pytest.approx(total, rel=1e-9, abs=1e-3)
+            assert net.dir_sum[d] <= net.cap[d] * (1.0 + 1e-9)
+        assert net.stalled_links == sum(
+            1 for lid, up in enumerate(net.link_up)
+            if not up and (net.dir_flows[2 * lid] or net.dir_flows[2 * lid + 1]))
+
+
+@settings(max_examples=100, stateful_step_count=50, deadline=None)
+class _TwoTierSteps(_FlowNetSteps):
+    spec = ArchitectureSpec("two_tier", core_count=2, agg_count=0, access_count=3,
+                            servers_per_access=2)
+
+
+@settings(max_examples=100, stateful_step_count=50, deadline=None)
+class _ThreeTierSteps(_FlowNetSteps):
+    spec = ArchitectureSpec("three_tier", core_count=2, agg_count=4, access_count=4,
+                            servers_per_access=2)
+
+
+TestFlowNetTwoTier = _TwoTierSteps.TestCase
+TestFlowNetThreeTier = _ThreeTierSteps.TestCase

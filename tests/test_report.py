@@ -7,25 +7,10 @@ import math
 import pytest
 
 from greendc.report import (
-    EnergyLedger, ZeroItEnergy, annualize_cost, compute_pue_dcie,
-    run_experiment_matrix, run_replications, run_scenario, summarize,
-    summarize_replications, t_quantile_95, write_energy_by_architecture_csv,
-    write_report_json, write_savings_by_scheme_csv, write_timeseries_csv,
+    EnergyLedger, annualize_cost, run_experiment_matrix, run_replications,
+    run_scenario, summarize, summarize_replications, t_quantile_95,
+    write_energy_by_architecture_csv, write_report_json, write_savings_by_scheme_csv, write_timeseries_csv,
 )
-
-
-def test_pue_dcie_pair():
-    pue, dcie = compute_pue_dcie(100.0, 160.0)
-    assert pue == pytest.approx(1.6)
-    assert dcie == pytest.approx(0.625)
-    assert compute_pue_dcie(50.0, 50.0) == (1.0, 1.0)
-
-
-def test_pue_rejects_degenerate_inputs():
-    with pytest.raises(ZeroItEnergy):
-        compute_pue_dcie(0.0, 10.0)
-    with pytest.raises(ValueError):
-        compute_pue_dcie(100.0, 90.0)
 
 
 def test_annualize_cost_scales_run_to_a_year():

@@ -125,7 +125,7 @@ def test_diw_job_avoids_congested_uplinks(state):
     for nbr, lid in topo.adj[acc]:
         if nbr in topo.agg_ids:
             dk = 2 * lid + (1 if acc > nbr else 0)
-            state.dir_sum[dk] = 0.95 * state.cap[dk]
+            state.net.dir_sum[dk] = 0.95 * state.net.cap[dk]
     diw = job(0, 0.0, 0.1, 5.0, cls="diw", external=1e6)
     decision = place(diw, state, state.policy)
     assert decision.admit

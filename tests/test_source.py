@@ -124,23 +124,62 @@ def test_every_imported_name_is_used():
 
 
 # what the placement and sleep policies may ask of the engine's state: the
-# placement query, peer choice, routing and congestion for place; the awake
-# servers, the node table (modes, flows and idle stamps), the switches'
-# liveness and the connectivity rule for dns_tick
+# placement query, peer choice, routing and the network's congestion query
+# for place; the awake servers, the node table (modes, flows and idle
+# stamps), the switches' liveness and the connectivity rule for dns_tick
 SCHEDULER_READS = {
-    "placement_order", "internal_dst", "route", "path_congested", "topology",
+    "placement_order", "internal_dst", "route", "net", "topology",
     "awake_ids", "nodes", "switch_live", "spine_sleep_ok",
 }
 
+# the flow network's own state, which the engine and the scheduler reach
+# only through FlowNet's calls: the per-direction flow sets, rate sums and
+# capacities, and the fill with its record lists
+NET_STATE = {"dir_flows", "dir_sum", "cap"}
+NET_FILL = {"records", "fill", "_recompute"}
+
+
+def _self_attrs(cls_node):
+    """Attribute names a class assigns on self."""
+    return {node.attr for node in ast.walk(cls_node)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"}
+
+
+def _class(path, name):
+    return next(node for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ClassDef) and node.name == name)
+
 
 def test_scheduler_reads_the_engine_through_its_queries():
-    """scheduler.py reads only the allowed SimState attributes, and none of
-    the reservation or transition bookkeeping that admission and release
-    keep inside the engine."""
+    """scheduler.py reads only the allowed SimState attributes, only the
+    congestion query of the network, and none of the reservation or
+    transition bookkeeping that admission and release keep inside the
+    engine."""
     tree = ast.parse((SRC / "scheduler.py").read_text())
     reads = {node.attr for node in ast.walk(tree)
              if isinstance(node, ast.Attribute)
              and isinstance(node.value, ast.Name) and node.value.id == "state"}
     assert reads and reads <= SCHEDULER_READS, reads - SCHEDULER_READS
+    net_reads = {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                 and node.value.attr == "net"}
+    assert net_reads == {"congested"}
     attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not attrs & {"cands", "waking_ids", "sleeping", "committed", "transition_until"}
+
+
+def test_flow_state_stays_in_the_network():
+    """engine.py and scheduler.py read none of the network's private state,
+    and SimState keeps no attribute of the network's, nor an alias of one."""
+    net_attrs = _self_attrs(_class(SRC / "fairshare.py", "FlowNet"))
+    assert NET_STATE <= net_attrs
+    for name in ("engine.py", "scheduler.py"):
+        tree = ast.parse((SRC / name).read_text())
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not names & (NET_STATE | NET_FILL), (name, names & (NET_STATE | NET_FILL))
+    state_attrs = _self_attrs(_class(SRC / "engine.py", "SimState"))
+    assert "net" in state_attrs and not state_attrs & net_attrs, state_attrs & net_attrs
+    flow_words = ("flow", "link", "dir_", "cap", "tier", "dvs")
+    assert not [a for a in state_attrs if any(w in a for w in flow_words)]
