@@ -223,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--label", help="override the scenario label")
             p.add_argument("--out", help="output directory")
             p.add_argument("--workers", type=int, default=None,
-                           help="worker processes for independent runs")
+                           help="worker processes for independent runs "
+                                "(1 to the CPU count)")
 
     p_sim = sub.add_parser("simulate", help="run one scenario")
     common(p_sim)
@@ -253,6 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        workers, cpus = getattr(args, "workers", None), os.cpu_count() or 1
+        if workers is not None and not 1 <= workers <= cpus:
+            raise ConfigError(f"--workers must be in 1..{cpus}, got {workers}")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

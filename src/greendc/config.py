@@ -28,6 +28,11 @@ from .workload import WorkloadSpec, load_for_target
 
 SWITCH_ROLES = ("core", "aggregation", "access")
 
+# most replications a scenario may ask for, so that a mistyped count is a
+# config error rather than that many runs and report files: a thousand
+# seeds already narrow the 95% interval to about 6% of one run's spread
+MAX_REPLICATIONS = 1_000
+
 
 class ConfigError(ValueError):
     """A scenario document failed validation; message carries the key path."""
@@ -69,8 +74,8 @@ class ScenarioConfig:
             raise ConfigError("horizon_s must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
+        if not 1 <= self.replications <= MAX_REPLICATIONS:
+            raise ConfigError(f"replications must be in 1..{MAX_REPLICATIONS:,}")
         if self.pue_overhead < 1.0:
             raise ConfigError("pue_overhead must be >= 1 (facility/IT ratio)")
         if self.price_per_kwh < 0:
@@ -87,8 +92,7 @@ class ScenarioConfig:
             wl = replace(wl, duration=self.horizon_s)
         wl = replace(wl, seed=self.seed)
         if self.target_load is not None:
-            capacity = self.architecture.server_count * self.server_power.f_max
-            wl = load_for_target(capacity, self.target_load, wl)
+            wl = load_for_target(self.architecture.server_count, self.target_load, wl)
         wl.validate()
         return wl
 
@@ -233,13 +237,11 @@ def from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
                                    presets.SWITCH_POWER[role])
         for role in SWITCH_ROLES
     }
-    scalars = _coerce_numbers(ScenarioConfig, {
-        k: data[k] for k in ("label", "target_load", "horizon_s", "seed",
-                             "replications", "pue_overhead", "price_per_kwh")
-        if k in data}, "")
-    cfg = ScenarioConfig(architecture=arch, workload=workload, policy=policy,
-                         server_power=server_power, switch_power=switch_power,
-                         **scalars)
+    parts = dict(architecture=arch, workload=workload, policy=policy,
+                 server_power=server_power, switch_power=switch_power)
+    scalars = _coerce_numbers(ScenarioConfig, {k: v for k, v in data.items()
+                                               if k not in parts}, "")
+    cfg = ScenarioConfig(**parts, **scalars)
     try:
         cfg.validate()
     except ConfigError:
@@ -251,22 +253,7 @@ def from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
 
 def to_dict(cfg: ScenarioConfig) -> dict:
     """Plain-dictionary form of a scenario (JSON-serializable)."""
-    wl = asdict(cfg.workload)
-    wl["class_mix"] = list(wl["class_mix"])
-    return {
-        "label": cfg.label,
-        "architecture": asdict(cfg.architecture),
-        "workload": wl,
-        "policy": asdict(cfg.policy),
-        "server_power": asdict(cfg.server_power),
-        "switch_power": {role: asdict(p) for role, p in cfg.switch_power.items()},
-        "target_load": cfg.target_load,
-        "horizon_s": cfg.horizon_s,
-        "seed": cfg.seed,
-        "replications": cfg.replications,
-        "pue_overhead": cfg.pue_overhead,
-        "price_per_kwh": cfg.price_per_kwh,
-    }
+    return asdict(cfg)
 
 
 def scenario_preset(name: str) -> ScenarioConfig:

@@ -426,8 +426,7 @@ def _refresh_setpoint(state: SimState, srv: _Server, now: float) -> None:
     if not state.policy.dvfs_enabled:
         return
     load = max(_dvfs_load(state, srv, now), srv.committed)
-    f = dvfs_setpoint(load, state.policy.dvfs_headroom, state.policy.f_min,
-                      state.sparams.f_max)
+    f = dvfs_setpoint(load, state.policy.dvfs_headroom, state.policy.f_min)
     if f == srv.f:
         return
     _advance_serving(state, srv, now)

@@ -33,13 +33,10 @@ class ServerPowerParams:
     p_f_w: float = 130.0
     p_idle_cpu_w: float = 27.0
     p_sleep_w: float = 0.0
-    f_max: float = 1.0
 
     def validate(self) -> None:
         if min(self.p_fixed_w, self.p_f_w, self.p_idle_cpu_w, self.p_sleep_w) < 0:
             raise ValueError("power terms must be non-negative")
-        if self.f_max <= 0:
-            raise ValueError("f_max must be positive")
 
     @property
     def idle_w(self) -> float:

@@ -12,10 +12,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from concurrent import futures
+from dataclasses import asdict, dataclass, field, fields, replace
 
-from .config import ScenarioConfig, to_dict
+from .config import ScenarioConfig, from_dict, to_dict
 
 SECONDS_PER_YEAR = 365 * 24 * 3600.0
 
@@ -48,9 +48,7 @@ class EnergyLedger:
         return component_wh / total if total else 0.0
 
     def as_dict(self) -> dict:
-        return {"servers_wh": self.servers_wh, "core_wh": self.core_wh,
-                "aggregation_wh": self.aggregation_wh, "access_wh": self.access_wh,
-                "switch_wh": self.switch_wh, "total_wh": self.total_wh}
+        return dict(asdict(self), switch_wh=self.switch_wh, total_wh=self.total_wh)
 
 
 @dataclass
@@ -77,28 +75,13 @@ class SimReport:
     jobs: list | None = None
 
     def as_dict(self) -> dict:
-        out = {
-            "label": self.label,
-            "architecture": self.architecture,
-            "scheme": self.scheme,
-            "seed": self.seed,
-            "horizon_s": self.horizon_s,
-            "energy": self.energy.as_dict(),
-            "mean_power_w": self.mean_power_w,
-            "sla": self.sla,
-            "awake_fraction": self.awake_fraction,
-            "awake_fraction_steady": self.awake_fraction_steady,
-            "serving_fraction": self.serving_fraction,
-            "pue": self.pue,
-            "dcie": self.dcie,
-            "annual_cost_usd": self.annual_cost_usd,
-            "trace_hash": self.trace_hash,
-            "events_processed": self.events_processed,
-            "conservation": self.conservation,
-            "scenario": self.scenario,
-        }
-        if self.jobs is not None:
-            out["jobs"] = self.jobs
+        """Every field but the time series (report.json's content); the job
+        records only when the run collected them."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "timeseries"}
+        out["energy"] = self.energy.as_dict()
+        if self.jobs is None:
+            del out["jobs"]
         return out
 
 
@@ -214,23 +197,26 @@ def run_scenario(cfg: ScenarioConfig) -> SimReport:
     return engine.run(cfg)
 
 
-def run_replications(cfg: ScenarioConfig, count: int | None = None,
-                     workers: int | None = None) -> list[SimReport]:
-    """Run the scenario ``count`` times with consecutive seeds.
-
-    ``workers`` > 1 fans replications out to worker processes; results come
-    back in seed order either way.
-    """
+def _run_all(cfgs: list[ScenarioConfig], workers: int | None) -> list[SimReport]:
+    """engine.run over every config, reports in config order: in ``workers``
+    worker processes when that is > 1, else one after another in this
+    process with one topology per fabric."""
     from . import engine
     from .topology import build_topology
+    if workers is not None and workers > 1:
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(engine.run, cfgs))
+    topologies = {arch: build_topology(arch) for arch in {c.architecture for c in cfgs}}
+    return [engine.run(c, topology=topologies[c.architecture]) for c in cfgs]
+
+
+def run_replications(cfg: ScenarioConfig, count: int | None = None,
+                     workers: int | None = None) -> list[SimReport]:
+    """Run the scenario ``count`` times with consecutive seeds, reports in
+    seed order; ``workers`` > 1 runs them in worker processes."""
     cfg.validate()
     n = cfg.replications if count is None else count
-    cfgs = [replace(cfg, seed=cfg.seed + i) for i in range(n)]
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(engine.run, cfgs))
-    topology = build_topology(cfg.architecture)
-    return [engine.run(c, topology=topology) for c in cfgs]
+    return _run_all([replace(cfg, seed=cfg.seed + i) for i in range(n)], workers)
 
 
 def t_quantile_95(df: int) -> float:
@@ -268,36 +254,23 @@ def summarize_replications(reports: list[SimReport]) -> dict:
     return {name: summarize(pick(r) for r in reports) for name, pick in picks.items()}
 
 
-def _matrix_cell(args) -> tuple[tuple[str, str], SimReport]:
-    cfg, arch_name, scheme = args
-    from .config import from_dict
-    data = to_dict(cfg)
-    data["architecture"] = arch_name
-    data["policy"] = dict(data["policy"], scheme=scheme)
-    data["label"] = f"{cfg.label}-{arch_name}-{scheme}"
-    cell_cfg = from_dict(data)
-    report = run_scenario(cell_cfg)
-    report.timeseries = []   # keep matrix results light
-    return (arch_name, scheme), report
-
-
 def run_experiment_matrix(base: ScenarioConfig, architectures, schemes,
                           workers: int | None = None) -> dict:
-    """Run every architecture x scheme combination of a base scenario.
-
-    ``workers`` > 1 fans cells out to worker processes.
-    """
-    tasks = [(base, a, s) for a in architectures for s in schemes]
-    results: dict[tuple[str, str], SimReport] = {}
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, rep in pool.map(_matrix_cell, tasks):
-                results[key] = rep
-    else:
-        for task in tasks:
-            key, rep = _matrix_cell(task)
-            results[key] = rep
-    return results
+    """Run every architecture x scheme combination of a base scenario,
+    keyed by (architecture, scheme); ``workers`` > 1 runs them in worker
+    processes.  Every cell is built and validated before any runs, so a
+    cell the base cannot make is a ConfigError that costs no run."""
+    cells = [(a, s) for a in architectures for s in schemes]
+    cfgs = []
+    for arch_name, scheme in cells:
+        data = to_dict(base)
+        data.update(architecture=arch_name, label=f"{base.label}-{arch_name}-{scheme}")
+        data["policy"]["scheme"] = scheme
+        cfgs.append(from_dict(data))
+    reports = _run_all(cfgs, workers)
+    for rep in reports:
+        rep.timeseries = []   # keep matrix results light
+    return dict(zip(cells, reports))
 
 
 # ---------------------------------------------------------------------------

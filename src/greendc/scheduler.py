@@ -81,12 +81,12 @@ class PlacementDecision:
     reason: str = "ok"
 
 
-def dvfs_setpoint(server_load: float, headroom: float, f_min: float = 0.1,
-                  f_max: float = 1.0) -> float:
-    """Lowest frequency that covers the load with the given headroom."""
+def dvfs_setpoint(server_load: float, headroom: float, f_min: float = 0.1) -> float:
+    """Lowest frequency that covers the load with the given headroom, as a
+    fraction of full speed (1.0, the speed compute demand is measured at)."""
     if server_load < 0:
         raise ValueError("server_load must be non-negative")
-    return min(f_max, max(f_min, server_load * (1.0 + headroom)))
+    return min(1.0, max(f_min, server_load * (1.0 + headroom)))
 
 
 def place(job: Job, state: "SimState", policy: SchedulerPolicy) -> PlacementDecision:

@@ -70,8 +70,6 @@ class ArchitectureSpec:
     access_uplink_bps: float = 1e9
     agg_core_bps: float = 1e10
     core_mesh_bps: float = 1e10
-    uplinks_per_access: int = 2
-    link_delay_s: float = 10e-9
 
     def validate(self) -> None:
         if self.kind not in KINDS:
@@ -79,7 +77,7 @@ class ArchitectureSpec:
         for name in ("core_count", "access_count", "servers_per_access"):
             if getattr(self, name) < 1:
                 raise InvalidSpec(f"{name} must be >= 1")
-        for name in ("server_rate_bps", "access_uplink_bps", "link_delay_s"):
+        for name in ("server_rate_bps", "access_uplink_bps"):
             if getattr(self, name) <= 0:
                 raise InvalidSpec(f"{name} must be positive")
         if self.kind == TWO_TIER:
@@ -91,8 +89,6 @@ class ArchitectureSpec:
             if self.access_count < self.agg_count // 2:
                 raise InvalidSpec("access_count must be at least the number of "
                                   "aggregation pairs (agg_count // 2)")
-            if self.uplinks_per_access != 2:
-                raise InvalidSpec("uplinks_per_access must be 2 (paired aggregation)")
             if self.agg_core_bps <= 0:
                 raise InvalidSpec("agg_core_bps must be positive")
         c, x = self.core_count, self.access_count

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import greendc
 from greendc import cli, engine
+from greendc.config import MAX_REPLICATIONS
 from greendc.engine import InternalInvariantViolation
 
 from conftest import small_scenario
@@ -136,6 +137,43 @@ def test_sweep_rejects_bad_matrix_and_names(tmp_path, capsys):
     assert cli.main(["sweep", "--scenario", path, "--schemes", "turbo"]) == 1
 
 
+def test_sweep_checks_every_cell_before_it_runs_one(tmp_path, monkeypatch, capsys):
+    """A cell the base document cannot make fails the sweep before any cell
+    runs: here the high-speed fabric's 100G trunks, which the base's core
+    and aggregation port tables do not price."""
+    ports = {"port_power_by_rate": {"1e9": 0.4, "1e10": 1.0}}
+    path = write_scenario(tmp_path, switch_power={"core": ports, "aggregation": ports})
+    ran = []
+    monkeypatch.setattr(engine, "run", lambda *a, **k: ran.append(a))
+    assert cli.main(["sweep", "--scenario", path, "--out", str(tmp_path / "out"),
+                     "--archs", "three_tier,three_tier_hs", "--schemes", "none"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: switch_power.core.port_power_by_rate: ")
+    assert "1e+11" in err and err.count("\n") == 1
+    assert ran == []
+
+
+def test_batch_size_and_worker_count_are_bounded(tmp_path, monkeypatch, capsys):
+    """A replication count past MAX_REPLICATIONS fails validation, and a
+    worker count outside 1..os.cpu_count() is a config error before any
+    output is made or any run starts."""
+    path = write_scenario(tmp_path, replications=MAX_REPLICATIONS + 1)
+    assert cli.main(["validate", "--scenario", path]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: replications must be in 1..{MAX_REPLICATIONS:,}\n")
+    path = write_scenario(tmp_path)
+    ran = []
+    monkeypatch.setattr(engine, "run", lambda *a, **k: ran.append(a))
+    cpus = os.cpu_count() or 1
+    for workers in (0, -1, cpus + 1):
+        for command in ("simulate", "sweep"):
+            assert cli.main([command, "--scenario", path, "--out", str(tmp_path / "out"),
+                             "--workers", str(workers)]) == 1
+            assert capsys.readouterr().err == (
+                f"config error: --workers must be in 1..{cpus}, got {workers}\n")
+    assert ran == [] and not (tmp_path / "out").exists()
+
+
 def test_config_errors_exit_one(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
@@ -233,11 +271,16 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, text, command):
     {"workload": {"bytes_per_cpu_second": -1e6}},
     # a fabric count past any run's memory made range() overflow
     {"architecture": {"preset": "three_tier", "servers_per_access": 1e300}},
+    # fields that steered nothing, or did so only in part, are unknown keys
+    {"server_power": {"f_max": 1.0}},
+    {"architecture": {"preset": "two_tier", "link_delay_s": 1e-8}},
+    {"architecture": {"preset": "three_tier", "uplinks_per_access": 2}},
 ], ids=["fractional-seed", "negative-seed", "fractional-replications",
         "fewer-racks-than-pods", "rate-without-port-power", "negative-chassis-power",
         "negative-linecard-power", "negative-sleep-power", "negative-linecards",
         "negative-port-power", "zero-nic-rate", "negative-bytes-per-cpu-second",
-        "too-many-links"])
+        "too-many-links", "removed-f_max", "removed-link_delay_s",
+        "removed-uplinks_per_access"])
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 def test_documents_that_cannot_run_are_config_errors(tmp_path, capsys, doc, command):
     path = tmp_path / "doc.json"
@@ -390,7 +433,6 @@ _VALID_DOCUMENTS = st.fixed_dictionaries({
     }),
     "server_power": st.fixed_dictionaries({}, optional={
         "p_fixed_w": _WATTS, "p_f_w": _WATTS, "p_idle_cpu_w": _WATTS, "p_sleep_w": _WATTS,
-        "f_max": st.floats(min_value=0.1, max_value=2.0),
     }),
     "switch_power": st.fixed_dictionaries({}, optional={
         role: st.fixed_dictionaries({}, optional={

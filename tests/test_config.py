@@ -3,7 +3,7 @@
 import pytest
 
 from greendc.config import (
-    ConfigError, ScenarioConfig, from_dict, scenario_preset, to_dict,
+    MAX_REPLICATIONS, ConfigError, ScenarioConfig, from_dict, scenario_preset, to_dict,
 )
 from greendc.presets import ARCHITECTURES, SCENARIOS
 from greendc.report import run_scenario
@@ -55,7 +55,7 @@ def test_effective_workload_spans_horizon_and_target_load():
     cfg = from_dict(small_scenario(horizon_s=12.0, target_load=0.5))
     wl = cfg.effective_workload()
     assert wl.duration == 12.0
-    capacity = cfg.architecture.server_count * cfg.server_power.f_max
+    capacity = cfg.architecture.server_count   # CPU-seconds per second at full speed
     rate = 1.0 / wl.mean_interarrival
     assert rate * wl.mean_compute / capacity == pytest.approx(0.5)
 
@@ -80,6 +80,9 @@ def test_scalar_bounds():
         from_dict({"target_load": 1.5})
     with pytest.raises(ConfigError, match="replications"):
         from_dict({"replications": 0})
+    assert from_dict({"replications": MAX_REPLICATIONS}).replications == MAX_REPLICATIONS
+    with pytest.raises(ConfigError, match="replications"):
+        from_dict({"replications": MAX_REPLICATIONS + 1})
     with pytest.raises(ConfigError, match="pue_overhead"):
         from_dict({"pue_overhead": 0.9})
     with pytest.raises(ConfigError, match="price_per_kwh"):

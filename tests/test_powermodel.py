@@ -140,5 +140,3 @@ def test_port_power_scales_with_tier():
 def test_param_validation():
     with pytest.raises(ValueError):
         ServerPowerParams(p_fixed_w=-1.0).validate()
-    with pytest.raises(ValueError):
-        ServerPowerParams(f_max=0.0).validate()

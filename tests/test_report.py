@@ -1,16 +1,21 @@
 """Efficiency metrics, replication statistics and table writers."""
 
+import copy
 import csv
 import json
 import math
 
 import pytest
 
+from greendc import config
 from greendc.report import (
     EnergyLedger, annualize_cost, run_experiment_matrix, run_replications,
     run_scenario, summarize, summarize_replications, t_quantile_95,
     write_energy_by_architecture_csv, write_report_json, write_savings_by_scheme_csv, write_timeseries_csv,
 )
+from greendc.scheduler import SCHEMES
+
+from conftest import small_scenario
 
 
 def test_annualize_cost_scales_run_to_a_year():
@@ -119,3 +124,70 @@ def test_matrix_workers_agree_with_serial(make_cfg):
                                      workers=2)
     for key in serial:
         assert serial[key].trace_hash == parallel[key].trace_hash
+
+
+# -- metamorphic relations: what the power and pricing terms may change -------
+
+_POCKET_FABRICS = {
+    "three_tier": small_scenario()["architecture"],
+    "two_tier": {"kind": "two_tier", "core_count": 2, "agg_count": 0,
+                 "access_count": 4, "servers_per_access": 2},
+}
+
+
+def _pocket(scheme, arch):
+    """The pocket scenario with every job class, as a full document."""
+    return config.to_dict(config.from_dict(small_scenario(
+        architecture=_POCKET_FABRICS[arch], policy={"scheme": scheme}, horizon_s=4.0,
+        workload={"class_mix": [0.3, 0.3, 0.4], "deadline_slack": 2.5,
+                  "mean_compute": 0.1})))
+
+
+def _doubled_watts(data):
+    data = copy.deepcopy(data)
+    server = data["server_power"]
+    for key in ("p_fixed_w", "p_f_w", "p_idle_cpu_w", "p_sleep_w"):
+        server[key] *= 2
+    for switch in data["switch_power"].values():
+        for key in ("p_chassis_w", "p_linecard_w", "p_sleep_w"):
+            switch[key] *= 2
+        switch["port_power_by_rate"] = {rate: 2 * w for rate, w
+                                        in switch["port_power_by_rate"].items()}
+    return data
+
+
+def _run(data):
+    """report.json's content plus the power samples, of one run."""
+    rep = run_scenario(config.from_dict(data))
+    return dict(rep.as_dict(), timeseries=rep.timeseries)
+
+
+@pytest.mark.parametrize("arch", sorted(_POCKET_FABRICS))
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_doubling_every_wattage_doubles_every_energy_figure(scheme, arch):
+    """No power term steers a decision, and the ledger is linear in watts:
+    the trace, the SLA counts and every other figure stay as they are, and
+    every energy, mean power, cost and power sample doubles bit for bit."""
+    data = _pocket(scheme, arch)
+    base, doubled = _run(data), _run(_doubled_watts(data))
+    assert base["energy"]["total_wh"] > 0 and base["sla"]["admitted"] > 0
+    for key in ("energy", "mean_power_w"):
+        assert {k: 2 * v for k, v in base.pop(key).items()} == doubled.pop(key)
+    assert 2 * base.pop("annual_cost_usd") == doubled.pop("annual_cost_usd")
+    for row in base["timeseries"]:
+        for key in ("servers_w", "core_w", "aggregation_w", "access_w"):
+            row[key] *= 2
+    assert base.pop("scenario") != doubled.pop("scenario")
+    assert base == doubled
+
+
+@pytest.mark.parametrize("arch", sorted(_POCKET_FABRICS))
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_facility_overhead_and_price_change_only_their_figures(scheme, arch):
+    data = _pocket(scheme, arch)
+    base = _run(data)
+    other = _run(dict(data, pue_overhead=1.7, price_per_kwh=0.31))
+    changed = ("pue", "dcie", "annual_cost_usd", "scenario")
+    assert all(base[key] != other[key] for key in changed)
+    assert ({k: v for k, v in base.items() if k not in changed}
+            == {k: v for k, v in other.items() if k not in changed})

@@ -75,6 +75,39 @@ def test_every_defined_function_is_called():
     assert set(CALLED_OUTSIDE) <= set(defined)
 
 
+# the dataclasses a scenario document sets, field by field
+SCENARIO_CLASSES = ("ScenarioConfig", "ArchitectureSpec", "WorkloadSpec",
+                    "SchedulerPolicy", "ServerPowerParams", "SwitchPowerParams")
+
+
+def _loads_outside_validate(node, out):
+    """Add to out every attribute name loaded under node, but not inside a
+    method named validate."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef) and child.name == "validate":
+            continue
+        if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            out.add(child.attr)
+        _loads_outside_validate(child, out)
+
+
+def test_every_scenario_field_is_read():
+    """Every field a scenario document can set is loaded as an attribute
+    somewhere in the package outside a validate method: a field that only
+    its own check reads steers nothing, so a document setting it would not
+    run as written.  Names are matched across the whole package."""
+    declared, read = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in SCENARIO_CLASSES:
+                declared.update((node.name, stmt.target.id) for stmt in node.body
+                                if isinstance(stmt, ast.AnnAssign))
+        _loads_outside_validate(tree, read)
+    assert {cls for cls, _ in declared} == set(SCENARIO_CLASSES)
+    assert sorted((cls, name) for cls, name in declared if name not in read) == []
+
+
 def _imported_names(tree):
     """Name each import binds -> its line; __future__ imports bind nothing."""
     out = {}
