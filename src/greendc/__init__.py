@@ -12,6 +12,7 @@ from .report import (
     EnergyLedger,
     SimReport,
     annualize_cost,
+    experiment_cells,
     run_experiment_matrix,
     run_replications,
     run_scenario,
@@ -39,6 +40,7 @@ __all__ = [
     "WorkloadSpec",
     "annualize_cost",
     "build_topology",
+    "experiment_cells",
     "from_dict",
     "generate",
     "load_for_target",

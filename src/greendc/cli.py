@@ -162,6 +162,7 @@ def cmd_sweep(args) -> int:
     for s in schemes:
         if s not in SCHEMES:
             raise ConfigError(f"unknown scheme {s!r}")
+    cells = reporting.experiment_cells(cfg, {a: a for a in archs}, schemes)
     outdir = args.out or f"sweep-{cfg.label}"
     base_arch = archs[0] if len(archs) == 1 else "three_tier"
     names = {(a, s): f"{a}-{s}.json" for a in archs for s in schemes}
@@ -170,8 +171,7 @@ def cmd_sweep(args) -> int:
         if base_arch in archs:
             names["savings"] = "savings_by_scheme.csv"
     paths = _make_outdir(outdir, names)
-    results = reporting.run_experiment_matrix(cfg, archs, schemes,
-                                              workers=args.workers)
+    results = reporting.run_experiment_matrix(cells, workers=args.workers)
     for (arch, scheme), rep in sorted(results.items()):
         e = rep.energy
         print(f"{arch:14s} {scheme:9s} total={e.total_wh:10.1f} Wh  "

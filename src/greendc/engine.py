@@ -31,6 +31,12 @@ cache.  Placement routes only to test a data-intensive job's candidates for
 congestion and hands no path on: routing is pure, so a job that starts the
 moment it is placed gets the paths the test saw.
 
+No flow crosses a down link: an awake server's rack switch is live, a pod
+with a rack not dormant keeps an aggregation switch live or waking, the
+gateway core never sleeps and reaches every pod or rack, and no switch
+carrying a flow is asked to sleep.  So every transfer's pick is live, and
+the flow network raises on a flow over a down link.
+
 Compute completion events are provisional, as the network's flow ends
 are: a frequency drop leaves the scheduled event in place and the pop
 re-arms from live state, while a rise pushes an earlier event.  Stale
@@ -92,6 +98,10 @@ class _Node:
     def dormant(self) -> bool:
         """Asleep, with no wake under way."""
         return self.asleep and self.transition_until is None
+
+    def falling_asleep(self) -> bool:
+        """In a sleep transition: awake, with a transition under way."""
+        return self.transition_until is not None and not self.asleep
 
 
 class _Server(_Node):
@@ -189,12 +199,10 @@ class SimState:
                          if roles[nid] != ROLE_SERVER] for _lid, a, b, rate in topo.links]
         self.jobs: dict[int, _JobRun] = {}
 
-        # switch liveness for routing around dark switches.  The gateway core
-        # fronts the external uplink and is never asked to sleep.
-        self.dark_switches = 0        # switches not fully up (routing filter)
-        # per switch id: fully up, neither asleep nor in a transition.  It
-        # flips only where dark_switches moves: a sleep request and a wake
-        # completion.
+        # the routing filter: per switch id, fully up (neither asleep nor in
+        # a transition), and the count of those not.  Both move only at a
+        # sleep request and a wake completion; the gateway core never sleeps.
+        self.dark_switches = 0
         self.switch_live = [True] * topo.server_ids.start
 
         # energy ledger: joules per class, with compensated accumulation
@@ -233,13 +241,11 @@ class SimState:
                         total += watts[net.link_tier_idx[lid]]
         return total
 
-    def _refresh_links(self, nid: int) -> list[int]:
+    def _refresh_links(self, nid: int) -> None:
         """Re-evaluate up/down of a node's links after its mode flipped, and
-        price each flip; returns the links."""
-        lids = [lid for _nbr, lid in self.topology.adj[nid]]
-        for lid in lids:
-            ln = self.topology.links[lid]
-            up = not self.nodes[ln.a].asleep and not self.nodes[ln.b].asleep
+        price each flip."""
+        for nbr, lid in self.topology.adj[nid]:
+            up = not self.nodes[nid].asleep and not self.nodes[nbr].asleep
             if self.net.set_link(lid, up):
                 sign = 1.0 if up else -1.0
                 idx = self.net.link_tier_idx[lid]
@@ -247,7 +253,6 @@ class SimState:
                     sw = self.nodes[end]
                     if not sw.asleep:
                         self._set_w(sw, sw.power_w + sign * watts[idx])
-        return lids
 
     def _price_tiers(self, changes: list[tuple[int, int, int]]) -> None:
         """Port power for the network's tier changes (link, old, new)."""
@@ -285,9 +290,11 @@ class SimState:
         committed load plus demand over its time left fits in full speed, in
         scan order: awake ones most-loaded first, ties to the lowest id;
         waking ones alike, from the end of their transition; then wakeable
-        sleeping ones by id, from the end of a wake.  Lazy: consume it
-        before the state changes."""
+        sleeping ones by id, from the end of a wake: those whose rack switch,
+        or pod's whole aggregation pair, is not falling asleep (it could not
+        be woken with them).  Lazy: consume it before the state changes."""
         now = self.clock
+        nodes = self.nodes
         window = deadline - now
         if window > 0:
             r = demand / window
@@ -295,7 +302,6 @@ class SimState:
             cands = self.cands
             for i in range(bisect_right(cands, (1.0 - r + _EPS, 1)) - 1, -1, -1):
                 yield -cands[i][1], r, False
-            nodes = self.nodes
             for sid in sorted(self.waking_ids, key=lambda s: (-nodes[s].committed, s)):
                 srv = nodes[sid]
                 w = deadline - srv.transition_until
@@ -304,10 +310,16 @@ class SimState:
         window = deadline - (now + TRANSITION_SECONDS)
         if window <= 0 or demand / window > 1.0 + _EPS:
             return
+        topo = self.topology
         for sid in self.sleeping:
-            sw = self.nodes[self.topology.access_of_server(sid)]
+            acc = topo.access_of_server(sid)
+            sw = nodes[acc]
             if sw.transition_until is not None and not sw.asleep:
                 continue  # rack switch is mid sleep-transition
+            if topo.pod_count:
+                a, b = topo.aggs_of_pod(topo.pod_of_access(acc))
+                if nodes[a].falling_asleep() and nodes[b].falling_asleep():
+                    continue
             yield sid, demand / window, True
 
     def internal_dst(self, job_id: int, src: int) -> int | None:
@@ -334,23 +346,10 @@ class SimState:
     def route(self, src: int, dst: int, salt: int) -> Path:
         """Equal-cost path for a transfer, hashed uniformly; with some
         switches dark, hash over the fully-live paths instead, and fall back
-        to the uniform pick when none is live.  Pure: the caller decides
-        whether to wake anything (see ensure_path_live)."""
+        to the uniform pick when none is live, as for a sleeping candidate
+        in placement's congestion test (a transfer's pick is live).  Pure."""
         return self.topology.pick_path(src, dst, splitmix64(salt),
                                        self.switch_live if self.dark_switches else None)
-
-    def ensure_path_live(self, path: Path) -> None:
-        """Request wake-up of any stably sleeping switch on the path.  A
-        switch caught mid sleep-transition is re-woken when that transition
-        completes, because the flow keeps its count above zero.  The path's
-        ends are awake servers or the gateway, which never sleeps, so only
-        its inner switches can be dormant."""
-        if self.dark_switches == 0:
-            return
-        nodes = self.nodes
-        for n in path.nodes[1:-1]:
-            if nodes[n].dormant():
-                _wake_switch(self, n)
 
     def spine_sleep_ok(self, nid: int) -> bool:
         """Connectivity rule for powering down an aggregation or core
@@ -504,14 +503,12 @@ def _start_flows(state: SimState, jr: _JobRun) -> None:
         if dst is None or (peer := state.nodes[dst]).asleep or peer.transition_until is not None:
             dst = state.internal_dst(job.id, jr.server)
         if dst is not None:
-            path = state.route(jr.server, dst, job.id * 2)
-            state.ensure_path_live(path)
-            _add_flow(state, jr, path, job.comm_internal_bytes)
+            _add_flow(state, jr, state.route(jr.server, dst, job.id * 2),
+                      job.comm_internal_bytes)
         # with no possible peer the exchange degenerates to a local copy
     if job.comm_external_bytes > 0.0:
-        path = state.route(jr.server, state.topology.gateway, job.id * 2 + 1)
-        state.ensure_path_live(path)
-        _add_flow(state, jr, path, job.comm_external_bytes)
+        _add_flow(state, jr, state.route(jr.server, state.topology.gateway, job.id * 2 + 1),
+                  job.comm_external_bytes)
 
 
 def _job_piece_done(state: SimState, jr: _JobRun) -> None:
@@ -538,15 +535,11 @@ def _begin_wake(state: SimState, sid: int) -> None:
     acc = topo.access_of_server(sid)
     _wake_switch(state, acc)
     if topo.pod_count:
-        pair = topo.aggs_of_pod(topo.pod_of_access(acc))
-        if not any(state.switch_live[a]
-                   or (state.nodes[a].asleep
-                       and state.nodes[a].transition_until is not None)
-                   for a in pair):
-            for a in pair:
-                if state.nodes[a].dormant():
-                    _wake_switch(state, a)
-                    break
+        # placement_order keeps one of the pair out of a sleep transition
+        pair = [a for a in topo.aggs_of_pod(topo.pod_of_access(acc))
+                if not state.nodes[a].falling_asleep()]
+        if all(state.nodes[a].dormant() for a in pair):
+            _wake_switch(state, pair[0])
     srv = state.nodes[sid]
     i = bisect_left(state.sleeping, sid)
     del state.sleeping[i]
@@ -671,17 +664,11 @@ def _handle_transition(state: SimState, comp: int, nid: int) -> None:
             state._set_w(sw, sw.base_w)
             state.dark_switches -= 1
             state.switch_live[nid] = True
-            # port power comes back per up link, and flows that stalled on
-            # this switch's links can move again
-            state.net.refill(state._refresh_links(nid), now)
         else:
             sw.asleep = True
             state._set_w(sw, sw.p_sleep_w)
-            state._refresh_links(nid)
-            if sw.flow_count:
-                # traffic was mapped here while the shutdown was in motion;
-                # turn straight back on
-                _wake_switch(state, nid)
+        # port power comes back, or goes, per link flipped
+        state._refresh_links(nid)
 
 
 def _apply_sleeps(state: SimState, requests: list[int]) -> None:

@@ -15,7 +15,7 @@ all resources in id order, to the bit.
 
 FlowNet holds one fabric's flows and what they share: per-direction
 capacities, rate sums and flow sets, link up states and rate tiers.  A
-change refills only the component of flows sharing links with it.  End
+change re-fills only the component of flows sharing links with it.  End
 events are provisional: a rate drop leaves one in place to re-arm when it
 pops, a rise pushes an earlier one.  A link jumps to native rate when a
 flow is routed over it and is trimmed toward its offered load (with
@@ -40,19 +40,17 @@ class InternalInvariantViolation(RuntimeError):
     """A conservation or capacity invariant broke; the run is invalid."""
 
 
-def fill(records: Mapping, flow_resources: Mapping[int, Sequence[int]],
-         rates: dict) -> dict:
+def fill(records: Mapping, flow_resources: Mapping[int, Sequence[int]]) -> dict:
     """Progressive filling over prepared resource records.
 
     records maps resource id -> [residual, unfrozen, members]: residual
     starts at the resource's capacity (> 0), members holds every flow
-    crossing the resource and unfrozen counts those of them not already in
-    rates.  flow_resources maps every member flow to the resources it
-    crosses.  rates holds flows fixed in advance (a stalled flow at 0.0);
-    the fill skips them and adds every other member flow.  The records'
-    residuals and counts are used up; the member collections are only read.
-    Returns rates.
+    crossing the resource and unfrozen counts them.  flow_resources maps
+    every member flow to the resources it crosses.  The records' residuals
+    and counts are used up; the member collections are only read.  Returns
+    flow id -> rate for every member flow.
     """
+    rates: dict = {}
     live = [rec for rec in records.values() if rec[1]]
     level = 0.0
     while live:
@@ -110,7 +108,7 @@ def allocate(flow_resources: Mapping[int, Sequence[int]],
             raise ValueError(f"resource {rid} has non-positive capacity")
         fids = members[rid]
         records[rid] = [cap, len(fids), fids]
-    return fill(records, flow_resources, {})
+    return fill(records, flow_resources)
 
 
 class _Flow:
@@ -132,7 +130,9 @@ class FlowNet:
     """The flows over one fabric's links, their max-min rates, and the
     links' rate tiers and up states.  Directed link 2 * lid runs from the
     link's lower node id to its higher one, 2 * lid + 1 back.  A flow's end
-    is scheduled on the caller's queue as push(t, end_kind, flow id, 0)."""
+    is scheduled on the caller's queue as push(t, end_kind, flow id, 0).
+    No flow ever crosses a down link, so every rate is positive: add
+    refuses a path over one and set_link a link going down under a flow."""
 
     def __init__(self, topology: Topology, push: Callable[[float, int, int, int], None],
                  end_kind: int):
@@ -150,8 +150,6 @@ class FlowNet:
         # links whose tier the next trim may move: all at first, then those
         # carrying flows at the last trim, or added to or back up since
         self.dvs_pending: set[int] = set(range(nlinks))
-        # down links carrying a flow: a flow is stalled only across one
-        self.stalled_links = 0
         self.flows: dict[int, _Flow] = {}
         self.next_id = 0
         self.bytes_offered = self.bytes_done = self.bytes_left = 0.0
@@ -159,9 +157,12 @@ class FlowNet:
         self._end_kind = end_kind
 
     def add(self, jid: int, path: Path, nbytes: float, now: float) -> list[tuple[int, int, int]]:
-        """Start job jid's transfer of nbytes along path and refill its
-        component.  Demand brings each scaled-down link of the path straight
+        """Start job jid's transfer of nbytes along path and fill its
+        component again.  Demand brings each scaled-down link of the path straight
         back to native rate; returns those tier changes as (link, old, new)."""
+        link_up = self.link_up
+        if not all([link_up[lid] for lid in path.links]):
+            raise InternalInvariantViolation(f"job {jid}'s transfer routed over a down link")
         fid = self.next_id
         self.next_id += 1
         nodes = path.nodes
@@ -171,7 +172,6 @@ class FlowNet:
         tier_idx = self.link_tier_idx
         native = self.native_idx
         pending = self.dvs_pending
-        link_up = self.link_up
         dir_flows = self.dir_flows
         raised = []
         for lid in path.links:
@@ -179,8 +179,6 @@ class FlowNet:
                 raised.append((lid, tier_idx[lid], native))
                 self._set_tier(lid, native)
             pending.add(lid)
-            if not link_up[lid] and not (dir_flows[2 * lid] or dir_flows[2 * lid + 1]):
-                self.stalled_links += 1
         for d in res:
             fids = dir_flows[d]
             if fids is None:
@@ -192,7 +190,7 @@ class FlowNet:
         return raised
 
     def remove(self, fid: int, now: float) -> _Flow:
-        """Take a flow off its links, refill what it shared and return it."""
+        """Take a flow off its links, fill what it shared again and return it."""
         fl = self.flows.pop(fid)
         dir_flows = self.dir_flows
         dir_sum = self.dir_sum
@@ -200,28 +198,19 @@ class FlowNet:
             dir_flows[d].discard(fid)
             dir_sum[d] -= fl.rate
         fl.rate = 0.0
-        if self.stalled_links:
-            link_up = self.link_up
-            for d in fl.res:
-                if not link_up[d >> 1] and not (dir_flows[d] or dir_flows[d ^ 1]):
-                    self.stalled_links -= 1
         self.bytes_done += fl.done_bytes
         self._recompute(fl.res, now)
         return fl
 
     def finish(self, fid: int, now: float) -> _Flow | None:
         """A flow's end event: the flow, removed, when its bytes are done;
-        else None, its end re-armed at its current rate or, while it is
-        stalled, left to the refill that lets it move again."""
+        else None, its end re-armed at its current rate."""
         fl = self.flows[fid]
         self._advance((fid,), now)
         if fl.bytes_left > 1e-6:
-            if fl.rate > 0.0:
-                # the rate dropped since this event was scheduled
-                fl.end_t = now + fl.bytes_left * 8.0 / fl.rate
-                self._push(fl.end_t, self._end_kind, fid, 0)
-            else:
-                fl.end_t = float("inf")
+            # the rate dropped since this event was scheduled
+            fl.end_t = now + fl.bytes_left * 8.0 / fl.rate
+            self._push(fl.end_t, self._end_kind, fid, 0)
             return None
         fl.done_bytes += fl.bytes_left
         fl.bytes_left = 0.0
@@ -240,7 +229,7 @@ class FlowNet:
         for fid in fids:
             fl = flows[fid]
             dt = now - fl.stamp
-            if dt > 0.0 and fl.rate > 0.0:
+            if dt > 0.0:
                 delta = fl.rate * dt * 0.125  # bits/s * s -> bytes
                 if delta > fl.bytes_left:
                     delta = fl.bytes_left
@@ -253,20 +242,16 @@ class FlowNet:
         self.cap[2 * lid] = self.cap[2 * lid + 1] = self.link_tiers[lid][idx]
 
     def set_link(self, lid: int, up: bool) -> bool:
-        """Mark a link up or down; whether that changed it.  Its flows keep
-        their rates until a refill covers them."""
+        """Mark a link up or down; whether that changed it.  A link carrying
+        a flow never goes down."""
         if up == self.link_up[lid]:
             return False
-        self.link_up[lid] = up
         if up:
             self.dvs_pending.add(lid)
-        if self.dir_flows[2 * lid] or self.dir_flows[2 * lid + 1]:
-            self.stalled_links += -1 if up else 1
+        elif self.dir_flows[2 * lid] or self.dir_flows[2 * lid + 1]:
+            raise InternalInvariantViolation(f"link {lid} goes down under a flow")
+        self.link_up[lid] = up
         return True
-
-    def refill(self, lids: Iterable[int], now: float) -> None:
-        """Refill the components of the flows crossing these links."""
-        self._recompute([d for lid in lids for d in (2 * lid, 2 * lid + 1)], now)
 
     def trim(self, now: float) -> list[tuple[int, int, int]]:
         """Trim link rates toward offered load; returns the tier changes as
@@ -315,10 +300,7 @@ class FlowNet:
 
         The component (every flow and directed link reachable from the seeds
         through shared links) is walked once, breadth first, building the
-        fill's records as it goes, and its flows are advanced to now.  A flow
-        crossing a down link is stalled: fixed at 0.0 and off its records'
-        counts, so it holds no bandwidth while it waits for the wake; the
-        scan for them is skipped while no down link carries a flow.  A lone
+        fill's records as it goes, and its flows are advanced to now.  A lone
         flow skips the fill: its rate is the fill's single step, 0.0 + the
         smallest capacity on its path.  New rates are applied and rescheduled
         in id order, then checked against the component's capacities."""
@@ -345,24 +327,13 @@ class FlowNet:
                             records[d2] = [cap[d2], len(f2), f2]
                             queue.append(f2)
         self._advance(members, now)
-        link_up = self.link_up
-        stalls = self.stalled_links
         if len(members) == 1:
             (fid, res), = members.items()
             order = (fid,)
-            rates = {fid: 0.0 if stalls and not all(link_up[d >> 1] for d in res)
-                     else 0.0 + min([cap[d] for d in res])}
+            rates = {fid: 0.0 + min([cap[d] for d in res])}
         else:
             order = sorted(members)
-            rates = {}
-            if stalls:
-                for fid in order:
-                    res = members[fid]
-                    if not all(link_up[d >> 1] for d in res):
-                        rates[fid] = 0.0
-                        for d in res:
-                            records[d][1] -= 1
-            rates = fill(records, members, rates)
+            rates = fill(records, members)
         dir_sum = self.dir_sum
         for fid in order:
             fl = flows[fid]
@@ -372,11 +343,10 @@ class FlowNet:
                 for d in fl.res:
                     dir_sum[d] += diff
                 fl.rate = new
-            if new > 0.0:
-                end = now + fl.bytes_left * 8.0 / new
-                if end < fl.end_t - _EPS:
-                    fl.end_t = end
-                    self._push(end, self._end_kind, fid, 0)
+            end = now + fl.bytes_left * 8.0 / new
+            if end < fl.end_t - _EPS:
+                fl.end_t = end
+                self._push(end, self._end_kind, fid, 0)
             # slower flows keep their event; it pops early and re-arms
         for d in records:
             if dir_sum[d] > cap[d] * (1.0 + 1e-9):

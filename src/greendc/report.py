@@ -254,20 +254,23 @@ def summarize_replications(reports: list[SimReport]) -> dict:
     return {name: summarize(pick(r) for r in reports) for name, pick in picks.items()}
 
 
-def run_experiment_matrix(base: ScenarioConfig, architectures, schemes,
-                          workers: int | None = None) -> dict:
-    """Run every architecture x scheme combination of a base scenario,
-    keyed by (architecture, scheme); ``workers`` > 1 runs them in worker
-    processes.  Every cell is built and validated before any runs, so a
-    cell the base cannot make is a ConfigError that costs no run."""
-    cells = [(a, s) for a in architectures for s in schemes]
-    cfgs = []
-    for arch_name, scheme in cells:
-        data = to_dict(base)
-        data.update(architecture=arch_name, label=f"{base.label}-{arch_name}-{scheme}")
-        data["policy"]["scheme"] = scheme
-        cfgs.append(from_dict(data))
-    reports = _run_all(cfgs, workers)
+def experiment_cells(base: ScenarioConfig, fabrics: dict, schemes) -> dict:
+    """Every fabric x scheme cell of a base scenario as a validated config,
+    keyed by (fabric name, scheme); fabrics maps a name to what from_dict
+    takes as an architecture.  A cell the base cannot make is a ConfigError."""
+    cells = {}
+    for name, arch in fabrics.items():
+        for scheme in schemes:
+            data = to_dict(base)
+            data.update(architecture=arch, label=f"{base.label}-{name}-{scheme}")
+            data["policy"]["scheme"] = scheme
+            cells[(name, scheme)] = from_dict(data)
+    return cells
+
+
+def run_experiment_matrix(cells: dict, workers: int | None = None) -> dict:
+    """Reports keyed as the cells are; ``workers`` > 1 runs worker processes."""
+    reports = _run_all(list(cells.values()), workers)
     for rep in reports:
         rep.timeseries = []   # keep matrix results light
     return dict(zip(cells, reports))

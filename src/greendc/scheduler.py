@@ -3,7 +3,8 @@
 Placement consolidates: the engine's placement query lists the servers
 that can still finish the job by its deadline, awake ones most-loaded
 first (ties by lowest id), then servers in wake-up, then sleeping ones
-lowest id first, wake latency counting against the deadline.  Load is the
+lowest id first, wake latency counting against the deadline, unless their
+rack switch or whole aggregation pair is falling asleep.  Load is the
 sum of admission-time rate reservations (compute demand over
 time-to-deadline), so a server's residual capacity is exactly what it can
 still promise.  The first listed server wins; data-intensive jobs skip
@@ -18,9 +19,9 @@ sleep policy is dns_tick: it puts to sleep servers idle past a timeout,
 access switches with no traffic whose servers are all dormant (asleep,
 no wake under way), and aggregation and non-gateway core switches idle
 past the timeout.  The engine's connectivity rule keeps one aggregation
-switch of every pod with active racks awake; links of awake switches
-rate-scale.  dns_tick reads each node's mode, flows and idle stamp off the
-engine's node table.
+switch of every pod with active racks awake, so a transfer always finds
+live switches; links of awake switches rate-scale.  dns_tick reads each
+node's mode, flows and idle stamp off the engine's node table.
 """
 
 from __future__ import annotations

@@ -139,8 +139,8 @@ def test_sweep_rejects_bad_matrix_and_names(tmp_path, capsys):
 
 def test_sweep_checks_every_cell_before_it_runs_one(tmp_path, monkeypatch, capsys):
     """A cell the base document cannot make fails the sweep before any cell
-    runs: here the high-speed fabric's 100G trunks, which the base's core
-    and aggregation port tables do not price."""
+    runs or any output is made: here the high-speed fabric's 100G trunks,
+    which the base's core and aggregation port tables do not price."""
     ports = {"port_power_by_rate": {"1e9": 0.4, "1e10": 1.0}}
     path = write_scenario(tmp_path, switch_power={"core": ports, "aggregation": ports})
     ran = []
@@ -150,7 +150,7 @@ def test_sweep_checks_every_cell_before_it_runs_one(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert err.startswith("config error: switch_power.core.port_power_by_rate: ")
     assert "1e+11" in err and err.count("\n") == 1
-    assert ran == []
+    assert ran == [] and not (tmp_path / "out").exists()
 
 
 def test_batch_size_and_worker_count_are_bounded(tmp_path, monkeypatch, capsys):

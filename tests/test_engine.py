@@ -504,14 +504,18 @@ def _placement_reference(state, demand, deadline):
     awake servers whose committed load leaves room for demand over the time
     left, most-loaded first, ties to the lowest id; then waking servers,
     reserving over the time left after their transition, in the same order;
-    then the sleeping servers whose rack switch is not falling asleep,
-    lowest id first, reserving over the time left after a wake, which they
-    need."""
+    then the sleeping servers whose rack switch is not falling asleep, nor
+    every aggregation switch wired to that rack, lowest id first,
+    reserving over the time left after a wake, which they need."""
     now, eps = state.clock, engine._EPS
     ranked = []
     for sid in state.topology.server_ids:
         srv = state.nodes[sid]
-        rack = state.nodes[state.topology.access_of_server(sid)]
+        rack_id = state.topology.access_of_server(sid)
+        rack = state.nodes[rack_id]
+        # the aggregation switches wired to the rack; a two-tier rack has none
+        aggs = [state.nodes[a] for a in _neighbours(state.topology, rack_id, ROLE_AGG)]
+        dark_uplink = _falling_asleep(rack) or (aggs and all(map(_falling_asleep, aggs)))
         if not srv.asleep and srv.transition_until is None:
             window = deadline - now
             if window > 0 and srv.committed <= 1.0 - demand / window + eps:
@@ -521,7 +525,7 @@ def _placement_reference(state, demand, deadline):
             if (deadline > now and window > 0
                     and srv.committed + demand / window <= 1.0 + eps):
                 ranked.append(((1, -srv.committed, sid), (sid, demand / window, False)))
-        elif srv.asleep and not (rack.transition_until is not None and not rack.asleep):
+        elif srv.asleep and not dark_uplink:
             window = deadline - (now + TRANSITION_SECONDS)
             if window > 0 and demand / window <= 1.0 + eps:
                 ranked.append(((2, 0.0, sid), (sid, demand / window, True)))
@@ -562,24 +566,99 @@ def test_placement_order_is_the_documented_sort(make_cfg, monkeypatch):
     assert seen["loaded"] and seen["waking"] and seen["sleeping"] and seen["dimming_rack"]
 
 
+# two pods of two racks of two servers
+_TWO_PODS = {"kind": "three_tier", "core_count": 2, "agg_count": 4,
+             "access_count": 4, "servers_per_access": 2}
+
+
+def _complete(state, comp, nids):
+    """Move the clock on by one transition and end the nodes' transitions."""
+    state.clock += TRANSITION_SECONDS
+    for nid in nids:
+        engine._handle_transition(state, comp, nid)
+
+
+def test_no_server_wakes_under_a_pod_spine_falling_asleep(make_cfg):
+    """Once every rack of a pod is dormant both of its aggregation switches
+    may start to sleep at one tick.  While they are in that transition no
+    server of the pod is offered for a wake: it would find no dormant
+    aggregation switch to wake with it.  Once they are asleep the servers
+    are offered again, and a wake takes one aggregation switch along."""
+    state = SimState(make_cfg(architecture=_TWO_PODS, policy={"scheme": "dns"}))
+    topo = state.topology
+    racks = list(topo.racks_of_pod(0))
+    pod = [sid for acc in racks for sid in topo.servers_of_access(acc)]
+    engine._apply_sleeps(state, pod)
+    _complete(state, 0, pod)
+    engine._apply_sleeps(state, racks)
+    _complete(state, 1, racks)
+    aggs = topo.aggs_of_pod(0)
+    assert all(state.spine_sleep_ok(a) for a in aggs)
+    engine._apply_sleeps(state, list(aggs))
+    assert all(state.nodes[a].transition_until is not None for a in aggs)
+
+    def offered(deadline):
+        got = list(state.placement_order(0.1, deadline))
+        assert got == _placement_reference(state, 0.1, deadline)
+        return [sid for sid, _rate, wake in got if wake]
+
+    assert offered(state.clock + 10.0) == []
+    _complete(state, 1, aggs)
+    assert offered(state.clock + 10.0) == pod
+    engine._begin_wake(state, pod[0])
+    assert sum(state.nodes[a].transition_until is not None for a in aggs) == 1
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("fabric", [
+    {"kind": kind, "core_count": 2, "agg_count": aggs, "access_count": 8,
+     "servers_per_access": 2} for kind, aggs in (("three_tier", 4), ("two_tier", 0))],
+    ids=["three_tier", "two_tier"])
+def test_switch_churn_never_puts_a_flow_over_a_down_link(make_cfg, monkeypatch, fabric, seed):
+    """Sleeping at once when idle, with a tick every 50 ms, a mixed load
+    puts rack, aggregation and core switches to sleep, and wakes racks and
+    aggregation switches again and again; the flow network would raise on
+    any flow over a down link, or link going down under a flow, and none
+    does.  Only core sleeps are required: nothing wakes a core, because the
+    gateway core never sleeps and reaches every pod or rack."""
+    seen = {}
+    handle = engine._handle_transition
+
+    def counted(state, comp, nid):
+        if comp == 1:
+            key = (state.topology.roles[nid], state.nodes[nid].asleep)
+            seen[key] = seen.get(key, 0) + 1
+        handle(state, comp, nid)
+
+    monkeypatch.setattr(engine, "_handle_transition", counted)
+    cfg = make_cfg(architecture=fabric, horizon_s=20.0, target_load=0.3, seed=seed,
+                   policy={"scheme": "dvfs+dns", "idle_timeout_s": 0.0,
+                           "tick_interval_s": 0.05},
+                   workload={"class_mix": [0.2, 0.4, 0.4], "deadline_slack": 2.5,
+                             "mean_compute": 0.1})
+    engine.run(cfg)
+    # keyed by role and whether the switch was asleep: a sleep ends on False
+    want = {(ROLE_ACCESS, False): 10, (ROLE_ACCESS, True): 10, (ROLE_CORE, False): 1}
+    if fabric["agg_count"]:
+        want.update({(ROLE_AGG, False): 3, (ROLE_AGG, True): 3})
+    assert all(seen.get(key, 0) >= n for key, n in want.items()), seen
+
+
 # -- the flow layer's fill and the rate-scaling tick ----------------------------
 
 @pytest.fixture
 def checked_recompute(monkeypatch):
     """Wrap FlowNet._recompute: after each call, every flow of the component
-    must hold exactly fairshare.allocate's rate over the component's live
-    flows, and every flow crossing a down link must be at 0.0."""
-    seen = {"calls": 0, "single": 0, "multi": 0, "stalled": 0, "shared": 0}
+    must hold exactly fairshare.allocate's rate over the component."""
+    seen = {"calls": 0, "single": 0, "multi": 0}
     original = fairshare.FlowNet._recompute
 
     def checked(net, seed_dirs, now):
         original(net, seed_dirs, now)
-        comp, live = check_fill(net, seed_dirs)
+        comp = check_fill(net, seed_dirs)
         seen["calls"] += 1
         seen["single"] += len(comp) == 1
-        seen["multi"] += len(live) > 1
-        seen["stalled"] += len(comp) - len(live)
-        seen["shared"] += len(live) > 1 and len(comp) > len(live)
+        seen["multi"] += len(comp) > 1
 
     monkeypatch.setattr(fairshare.FlowNet, "_recompute", checked)
     return seen
@@ -595,66 +674,33 @@ def test_recompute_rates_equal_the_fill_over_each_component(make_cfg, checked_re
     assert checked_recompute["single"] > 100
 
 
-def test_recompute_stalls_flows_over_a_dark_switch(make_cfg, checked_recompute):
-    """Flows over a sleeping aggregation switch stall at 0.0 while flows
-    sharing their other links fill as if the stalled ones were gone, and all
-    of them move again once the switch is back.  Stalls are rare in whole
-    runs (the scheduler routes around dark switches), so they are built
-    here."""
+def test_no_flow_crosses_a_down_link(make_cfg):
+    """Transfers are routed over live switches only, and the flow network
+    refuses the opposite as an invariant violation: a flow over a sleeping
+    switch's down link, and a switch completing its sleep under a flow."""
     state = SimState(make_cfg(policy={"scheme": "dvfs+dns"}))
     topo = state.topology
-    dark, _partner = topo.aggs_of_pod(0)
+    dark, partner = topo.aggs_of_pod(0)
     engine._apply_sleeps(state, [dark])
     state.clock = TRANSITION_SECONDS
     engine._handle_transition(state, 1, dark)
     assert state.dark_switches == 1 and not all(state.net.link_up)
-    jr = engine._JobRun(balanced_job(0, 0.0, 1.0, 100.0))
-    servers = topo.server_ids
-    for i, src in enumerate(servers):
-        # every equal-cost path to the gateway and to the mirror-image server
-        for dst in (topo.gateway, servers[-1 - i]):
-            for k in range(topo.path_count(src, dst)):
-                engine._add_flow(state, jr, topo.kth_path(src, dst, k), 1e9)
-    assert checked_recompute["stalled"] > 0 and checked_recompute["shared"] > 0
-    stalled = [fl for fl in state.net.flows.values() if dark in fl.nodes]
-    assert stalled and all(fl.rate == 0.0 for fl in stalled)
-    state.net.remove(next(iter(state.net.flows)), state.clock)
-    engine._wake_switch(state, dark)
-    state.clock += TRANSITION_SECONDS
-    engine._handle_transition(state, 1, dark)
-    assert state.dark_switches == 0 and all(state.net.link_up)
-    assert state.net.stalled_links == 0
-    assert all(fl.rate > 0.0 for fl in state.net.flows.values())
-
-
-def _flow_ends(state):
-    return [ev for ev in state.heap if ev[2] == engine.EV_FLOW_END]
-
-
-def test_lone_flow_over_a_dark_switch_waits_for_the_wake(make_cfg, checked_recompute):
-    """A component of one flow takes the closed form: stalled at 0.0 with no
-    TransferEnd pushed while a switch on its path sleeps, then the smallest
-    capacity on its path, with its end pushed, once the wake completes."""
-    state = SimState(make_cfg(policy={"scheme": "dvfs+dns"}))
-    topo = state.topology
-    dark, _partner = topo.aggs_of_pod(0)
-    engine._apply_sleeps(state, [dark])
-    state.clock = TRANSITION_SECONDS
-    engine._handle_transition(state, 1, dark)
     src = topo.server_ids[0]
+    jr = engine._JobRun(balanced_job(0, 0.0, 1.0, 100.0))
+    assert all(dark not in state.route(src, topo.gateway, salt).nodes for salt in range(8))
     path = next(p for k in range(topo.path_count(src, topo.gateway))
                 if dark in (p := topo.kth_path(src, topo.gateway, k)).nodes)
-    engine._add_flow(state, engine._JobRun(balanced_job(0, 0.0, 1.0, 100.0)), path, 1e6)
-    ((fid, fl),) = state.net.flows.items()
-    assert fl.rate == 0.0 and fl.end_t == float("inf") and not _flow_ends(state)
-    assert checked_recompute["single"] == 1 and checked_recompute["stalled"] == 1
-    engine._wake_switch(state, dark)
+    with pytest.raises(InternalInvariantViolation, match="down link"):
+        engine._add_flow(state, jr, path, 1e6)
+    assert not state.net.flows
+    engine._add_flow(state, jr, state.route(src, topo.gateway, 1), 1e6)
+    (fl,) = state.net.flows.values()
+    assert partner in fl.nodes and fl.rate > 0.0
+    # a sleep started under the flow, which dns_tick never asks for
+    state.nodes[partner].transition_until = state.clock + TRANSITION_SECONDS
     state.clock += TRANSITION_SECONDS
-    engine._handle_transition(state, 1, dark)
-    assert checked_recompute["single"] == 2 and all(state.net.link_up)
-    assert fl.rate == min(state.net.cap[d] for d in fl.res) > 0.0
-    assert _flow_ends(state) == [(fl.end_t, state.seq, engine.EV_FLOW_END, fid, 0)]
-    assert fl.end_t == state.clock + 1e6 * 8.0 / fl.rate
+    with pytest.raises(InternalInvariantViolation, match="goes down under a flow"):
+        engine._handle_transition(state, 1, partner)
 
 
 @pytest.mark.parametrize("scheme", ["dvfs", "dvfs+dns"])
@@ -690,22 +736,24 @@ def test_rate_scaling_pass_matches_a_scan_of_every_link(make_cfg, monkeypatch, s
 
 
 def test_link_back_up_is_trimmed_at_the_next_pass(make_cfg):
-    """A link raised to native while down, drained and passed over while
-    down is off the pending set; coming back up must put it back on."""
+    """A link left at native rate with no flow when it went down is passed
+    over while down and drops off the pending set; coming back up must put
+    it back on."""
     state = SimState(make_cfg(policy={"scheme": "dvfs"}))
     net = state.net
     topo = state.topology
     engine._handle_tick(state)               # every idle link to the bottom tier
     assert set(net.link_tier_idx) == {0}
     dark, _partner = topo.aggs_of_pod(0)
-    engine._apply_sleeps(state, [dark])
-    state.clock = TRANSITION_SECONDS
-    engine._handle_transition(state, 1, dark)
     src = topo.server_ids.start
     path = next(p for k in range(topo.path_count(src, topo.gateway))
                 if dark in (p := topo.kth_path(src, topo.gateway, k)).nodes)
-    engine._add_flow(state, engine._JobRun(balanced_job(0, 0.0, 1.0, 100.0)), path, 1e6)
+    # a flow raises the path to native and drains before any trim
+    state._price_tiers(net.add(0, path, 1e6, state.clock))
     net.remove(next(iter(net.flows)), state.clock)
+    engine._apply_sleeps(state, [dark])
+    state.clock = TRANSITION_SECONDS
+    engine._handle_transition(state, 1, dark)
     engine._handle_tick(state)               # the dark switch's links are down
     link_of = {frozenset((ln.a, ln.b)): ln.id for ln in topo.links}
     trunk = link_of[frozenset(path.nodes[2:4])]
@@ -807,6 +855,10 @@ def test_sla_counts_recount_from_the_job_records(make_cfg, scheme):
 
 def _dormant(node):
     return node.asleep and node.transition_until is None
+
+
+def _falling_asleep(node):
+    return not node.asleep and node.transition_until is not None
 
 
 def _neighbours(topo, nid, role):

@@ -11,7 +11,8 @@ them, so `fill` must give those floats over any record order.
 
 FlowNet is driven by a stateful test over two pocket fabrics: random adds,
 removes, finishes, rate trims and links going down and up, with every
-refill checked bit for bit against `allocate` over the component it walked.
+refill checked bit for bit against `allocate` over the component it walked,
+and every flow over a down link, or link going down under a flow, refused.
 """
 
 import random
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from greendc.fairshare import FlowNet, allocate, fill
+from greendc.fairshare import FlowNet, InternalInvariantViolation, allocate, fill
 from greendc.topology import ArchitectureSpec, build_topology
 
 
@@ -250,25 +251,14 @@ def test_fill_over_any_record_order_equals_the_rescanning_fill(case, rnd):
     # the engine's shape: records keyed in walk order, member sets
     records = {rid: [capacity[rid], len(members[rid]), members[rid]] for rid in rids}
     used = {rid: capacity[rid] for rid in members}
-    assert fill(records, flows, {}) == rescan_fill(flows, used)
-
-
-def test_fill_skips_flows_fixed_in_advance():
-    # flow 0 is stalled: fixed at 0.0 and off its records' counts, so flows
-    # 1 and 2 split resource 0 as if it were alone
-    flows = {0: [0, 1], 1: [0], 2: [0]}
-    records = {0: [6.0, 2, {0, 1, 2}], 1: [1.0, 0, {0}]}
-    assert fill(records, flows, {0: 0.0}) == {0: 0.0, 1: 3.0, 2: 3.0}
-    # with one flow left unfixed the fill takes its single step
-    records = {0: [6.0, 1, {0, 1}], 1: [1.0, 0, {0}]}
-    assert fill(records, {0: [0, 1], 1: [0]}, {0: 0.0}) == {0: 0.0, 1: 6.0}
+    assert fill(records, flows) == rescan_fill(flows, used)
 
 
 def test_fill_rejects_a_count_its_members_do_not_hold():
     # resource 0 counts three unfrozen flows but holds two: once it
     # saturates it could never leave the fill
     with pytest.raises(ValueError):
-        fill({0: [4.0, 3, {7, 8}]}, {7: [0], 8: [0]}, {})
+        fill({0: [4.0, 3, {7, 8}]}, {7: [0], 8: [0]})
 
 
 # -- the flow network, driven step by step -------------------------------------
@@ -290,25 +280,22 @@ def component(net, seed_dirs):
 
 def check_fill(net, seed_dirs):
     """After a refill from seed_dirs, every flow of the component it walked
-    holds exactly allocate's rate over the component's live flows, and
-    every flow crossing a down link is at 0.0.  Returns the component and
-    its live flows."""
+    holds exactly allocate's rate over the component.  Returns the
+    component."""
     comp = component(net, seed_dirs)
-    live = {fid: net.flows[fid].res for fid in comp
-            if all(net.link_up[d >> 1] for d in net.flows[fid].res)}
-    want = allocate(live, net.cap)
+    want = allocate({fid: net.flows[fid].res for fid in comp}, net.cap)
     for fid in comp:
-        assert net.flows[fid].rate == want.get(fid, 0.0), fid
-    return comp, live
+        assert net.flows[fid].rate == want[fid], fid
+    return comp
 
 
 class _FlowNetSteps(RuleBasedStateMachine):
     """Random steps on one pocket fabric's network.  Every refill is checked
-    as it happens; after every step, each flow still holds the rate of its
-    last refill with no capacity of its path lowered since, is at 0.0
-    exactly when it crosses a down link and has its end pushed no later
-    than its bytes run out, no direction is over its capacity, and the
-    stall count equals a recount."""
+    as it happens, and a flow over a down link or a link going down under a
+    flow is refused with the network unchanged; after every step, each flow
+    crosses only up links, still holds the rate of its last refill with no
+    capacity of its path lowered since and has its end pushed no later than
+    its bytes run out, and no direction is over its capacity."""
     spec: ArchitectureSpec
 
     def __init__(self):
@@ -323,7 +310,7 @@ class _FlowNetSteps(RuleBasedStateMachine):
 
         def checked(seed_dirs, now):
             refill(seed_dirs, now)
-            for fid in check_fill(net, seed_dirs)[0]:
+            for fid in check_fill(net, seed_dirs):
                 fl = net.flows[fid]
                 self.filled[fid] = (fl.rate, [net.cap[d] for d in fl.res])
 
@@ -340,6 +327,13 @@ class _FlowNetSteps(RuleBasedStateMachine):
         dst = (src + 1 + b % (n - 1)) % n   # any end but src
         path = self.topo.pick_path(self.ends_at[src], self.ends_at[dst], k)
         before = list(self.net.link_tier_idx)
+        if not all(self.net.link_up[lid] for lid in path.links):
+            n_flows, next_id = len(self.net.flows), self.net.next_id
+            with pytest.raises(InternalInvariantViolation):
+                self.net.add(0, path, nbytes, self.now)
+            assert (len(self.net.flows), self.net.next_id) == (n_flows, next_id)
+            assert self.net.link_tier_idx == before
+            return
         raised = self.net.add(0, path, nbytes, self.now)
         native = self.net.native_idx
         assert raised == [(lid, before[lid], native) for lid in path.links if before[lid] != native]
@@ -373,9 +367,23 @@ class _FlowNetSteps(RuleBasedStateMachine):
 
     @rule(i=st.integers(0, 10 ** 4), up=st.booleans())
     def flip(self, i, up):
+        """Any link up, or a link carrying no flow down."""
+        net = self.net
         lid = i % len(self.topo.links)
-        self.net.set_link(lid, up)
-        self.net.refill([lid], self.now)
+        if up or not (net.dir_flows[2 * lid] or net.dir_flows[2 * lid + 1]):
+            was = net.link_up[lid]
+            assert net.set_link(lid, up) == (was != up)
+            assert net.link_up[lid] == up
+
+    @precondition(lambda self: self.net.flows)
+    @rule(i=st.integers(0, 99), j=st.integers(0, 9))
+    def flip_busy(self, i, j):
+        """A link carrying a flow refuses to go down."""
+        res = self.net.flows[self._pick(i)].res
+        lid = res[j % len(res)] >> 1
+        with pytest.raises(InternalInvariantViolation):
+            self.net.set_link(lid, False)
+        assert self.net.link_up[lid]
 
     @invariant()
     def rates_and_capacities_hold(self):
@@ -386,17 +394,13 @@ class _FlowNetSteps(RuleBasedStateMachine):
             # a flow raising a link to native refills only its own direction,
             # so the other one may see more capacity than its last refill did
             assert all(net.cap[d] >= c for d, c in zip(fl.res, caps)), fid
-            assert (fl.rate == 0.0) == (not all(net.link_up[d >> 1] for d in fl.res)), fid
-            if fl.rate > 0.0:
-                assert (fl.end_t, fid) in self.ends
-                assert fl.end_t <= fl.stamp + fl.bytes_left * 8.0 / fl.rate * (1 + 1e-9)
+            assert all(net.link_up[d >> 1] for d in fl.res), fid
+            assert fl.rate > 0.0 and (fl.end_t, fid) in self.ends, fid
+            assert fl.end_t <= fl.stamp + fl.bytes_left * 8.0 / fl.rate * (1 + 1e-9)
         for d, fids in enumerate(net.dir_flows):
             total = sum(net.flows[fid].rate for fid in fids or ())
             assert net.dir_sum[d] == pytest.approx(total, rel=1e-9, abs=1e-3)
             assert net.dir_sum[d] <= net.cap[d] * (1.0 + 1e-9)
-        assert net.stalled_links == sum(
-            1 for lid, up in enumerate(net.link_up)
-            if not up and (net.dir_flows[2 * lid] or net.dir_flows[2 * lid + 1]))
 
 
 @settings(max_examples=100, stateful_step_count=50, deadline=None)

@@ -9,7 +9,7 @@ import pytest
 
 from greendc import config
 from greendc.report import (
-    EnergyLedger, annualize_cost, run_experiment_matrix, run_replications,
+    EnergyLedger, annualize_cost, experiment_cells, run_experiment_matrix, run_replications,
     run_scenario, summarize, summarize_replications, t_quantile_95,
     write_energy_by_architecture_csv, write_report_json, write_savings_by_scheme_csv, write_timeseries_csv,
 )
@@ -97,7 +97,8 @@ def test_report_json_and_timeseries_files(make_cfg, tmp_path):
 
 def test_experiment_matrix_and_table_writers(make_cfg, tmp_path):
     cfg = make_cfg(horizon_s=3.0)
-    results = run_experiment_matrix(cfg, ["three_tier"], ["none", "dns"])
+    pocket = {"three_tier": _POCKET_FABRICS["three_tier"]}
+    results = run_experiment_matrix(experiment_cells(cfg, pocket, ["none", "dns"]))
     assert set(results) == {("three_tier", "none"), ("three_tier", "dns")}
 
     epath = tmp_path / "by_arch.csv"
@@ -119,9 +120,10 @@ def test_experiment_matrix_and_table_writers(make_cfg, tmp_path):
 
 def test_matrix_workers_agree_with_serial(make_cfg):
     cfg = make_cfg(horizon_s=3.0)
-    serial = run_experiment_matrix(cfg, ["three_tier"], ["none", "dvfs"])
-    parallel = run_experiment_matrix(cfg, ["three_tier"], ["none", "dvfs"],
-                                     workers=2)
+    pocket = {"three_tier": _POCKET_FABRICS["three_tier"]}
+    cells = experiment_cells(cfg, pocket, ["none", "dvfs"])
+    serial = run_experiment_matrix(cells)
+    parallel = run_experiment_matrix(cells, workers=2)
     for key in serial:
         assert serial[key].trace_hash == parallel[key].trace_hash
 
