@@ -15,7 +15,6 @@ from .report import (
     experiment_cells,
     run_experiment_matrix,
     run_replications,
-    run_scenario,
     summarize_replications,
 )
 from .scheduler import SCHEMES, SchedulerPolicy
@@ -47,7 +46,6 @@ __all__ = [
     "run",
     "run_experiment_matrix",
     "run_replications",
-    "run_scenario",
     "scenario_preset",
     "summarize_replications",
     "to_dict",

@@ -19,9 +19,9 @@ import json
 import os
 import sys
 
+from . import engine
 from . import report as reporting
 from .config import ConfigError, from_dict
-from .engine import InternalInvariantViolation
 from .presets import ARCHITECTURES, SCENARIOS
 from .scheduler import SCHEMES
 
@@ -134,7 +134,7 @@ def cmd_simulate(args) -> int:
               f"{tot['mean']:.1f} Wh +/- {tot['ci95_half_width']:.1f} (95% CI)")
         rep = reports[0]
     else:
-        rep = reporting.run_scenario(cfg)
+        rep = engine.run(cfg)
         _print_report(rep, sys.stdout)
     with _writing(outdir):
         reporting.write_report_json(rep, paths["report"])
@@ -261,7 +261,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except InternalInvariantViolation as exc:
+    except engine.InternalInvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except Exception as exc:   # the process boundary: anything else is a bug

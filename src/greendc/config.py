@@ -7,6 +7,10 @@ with their full path rather than being silently ignored -- and every field
 left out falls back to the presets, so a scenario file only has to say
 what it changes.
 
+A scenario is valid by construction: each config class checks its own
+fields when built (a scenario raises ConfigError, a part ValueError), even
+through ``dataclasses.replace``, so nothing that takes one checks it again.
+
 The scenario seed is authoritative: it overrides ``workload.seed`` so that
 replication seeding stays in one place.
 """
@@ -33,6 +37,11 @@ SWITCH_ROLES = ("core", "aggregation", "access")
 # seeds already narrow the 95% interval to about 6% of one run's spread
 MAX_REPLICATIONS = 1_000
 
+# most management ticks or time-series samples (horizon over interval) a
+# run may hold, so that a mistyped interval is a config error rather than a
+# run that does not end: a preset's 60 s horizon holds 240 ticks of 0.25 s
+MAX_INTERVALS = 1_000_000
+
 
 class ConfigError(ValueError):
     """A scenario document failed validation; message carries the key path."""
@@ -53,18 +62,10 @@ class ScenarioConfig:
     pue_overhead: float = 1.0
     price_per_kwh: float = 0.10
 
-    def validate(self) -> None:
-        self.architecture.validate()
-        self.policy.validate()
-        self.server_power.validate()
+    def __post_init__(self) -> None:
         missing = [r for r in SWITCH_ROLES if r not in self.switch_power]
         if missing:
             raise ConfigError(f"switch_power: missing roles {missing}")
-        for name in SWITCH_ROLES:
-            try:
-                self.switch_power[name].validate()
-            except ValueError as exc:
-                raise ConfigError(f"switch_power.{name}: {exc}") from None
         for rate, role in sorted(self.architecture.port_rates()):
             name = ROLE_NAMES[role]
             if rate not in self.switch_power[name].port_power_by_rate:
@@ -72,6 +73,10 @@ class ScenarioConfig:
                                   f"the {rate:g} b/s links of this fabric")
         if self.horizon_s <= 0:
             raise ConfigError("horizon_s must be positive")
+        for name in ("tick_interval_s", "stats_interval_s"):
+            if self.horizon_s / getattr(self.policy, name) > MAX_INTERVALS:
+                raise ConfigError(f"policy.{name}: the horizon holds more than the "
+                                  f"{MAX_INTERVALS:,} intervals a run may hold")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if not 1 <= self.replications <= MAX_REPLICATIONS:
@@ -82,19 +87,21 @@ class ScenarioConfig:
             raise ConfigError("price_per_kwh must be non-negative")
         if self.target_load is not None and not 0 < self.target_load <= 1:
             raise ConfigError("target_load must be in (0, 1]")
-        self.effective_workload()  # raises on inconsistent workload fields
+        try:
+            self.effective_workload()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def effective_workload(self) -> WorkloadSpec:
-        """The workload actually generated: seeded by the scenario, spanning
-        the horizon unless sized explicitly, scaled to the target load."""
+        """The workload actually generated: scaled to the target load,
+        spanning the horizon unless sized explicitly, seeded by the scenario.
+        Only the returned spec is checked, so a template's own rate is never
+        measured against the horizon."""
         wl = self.workload
-        if wl.job_count is None and wl.duration is None:
-            wl = replace(wl, duration=self.horizon_s)
-        wl = replace(wl, seed=self.seed)
         if self.target_load is not None:
             wl = load_for_target(self.architecture.server_count, self.target_load, wl)
-        wl.validate()
-        return wl
+        sized = wl.job_count is not None or wl.duration is not None
+        return replace(wl, duration=wl.duration if sized else self.horizon_s, seed=self.seed)
 
 
 @functools.cache
@@ -149,19 +156,23 @@ def _coerce_numbers(cls, data: Mapping[str, Any], path: str) -> dict:
     return out
 
 
-def _build(cls, data: Mapping[str, Any], path: str, base: dict | None = None):
+def _check_keys(data: Any, allowed, path: str) -> None:
+    """A ConfigError unless data is an object with only allowed keys."""
     if not isinstance(data, Mapping):
         raise ConfigError(f"{path or 'config'}: expected an object")
-    allowed = {f.name for f in fields(cls)}
     for key in data:
         if key not in allowed:
             raise ConfigError(f"unknown key {path + '.' if path else ''}{key} "
-                              f"(allowed: {', '.join(sorted(allowed))})")
+                              f"(allowed: {', '.join(allowed)})")
+
+
+def _build(cls, data: Mapping[str, Any], path: str, base: dict | None = None):
+    _check_keys(data, sorted(f.name for f in fields(cls)), path)
     kwargs = dict(base or {})
     kwargs.update(_coerce_numbers(cls, data, path))
     try:
         return cls(**kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path or 'config'}: {exc}") from None
 
 
@@ -212,26 +223,15 @@ def _parse_switch_params(value: Any, path: str, base: SwitchPowerParams) -> Swit
 
 
 def from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
-    """Build and validate a scenario from a plain dictionary."""
-    if not isinstance(data, Mapping):
-        raise ConfigError("config: expected an object")
-    allowed = {f.name for f in fields(ScenarioConfig)}
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key} "
-                              f"(allowed: {', '.join(sorted(allowed))})")
+    """Build a scenario from a plain dictionary."""
+    _check_keys(data, sorted(f.name for f in fields(ScenarioConfig)), "")
     arch = _parse_architecture(data.get("architecture", "three_tier"), "architecture")
     workload = _parse_workload(data.get("workload", {}), "workload")
     policy = _build(SchedulerPolicy, data.get("policy", {}), "policy")
     server_power = _build(ServerPowerParams, data.get("server_power", {}),
                           "server_power", asdict(presets.SERVER_POWER))
     sw_data = data.get("switch_power", {})
-    if not isinstance(sw_data, Mapping):
-        raise ConfigError("switch_power: expected an object")
-    for role in sw_data:
-        if role not in SWITCH_ROLES:
-            raise ConfigError(f"unknown key switch_power.{role} "
-                              f"(allowed: {', '.join(SWITCH_ROLES)})")
+    _check_keys(sw_data, SWITCH_ROLES, "switch_power")
     switch_power = {
         role: _parse_switch_params(sw_data.get(role, {}), f"switch_power.{role}",
                                    presets.SWITCH_POWER[role])
@@ -241,14 +241,7 @@ def from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
                  server_power=server_power, switch_power=switch_power)
     scalars = _coerce_numbers(ScenarioConfig, {k: v for k, v in data.items()
                                                if k not in parts}, "")
-    cfg = ScenarioConfig(**parts, **scalars)
-    try:
-        cfg.validate()
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return cfg
+    return ScenarioConfig(**parts, **scalars)
 
 
 def to_dict(cfg: ScenarioConfig) -> dict:

@@ -162,8 +162,6 @@ class SimState:
     """Mutable world state plus the event heap and energy ledger."""
 
     def __init__(self, cfg: ScenarioConfig, topology: Topology | None = None):
-        cfg.policy.validate()
-        cfg.server_power.validate()
         self.topology = topology if topology is not None else build_topology(cfg.architecture)
         self.policy: SchedulerPolicy = cfg.policy
         self.sparams = cfg.server_power

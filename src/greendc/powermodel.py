@@ -34,7 +34,7 @@ class ServerPowerParams:
     p_idle_cpu_w: float = 27.0
     p_sleep_w: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if min(self.p_fixed_w, self.p_f_w, self.p_idle_cpu_w, self.p_sleep_w) < 0:
             raise ValueError("power terms must be non-negative")
 
@@ -58,7 +58,7 @@ class SwitchPowerParams:
     port_power_by_rate: Mapping[float, float] = field(default_factory=dict)
     p_sleep_w: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if min(self.p_chassis_w, self.p_linecard_w, self.p_sleep_w, self.n_linecards,
                *self.port_power_by_rate.values()) < 0:
             raise ValueError("power terms and n_linecards must be non-negative")

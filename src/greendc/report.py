@@ -190,13 +190,6 @@ def build_report(cfg: ScenarioConfig, state, collect_jobs: bool = False) -> SimR
     )
 
 
-def run_scenario(cfg: ScenarioConfig) -> SimReport:
-    """Run one scenario once."""
-    from . import engine
-    cfg.validate()
-    return engine.run(cfg)
-
-
 def _run_all(cfgs: list[ScenarioConfig], workers: int | None) -> list[SimReport]:
     """engine.run over every config, reports in config order: in ``workers``
     worker processes when that is > 1, else one after another in this
@@ -214,7 +207,6 @@ def run_replications(cfg: ScenarioConfig, count: int | None = None,
                      workers: int | None = None) -> list[SimReport]:
     """Run the scenario ``count`` times with consecutive seeds, reports in
     seed order; ``workers`` > 1 runs them in worker processes."""
-    cfg.validate()
     n = cfg.replications if count is None else count
     return _run_all([replace(cfg, seed=cfg.seed + i) for i in range(n)], workers)
 
@@ -255,7 +247,7 @@ def summarize_replications(reports: list[SimReport]) -> dict:
 
 
 def experiment_cells(base: ScenarioConfig, fabrics: dict, schemes) -> dict:
-    """Every fabric x scheme cell of a base scenario as a validated config,
+    """Every fabric x scheme cell of a base scenario as a config,
     keyed by (fabric name, scheme); fabrics maps a name to what from_dict
     takes as an architecture.  A cell the base cannot make is a ConfigError."""
     cells = {}

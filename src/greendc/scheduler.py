@@ -51,7 +51,7 @@ class SchedulerPolicy:
     tick_interval_s: float = 0.25
     stats_interval_s: float = 60.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         if not 0.0 < self.congestion_threshold <= 1.0:

@@ -71,7 +71,7 @@ class ArchitectureSpec:
     agg_core_bps: float = 1e10
     core_mesh_bps: float = 1e10
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise InvalidSpec(f"kind must be one of {KINDS}, got {self.kind!r}")
         for name in ("core_count", "access_count", "servers_per_access"):
@@ -130,7 +130,6 @@ class Path:
 
 class Topology:
     def __init__(self, spec: ArchitectureSpec):
-        spec.validate()
         self.spec = spec
         c, a, x = spec.core_count, spec.agg_count, spec.access_count
         self.core_ids = range(0, c)

@@ -49,6 +49,8 @@ class Job(NamedTuple):
 
 @dataclass(frozen=True)
 class WorkloadSpec:
+    """Sized by job_count or duration; with neither it is a template that a
+    scenario sizes from its horizon."""
     mean_interarrival: float = 1.0
     mean_compute: float = 1.0
     class_mix: tuple[float, float, float] = (0.0, 0.0, 1.0)  # (ciw, diw, balanced)
@@ -60,7 +62,7 @@ class WorkloadSpec:
     job_count: int | None = None
     duration: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.mean_interarrival <= 0 or self.mean_compute <= 0:
             raise ValueError("mean_interarrival and mean_compute must be positive")
         if abs(sum(self.class_mix) - 1.0) > 1e-9 or min(self.class_mix) < 0:
@@ -73,14 +75,14 @@ class WorkloadSpec:
             raise ValueError("nic_rate_bps must be positive")
         if self.bytes_per_cpu_second < 0:
             raise ValueError("bytes_per_cpu_second must be non-negative")
-        if (self.job_count is None) == (self.duration is None):
-            raise ValueError("exactly one of job_count or duration must be set")
+        if self.job_count is not None and self.duration is not None:
+            raise ValueError("job_count and duration cannot both be set")
         if self.job_count is not None and self.job_count < 1:
             raise ValueError("job_count must be >= 1")
         if self.duration is not None and self.duration <= 0:
             raise ValueError("duration must be positive")
         expected = (self.job_count if self.job_count is not None
-                    else self.duration / self.mean_interarrival)
+                    else (self.duration or 0.0) / self.mean_interarrival)
         if expected > MAX_EXPECTED_JOBS:
             raise ValueError(f"the workload expects {expected:.3g} jobs (job_count, or "
                              f"duration / mean_interarrival), more than the "
@@ -119,8 +121,10 @@ def class_counts(mix: tuple[float, float, float], n: int) -> tuple[int, int, int
 
 
 def generate(spec: WorkloadSpec) -> list[Job]:
-    """Produce the deterministic job stream described by the spec."""
-    spec.validate()
+    """Produce the deterministic job stream described by the spec, which
+    must be sized by a job count or a duration."""
+    if spec.job_count is None and spec.duration is None:
+        raise ValueError("one of job_count or duration must be set")
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     if spec.job_count is not None:
         n = spec.job_count

@@ -24,7 +24,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from greendc import engine, fairshare, report, workload
+from greendc import engine, fairshare, workload
 from greendc.config import scenario_preset
 from greendc.powermodel import ServerPowerParams
 from greendc.report import run_replications, summarize
@@ -62,7 +62,7 @@ def scheme_runs(reference_cfg):
 def repeat_run(reference_cfg):
     """A second, fully independent run of the baseline scheme."""
     t0 = time.perf_counter()
-    rep = report.run_scenario(reference_cfg)
+    rep = engine.run(reference_cfg)
     rep.wall_s = time.perf_counter() - t0
     return rep
 
@@ -219,7 +219,7 @@ def test_conservation_invariants_hold_everywhere(scheme_runs, repeat_run):
         cfg = scenario_preset(name)
         cfg = replace(cfg, horizon_s=8.0,
                       policy=replace(cfg.policy, scheme="dvfs+dns"))
-        reps[name] = report.run_scenario(cfg)
+        reps[name] = engine.run(cfg)
     worst = {"work": 0.0, "byte": 0.0, "ledger": 0.0}
     for name, rep in reps.items():
         work, byte, ledger = _conservation_errors(rep)

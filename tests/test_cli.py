@@ -204,7 +204,7 @@ def test_invariant_violations_exit_two(tmp_path, monkeypatch, capsys):
     def boom(cfg):
         raise InternalInvariantViolation("ledger drift")
 
-    monkeypatch.setattr(cli.reporting, "run_scenario", boom)
+    monkeypatch.setattr(engine, "run", boom)
     assert cli.main(["simulate", "--scenario", path,
                      "--out", str(tmp_path / "x")]) == 2
     assert "ledger drift" in capsys.readouterr().err
@@ -292,6 +292,22 @@ def test_documents_that_cannot_run_are_config_errors(tmp_path, capsys, doc, comm
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("policy", [{"scheme": "dns", "tick_interval_s": 1e-9},
+                                    {"stats_interval_s": 1e-9}], ids=["tick", "stats"])
+def test_intervals_too_fine_for_the_horizon_are_config_errors(tmp_path, capsys, policy):
+    """A management or sampling interval that fills the horizon with more
+    events than a run may hold is a one-line config error, from validate
+    and from simulate alike (validate goes first: the run would not end)."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"target_load": 0.05, "horizon_s": 2, "policy": policy}))
+    for argv in (["validate"], ["simulate", "--out", str(tmp_path / "run")]):
+        assert cli.main(argv + ["--scenario", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: policy.") and "intervals a run may hold" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
 

@@ -1,12 +1,17 @@
-"""Scenario parsing: strict keys, preset merging, seed authority."""
+"""Scenario parsing: strict keys, preset merging, seed authority, and
+scenarios that are valid by construction."""
+
+import dataclasses
 
 import pytest
 
 from greendc.config import (
-    MAX_REPLICATIONS, ConfigError, ScenarioConfig, from_dict, scenario_preset, to_dict,
+    MAX_INTERVALS, MAX_REPLICATIONS, ConfigError, ScenarioConfig, from_dict, scenario_preset,
+    to_dict,
 )
 from greendc.presets import ARCHITECTURES, SCENARIOS
-from greendc.report import run_scenario
+from greendc.engine import run
+from greendc.workload import WorkloadSpec
 
 from conftest import small_scenario
 
@@ -98,7 +103,7 @@ def test_integral_time_fields_run_like_floats():
     assert as_int == as_float
     assert isinstance(as_int.horizon_s, float)
     assert isinstance(as_int.policy.stats_interval_s, float)
-    assert run_scenario(as_int).trace_hash == run_scenario(as_float).trace_hash
+    assert run(as_int).trace_hash == run(as_float).trace_hash
 
 
 def test_float_fields_reject_booleans_and_strings():
@@ -110,6 +115,45 @@ def test_float_fields_reject_booleans_and_strings():
         from_dict({"policy": {"stats_interval_s": False}})
     with pytest.raises(ConfigError, match="workload.mean_compute"):
         from_dict({"workload": {"mean_compute": "1"}})
+
+
+def test_no_invalid_scenario_can_be_built():
+    """A scenario checks itself when built, so dataclasses.replace cannot
+    make one that from_dict would refuse."""
+    cfg = from_dict(small_scenario())
+    no_core = {role: p for role, p in cfg.switch_power.items() if role != "core"}
+    for change, match in (({"pue_overhead": 0.5}, "pue_overhead"),
+                          ({"price_per_kwh": -1.0}, "price_per_kwh"),
+                          ({"switch_power": no_core}, "missing roles"),
+                          ({"horizon_s": 0.0}, "horizon_s")):
+        with pytest.raises(ConfigError, match=match):
+            dataclasses.replace(cfg, **change)
+
+
+def test_interval_bound_holds_at_the_limit():
+    """The horizon may hold MAX_INTERVALS management ticks or samples, not
+    more; the message names the interval."""
+    at_limit = {"horizon_s": 100.0, "policy": {"tick_interval_s": 100.0 / MAX_INTERVALS,
+                                               "stats_interval_s": 100.0 / MAX_INTERVALS}}
+    assert from_dict(at_limit).policy.tick_interval_s == 1e-4
+    for name in ("tick_interval_s", "stats_interval_s"):
+        with pytest.raises(ConfigError, match=f"policy.{name}"):
+            from_dict({"horizon_s": 100.0, "policy": {name: 1e-5}})
+
+
+def test_effective_workload_checks_only_the_spec_it_returns():
+    """The target load rescales the template's rate before the horizon
+    sizes it, so the template's own rate is never measured against the
+    horizon; the effective spec is the one that arithmetic gives, bit for
+    bit.  Without the target load that rate is the effective one, and too
+    many jobs for a run."""
+    doc = {"target_load": 0.3, "horizon_s": 60, "workload": {"mean_interarrival": 1e-6}}
+    wl = from_dict(doc).effective_workload()
+    servers = ARCHITECTURES["three_tier"].server_count   # 1,536
+    assert wl == WorkloadSpec(mean_interarrival=1.0 / (0.3 * servers / 1.0), duration=60.0)
+    assert wl.mean_interarrival.hex() == "0x1.1c71c71c71c72p-9"
+    with pytest.raises(ConfigError, match="expects 6e\\+07 jobs"):
+        from_dict(dict(doc, target_load=None))
 
 
 def test_workload_inconsistency_reported_as_config_error():

@@ -140,7 +140,7 @@ def test_job_unfinished_at_horizon_with_live_deadline_is_censored(make_cfg):
 
 def test_admitted_jobs_are_fully_accounted(make_cfg):
     cfg = make_cfg(horizon_s=6.0)
-    rep = report.run_scenario(cfg)
+    rep = engine.run(cfg)
     sla = rep.sla
     assert sla["offered"] == sla["admitted"] + sla["rejected"]
     assert sla["admitted"] == (sla["completed"] + sla["deadline_missed"]
@@ -222,7 +222,7 @@ def test_conservation_invariants(arch, scheme):
     elif arch == "three_tier_hs":
         data["architecture"]["kind"] = "three_tier_hs"
     cfg = config.from_dict(data)
-    rep = report.run_scenario(cfg)
+    rep = engine.run(cfg)
     c = rep.conservation
     work_gap = abs(c["admitted_cpu_s"] - c["delivered_cpu_s"] - c["residual_cpu_s"])
     assert work_gap <= 1e-6 * max(c["admitted_cpu_s"], 1.0)
@@ -235,8 +235,8 @@ def test_conservation_invariants(arch, scheme):
 
 def test_same_seed_reproduces_report_bytes(make_cfg, tmp_path):
     cfg = make_cfg(horizon_s=6.0, policy={"scheme": "dvfs+dns"})
-    rep_a = report.run_scenario(cfg)
-    rep_b = report.run_scenario(cfg)
+    rep_a = engine.run(cfg)
+    rep_b = engine.run(cfg)
     assert rep_a.trace_hash == rep_b.trace_hash
     pa, pb = tmp_path / "a.json", tmp_path / "b.json"
     report.write_report_json(rep_a, str(pa))
@@ -245,8 +245,8 @@ def test_same_seed_reproduces_report_bytes(make_cfg, tmp_path):
 
 
 def test_different_seed_changes_trace(make_cfg):
-    a = report.run_scenario(make_cfg(seed=1, horizon_s=4.0))
-    b = report.run_scenario(make_cfg(seed=2, horizon_s=4.0))
+    a = engine.run(make_cfg(seed=1, horizon_s=4.0))
+    b = engine.run(make_cfg(seed=2, horizon_s=4.0))
     assert a.trace_hash != b.trace_hash
 
 

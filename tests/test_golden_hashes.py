@@ -15,8 +15,8 @@ import hashlib
 
 import pytest
 
-from greendc import config, presets
-from greendc.report import run_scenario, write_report_json, write_timeseries_csv
+from greendc import config, engine, presets
+from greendc.report import write_report_json, write_timeseries_csv
 
 # (preset, scheme, architecture, horizon) -> (trace hash, sha256 of
 # report.json, sha256 of timeseries.csv)
@@ -59,7 +59,7 @@ def _report(case):
     preset, scheme, arch, horizon = case
     data = copy.deepcopy(presets.SCENARIOS[preset])
     data.update(architecture=arch, horizon_s=horizon, policy={"scheme": scheme})
-    return run_scenario(config.from_dict(data))
+    return engine.run(config.from_dict(data))
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: "-".join(map(str, c)))

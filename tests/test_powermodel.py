@@ -138,5 +138,8 @@ def test_port_power_scales_with_tier():
 
 
 def test_param_validation():
+    """Power parameters check themselves when built."""
     with pytest.raises(ValueError):
-        ServerPowerParams(p_fixed_w=-1.0).validate()
+        ServerPowerParams(p_fixed_w=-1.0)
+    with pytest.raises(ValueError):
+        SwitchPowerParams(p_chassis_w=100.0, port_power_by_rate={1e9: -0.4})

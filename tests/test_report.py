@@ -7,13 +7,14 @@ import math
 
 import pytest
 
-from greendc import config
+from greendc import config, engine
 from greendc.report import (
     EnergyLedger, annualize_cost, experiment_cells, run_experiment_matrix, run_replications,
-    run_scenario, summarize, summarize_replications, t_quantile_95,
+    summarize, summarize_replications, t_quantile_95,
     write_energy_by_architecture_csv, write_report_json, write_savings_by_scheme_csv, write_timeseries_csv,
 )
 from greendc.scheduler import SCHEMES
+from greendc.workload import Job, generate
 
 from conftest import small_scenario
 
@@ -70,7 +71,7 @@ def test_parallel_replications_match_serial(make_cfg):
 
 def test_report_fields_cover_efficiency_metrics(make_cfg):
     cfg = make_cfg(horizon_s=4.0, pue_overhead=1.5)
-    rep = run_scenario(cfg)
+    rep = engine.run(cfg)
     assert rep.pue == pytest.approx(1.5)
     assert rep.dcie == pytest.approx(1 / 1.5)
     assert rep.annual_cost_usd > 0
@@ -80,7 +81,7 @@ def test_report_fields_cover_efficiency_metrics(make_cfg):
 
 
 def test_report_json_and_timeseries_files(make_cfg, tmp_path):
-    rep = run_scenario(make_cfg(horizon_s=4.0))
+    rep = engine.run(make_cfg(horizon_s=4.0))
     jpath = tmp_path / "report.json"
     write_report_json(rep, str(jpath))
     data = json.loads(jpath.read_text())
@@ -160,7 +161,7 @@ def _doubled_watts(data):
 
 def _run(data):
     """report.json's content plus the power samples, of one run."""
-    rep = run_scenario(config.from_dict(data))
+    rep = engine.run(config.from_dict(data))
     return dict(rep.as_dict(), timeseries=rep.timeseries)
 
 
@@ -193,3 +194,21 @@ def test_facility_overhead_and_price_change_only_their_figures(scheme, arch):
     assert all(base[key] != other[key] for key in changed)
     assert ({k: v for k, v in base.items() if k not in changed}
             == {k: v for k, v in other.items() if k not in changed})
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_jobs_at_or_after_the_horizon_change_nothing(scheme):
+    """A job arriving at or after the horizon never arrives: adding such
+    jobs to a run's job list leaves the trace hash, the energy ledger, every
+    SLA count and every other figure of the report as they are."""
+    cfg = config.from_dict(_pocket(scheme, "three_tier"))
+    jobs = generate(cfg.effective_workload())
+    h, n = cfg.horizon_s, len(jobs)
+    late = [Job(n + i, t, kind, 0.05, 1e6, 1e5, t + 1.0) for i, (t, kind) in enumerate(
+        ((h, "balanced"), (h, "diw"), (math.nextafter(h, math.inf), "ciw"), (h + 3.0, "diw")))]
+    base, more = engine.run(cfg, jobs), engine.run(cfg, jobs + late)
+    assert base.sla["admitted"] > 0 and base.energy.total_wh > 0
+    assert more.trace_hash == base.trace_hash
+    assert more.energy == base.energy and more.sla == base.sla
+    assert (dict(more.as_dict(), timeseries=more.timeseries)
+            == dict(base.as_dict(), timeseries=base.timeseries))

@@ -43,16 +43,17 @@ def test_scheme_catalog():
 
 
 def test_policy_validation():
+    """A policy checks itself when built."""
     with pytest.raises(ValueError):
-        SchedulerPolicy(scheme="off").validate()
+        SchedulerPolicy(scheme="off")
     with pytest.raises(ValueError):
-        SchedulerPolicy(congestion_threshold=0.0).validate()
+        SchedulerPolicy(congestion_threshold=0.0)
     with pytest.raises(ValueError):
-        SchedulerPolicy(idle_timeout_s=-1.0).validate()
+        SchedulerPolicy(idle_timeout_s=-1.0)
     with pytest.raises(ValueError):
-        SchedulerPolicy(f_min=0.0).validate()
+        SchedulerPolicy(f_min=0.0)
     with pytest.raises(ValueError):
-        SchedulerPolicy(tick_interval_s=0.0).validate()
+        SchedulerPolicy(tick_interval_s=0.0)
 
 
 def test_dvfs_setpoint_tracks_load_with_headroom():

@@ -80,22 +80,22 @@ SCENARIO_CLASSES = ("ScenarioConfig", "ArchitectureSpec", "WorkloadSpec",
                     "SchedulerPolicy", "ServerPowerParams", "SwitchPowerParams")
 
 
-def _loads_outside_validate(node, out):
+def _loads_outside_post_init(node, out):
     """Add to out every attribute name loaded under node, but not inside a
-    method named validate."""
+    method named __post_init__ (a config class's own check)."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.FunctionDef) and child.name == "validate":
+        if isinstance(child, ast.FunctionDef) and child.name == "__post_init__":
             continue
         if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
             out.add(child.attr)
-        _loads_outside_validate(child, out)
+        _loads_outside_post_init(child, out)
 
 
 def test_every_scenario_field_is_read():
     """Every field a scenario document can set is loaded as an attribute
-    somewhere in the package outside a validate method: a field that only
-    its own check reads steers nothing, so a document setting it would not
-    run as written.  Names are matched across the whole package."""
+    somewhere in the package outside a __post_init__ method: a field that
+    only its own check reads steers nothing, so a document setting it would
+    not run as written.  Names are matched across the whole package."""
     declared, read = set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -103,9 +103,34 @@ def test_every_scenario_field_is_read():
             if isinstance(node, ast.ClassDef) and node.name in SCENARIO_CLASSES:
                 declared.update((node.name, stmt.target.id) for stmt in node.body
                                 if isinstance(stmt, ast.AnnAssign))
-        _loads_outside_validate(tree, read)
+        _loads_outside_post_init(tree, read)
     assert {cls for cls, _ in declared} == set(SCENARIO_CLASSES)
     assert sorted((cls, name) for cls, name in declared if name not in read) == []
+
+
+def test_configs_check_themselves_when_built():
+    """Each config class checks its fields in __post_init__, so an invalid
+    config cannot exist: the package defines no validate function and calls
+    none, and nothing checks a config again before using it."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            else:
+                continue
+            if name == "validate":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+    posts = {node.name for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ClassDef) and node.name in SCENARIO_CLASSES
+             and any(isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+                     for f in node.body)}
+    assert posts == set(SCENARIO_CLASSES)
 
 
 def _imported_names(tree):

@@ -119,18 +119,19 @@ def test_two_tier_has_no_pods():
 
 
 def test_invalid_specs_rejected():
+    """A spec checks itself when built, so an invalid one never exists."""
     with pytest.raises(InvalidSpec):
         ArchitectureSpec(kind="ring", core_count=2, agg_count=2,
-                         access_count=2).validate()
+                         access_count=2)
     with pytest.raises(InvalidSpec):
-        small_three_tier(agg_count=3).validate()   # pairs must be even
+        small_three_tier(agg_count=3)   # pairs must be even
     with pytest.raises(InvalidSpec):
-        small_three_tier(core_count=0).validate()
+        small_three_tier(core_count=0)
     with pytest.raises(InvalidSpec):
-        small_three_tier(server_rate_bps=0.0).validate()
+        small_three_tier(server_rate_bps=0.0)
     with pytest.raises(InvalidSpec):
         ArchitectureSpec(kind=TWO_TIER, core_count=2, agg_count=2,
-                         access_count=2).validate()
+                         access_count=2)
 
 
 # -- equal-cost paths against networkx and the BFS reference --------------

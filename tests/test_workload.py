@@ -117,18 +117,20 @@ def test_load_for_target_scales_arrival_rate():
 
 
 def test_spec_validation_errors():
+    """A spec checks itself when built; one with no size is a template that
+    builds but cannot be generated."""
     with pytest.raises(ValueError):
-        WorkloadSpec(job_count=10, duration=5.0).validate()
+        WorkloadSpec(job_count=10, duration=5.0)
+    with pytest.raises(ValueError, match="one of job_count or duration"):
+        generate(WorkloadSpec())   # neither count nor duration
     with pytest.raises(ValueError):
-        WorkloadSpec().validate()   # neither count nor duration
+        WorkloadSpec(job_count=10, class_mix=(0.5, 0.2, 0.2))
     with pytest.raises(ValueError):
-        WorkloadSpec(job_count=10, class_mix=(0.5, 0.2, 0.2)).validate()
+        WorkloadSpec(job_count=10, deadline_slack=0.0)
     with pytest.raises(ValueError):
-        WorkloadSpec(job_count=10, deadline_slack=0.0).validate()
+        WorkloadSpec(job_count=0)
     with pytest.raises(ValueError):
-        WorkloadSpec(job_count=0).validate()
-    with pytest.raises(ValueError):
-        WorkloadSpec(job_count=10, internal_fraction=1.2).validate()
+        WorkloadSpec(job_count=10, internal_fraction=1.2)
 
 
 def _per_index_jobs(spec, arrivals, classes, compute):
