@@ -71,11 +71,7 @@ def _writing(outdir: str):
 def _base_data(args) -> dict:
     if getattr(args, "scenario", None):
         return _load_json(args.scenario)
-    preset = getattr(args, "preset", None) or "reference-30"
-    if preset not in SCENARIOS:
-        raise ConfigError(f"unknown scenario preset {preset!r} "
-                          f"(have: {', '.join(sorted(SCENARIOS))})")
-    return copy.deepcopy(SCENARIOS[preset])
+    return copy.deepcopy(SCENARIOS[getattr(args, "preset", None) or "reference-30"])
 
 
 def _apply_overrides(data: dict, args) -> dict:
@@ -162,7 +158,7 @@ def cmd_sweep(args) -> int:
     for s in schemes:
         if s not in SCHEMES:
             raise ConfigError(f"unknown scheme {s!r}")
-    cells = reporting.experiment_cells(cfg, {a: a for a in archs}, schemes)
+    cells = reporting.experiment_cells(cfg, {a: ARCHITECTURES[a] for a in archs}, schemes)
     outdir = args.out or f"sweep-{cfg.label}"
     base_arch = archs[0] if len(archs) == 1 else "three_tier"
     names = {(a, s): f"{a}-{s}.json" for a in archs for s in schemes}

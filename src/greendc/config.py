@@ -11,8 +11,9 @@ A scenario is valid by construction: each config class checks its own
 fields when built (a scenario raises ConfigError, a part ValueError), even
 through ``dataclasses.replace``, so nothing that takes one checks it again.
 
-The scenario seed is authoritative: it overrides ``workload.seed`` so that
-replication seeding stays in one place.
+The scenario seed is authoritative: it is stored as ``workload.seed`` when
+the scenario is built, so that replication seeding stays in one place and a
+report echoes the seed that drew its jobs.
 """
 
 from __future__ import annotations
@@ -63,6 +64,18 @@ class ScenarioConfig:
     price_per_kwh: float = 0.10
 
     def __post_init__(self) -> None:
+        parts = {"": self, "architecture.": self.architecture, "workload.": self.workload,
+                 "policy.": self.policy, "server_power.": self.server_power}
+        parts.update((f"switch_power.{role}.", p) for role, p in self.switch_power.items())
+        values = [(prefix + name, getattr(part, name)) for prefix, part in parts.items()
+                  for name in _number_fields(type(part))]
+        values += [("workload.class_mix", x) for x in self.workload.class_mix]
+        values += [(f"switch_power.{role}.port_power_by_rate", x)
+                   for role, p in self.switch_power.items()
+                   for item in p.port_power_by_rate.items() for x in item]
+        for where, value in values:
+            if value is not None and not isinstance(value, numbers.Integral):
+                _finite(value, where)
         missing = [r for r in SWITCH_ROLES if r not in self.switch_power]
         if missing:
             raise ConfigError(f"switch_power: missing roles {missing}")
@@ -88,20 +101,23 @@ class ScenarioConfig:
         if self.target_load is not None and not 0 < self.target_load <= 1:
             raise ConfigError("target_load must be in (0, 1]")
         try:
+            if self.workload.seed != self.seed:
+                object.__setattr__(self, "workload", replace(self.workload, seed=self.seed))
             self.effective_workload()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
     def effective_workload(self) -> WorkloadSpec:
-        """The workload actually generated: scaled to the target load,
-        spanning the horizon unless sized explicitly, seeded by the scenario.
-        Only the returned spec is checked, so a template's own rate is never
-        measured against the horizon."""
+        """The workload actually generated: scaled to the target load and
+        spanning the horizon unless sized explicitly.  Only the returned spec
+        is checked, so a template's own rate is never measured against the
+        horizon."""
         wl = self.workload
         if self.target_load is not None:
             wl = load_for_target(self.architecture.server_count, self.target_load, wl)
-        sized = wl.job_count is not None or wl.duration is not None
-        return replace(wl, duration=wl.duration if sized else self.horizon_s, seed=self.seed)
+        if wl.job_count is not None or wl.duration is not None:
+            return wl
+        return replace(wl, duration=self.horizon_s)
 
 
 @functools.cache

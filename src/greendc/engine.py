@@ -198,8 +198,8 @@ class SimState:
         self.jobs: dict[int, _JobRun] = {}
 
         # the routing filter: per switch id, fully up (neither asleep nor in
-        # a transition), and the count of those not.  Both move only at a
-        # sleep request and a wake completion; the gateway core never sleeps.
+        # a transition), and the count of those not.  Both move only as a
+        # sleep starts and a wake completes; the gateway core never sleeps.
         self.dark_switches = 0
         self.switch_live = [True] * topo.server_ids.start
 
@@ -311,9 +311,8 @@ class SimState:
         topo = self.topology
         for sid in self.sleeping:
             acc = topo.access_of_server(sid)
-            sw = nodes[acc]
-            if sw.transition_until is not None and not sw.asleep:
-                continue  # rack switch is mid sleep-transition
+            if nodes[acc].falling_asleep():
+                continue
             if topo.pod_count:
                 a, b = topo.aggs_of_pod(topo.pod_of_access(acc))
                 if nodes[a].falling_asleep() and nodes[b].falling_asleep():
@@ -514,13 +513,23 @@ def _job_piece_done(state: SimState, jr: _JobRun) -> None:
         jr.finish_t = state.clock
 
 
-def _wake_switch(state: SimState, nid: int) -> None:
-    """Start a wake transition for a dormant switch."""
-    sw = state.nodes[nid]
-    if not sw.dormant():
-        return
-    sw.transition_until = state.clock + TRANSITION_SECONDS
-    state.push(sw.transition_until, EV_TRANSITION, 1, nid)
+def _begin_transition(state: SimState, nid: int) -> None:
+    """Start a node's sleep when it is fully awake, its wake when dormant; a
+    switch's wake moves its routing indexes only when it completes."""
+    node = state.nodes[nid]
+    node.transition_until = state.clock + TRANSITION_SECONDS
+    server = node.cls == CLS_SERVER
+    if node.asleep:
+        if server:
+            del state.sleeping[bisect_left(state.sleeping, nid)]
+            state.waking_ids.add(nid)
+    elif server:
+        del state.awake_ids[bisect_left(state.awake_ids, nid)]
+        state._cand_remove(node)
+    else:
+        state.dark_switches += 1
+        state.switch_live[nid] = False
+    state.push(node.transition_until, EV_TRANSITION, 0 if server else 1, nid)
 
 
 def _begin_wake(state: SimState, sid: int) -> None:
@@ -528,22 +537,17 @@ def _begin_wake(state: SimState, sid: int) -> None:
     pod spine has gone fully dark, one aggregation switch.  The switch
     transitions are pushed first so that, on simultaneous completion, the
     uplink path is up before the server's flows start."""
-    now = state.clock
     topo = state.topology
     acc = topo.access_of_server(sid)
-    _wake_switch(state, acc)
+    if state.nodes[acc].dormant():
+        _begin_transition(state, acc)
     if topo.pod_count:
         # placement_order keeps one of the pair out of a sleep transition
         pair = [a for a in topo.aggs_of_pod(topo.pod_of_access(acc))
                 if not state.nodes[a].falling_asleep()]
         if all(state.nodes[a].dormant() for a in pair):
-            _wake_switch(state, pair[0])
-    srv = state.nodes[sid]
-    i = bisect_left(state.sleeping, sid)
-    del state.sleeping[i]
-    srv.transition_until = now + TRANSITION_SECONDS
-    state.waking_ids.add(sid)
-    state.push(srv.transition_until, EV_TRANSITION, 0, sid)
+            _begin_transition(state, pair[0])
+    _begin_transition(state, sid)
 
 
 def _handle_arrival(state: SimState, jid: int) -> None:
@@ -630,64 +634,50 @@ def _handle_flow_end(state: SimState, fid: int) -> None:
     _job_piece_done(state, jr)
 
 
-def _handle_transition(state: SimState, comp: int, nid: int) -> None:
-    now = state.clock
-    if comp == 0:
-        srv = state.nodes[nid]
-        srv.transition_until = None
-        if srv.asleep:   # a wake: a sleep starts only while awake
-            srv.asleep = False
+def _handle_transition(state: SimState, nid: int) -> None:
+    """Complete a node's sleep or wake: draw and mode indexes, then links,
+    then a woken server starts the jobs placed on it while it woke."""
+    node = state.nodes[nid]
+    node.transition_until = None
+    waking = node.asleep   # a sleep starts only while awake
+    node.asleep = not waking
+    server = node.cls == CLS_SERVER
+    if server:
+        if waking:
             state.waking_ids.discard(nid)
             insort(state.awake_ids, nid)
-            state._set_w(srv, state.sparams.idle_w)
-            srv.f = 1.0
-            srv.idle_since = now
-            state._cand_insert(srv)
-            state._refresh_links(nid)
-            pending, srv.pending = srv.pending, []
-            for jid in pending:
-                jr = state.jobs[jid]
-                _enqueue_compute(state, srv, jr, now)
-                _start_flows(state, jr)
+            state._set_w(node, state.sparams.idle_w)
+            node.f = 1.0
+            node.idle_since = state.clock
+            state._cand_insert(node)
         else:
-            srv.asleep = True
-            state._set_w(srv, state.sparams.p_sleep_w)
+            state._set_w(node, state.sparams.p_sleep_w)
             insort(state.sleeping, nid)
-            state._refresh_links(nid)
+    elif waking:
+        state._set_w(node, node.base_w)
+        state.dark_switches -= 1
+        state.switch_live[nid] = True
     else:
-        sw = state.nodes[nid]
-        sw.transition_until = None
-        if sw.asleep:
-            sw.asleep = False
-            state._set_w(sw, sw.base_w)
-            state.dark_switches -= 1
-            state.switch_live[nid] = True
-        else:
-            sw.asleep = True
-            state._set_w(sw, sw.p_sleep_w)
-        # port power comes back, or goes, per link flipped
-        state._refresh_links(nid)
+        state._set_w(node, node.p_sleep_w)
+    state._refresh_links(nid)
+    if server and waking:
+        pending, node.pending = node.pending, []
+        for jid in pending:
+            jr = state.jobs[jid]
+            _enqueue_compute(state, node, jr, state.clock)
+            _start_flows(state, jr)
 
 
 def _apply_sleeps(state: SimState, requests: list[int]) -> None:
-    now = state.clock
+    """Start the sleep of each requested node that is fully up and quiet."""
     for nid in requests:
         node = state.nodes[nid]
         if node.transition_until is not None or node.asleep or not node.quiet():
             continue
-        if node.cls == CLS_SERVER:
-            node.transition_until = now + TRANSITION_SECONDS
-            i = bisect_left(state.awake_ids, nid)
-            del state.awake_ids[i]
-            state._cand_remove(node)
-            state.push(node.transition_until, EV_TRANSITION, 0, nid)
         # the connectivity rule, always met off the aggregation layer, fails
         # when an earlier request this tick took the partner down
-        elif state.spine_sleep_ok(nid):
-            node.transition_until = now + TRANSITION_SECONDS
-            state.dark_switches += 1
-            state.switch_live[nid] = False
-            state.push(node.transition_until, EV_TRANSITION, 1, nid)
+        if node.cls == CLS_SERVER or state.spine_sleep_ok(nid):
+            _begin_transition(state, nid)
 
 
 def _handle_tick(state: SimState) -> None:
@@ -833,7 +823,7 @@ def run(cfg: ScenarioConfig, jobs: list[Job] | None = None,
         elif kind == EV_FLOW_END:
             _handle_flow_end(state, a)
         elif kind == EV_TRANSITION:
-            _handle_transition(state, a, b)
+            _handle_transition(state, b)
         elif kind == EV_TICK:
             _handle_tick(state)
             nxt = t + tick_s

@@ -15,7 +15,7 @@ import math
 from concurrent import futures
 from dataclasses import asdict, dataclass, field, fields, replace
 
-from .config import ScenarioConfig, from_dict, to_dict
+from .config import ScenarioConfig, to_dict
 
 SECONDS_PER_YEAR = 365 * 24 * 3600.0
 
@@ -247,17 +247,13 @@ def summarize_replications(reports: list[SimReport]) -> dict:
 
 
 def experiment_cells(base: ScenarioConfig, fabrics: dict, schemes) -> dict:
-    """Every fabric x scheme cell of a base scenario as a config,
-    keyed by (fabric name, scheme); fabrics maps a name to what from_dict
-    takes as an architecture.  A cell the base cannot make is a ConfigError."""
-    cells = {}
-    for name, arch in fabrics.items():
-        for scheme in schemes:
-            data = to_dict(base)
-            data.update(architecture=arch, label=f"{base.label}-{name}-{scheme}")
-            data["policy"]["scheme"] = scheme
-            cells[(name, scheme)] = from_dict(data)
-    return cells
+    """Every fabric x scheme cell of a base scenario as a config, keyed by
+    (fabric name, scheme); fabrics maps a name to an ArchitectureSpec and
+    schemes are names from SCHEMES.  A cell the base cannot make is a
+    ConfigError."""
+    return {(name, scheme): replace(base, architecture=arch, label=f"{base.label}-{name}-{scheme}",
+                                    policy=replace(base.policy, scheme=scheme))
+            for name, arch in fabrics.items() for scheme in schemes}
 
 
 def run_experiment_matrix(cells: dict, workers: int | None = None) -> dict:

@@ -51,9 +51,17 @@ def test_architecture_accepts_preset_name_or_object():
 
 
 def test_scenario_seed_overrides_workload_seed():
+    """The scenario seed is stored as the workload's, so a report echoes
+    the seed that drew its jobs and its scenario reruns to the same trace."""
     cfg = from_dict(small_scenario(seed=99))
     assert cfg.seed == 99
     assert cfg.effective_workload().seed == 99
+    cfg = from_dict(small_scenario(seed=11, horizon_s=2.0,
+                                   workload=dict(small_scenario()["workload"], seed=5)))
+    assert cfg.workload.seed == 11
+    rep = run(cfg)
+    assert rep.scenario["workload"]["seed"] == 11
+    assert run(from_dict(rep.scenario)).trace_hash == rep.trace_hash
 
 
 def test_effective_workload_spans_horizon_and_target_load():
@@ -119,13 +127,27 @@ def test_float_fields_reject_booleans_and_strings():
 
 def test_no_invalid_scenario_can_be_built():
     """A scenario checks itself when built, so dataclasses.replace cannot
-    make one that from_dict would refuse."""
+    make one that from_dict would refuse.  A NaN fails every comparison, so
+    a bound alone lets it through: every number of the scenario and of its
+    parts must be finite, with from_dict's message."""
     cfg = from_dict(small_scenario())
     no_core = {role: p for role, p in cfg.switch_power.items() if role != "core"}
+    nan, inf = float("nan"), float("inf")
+    access = cfg.switch_power["access"]
+    hot_ports = dict(cfg.switch_power, access=dataclasses.replace(
+        access, port_power_by_rate={rate: inf for rate in access.port_power_by_rate}))
+    finite = ": expected a finite number, got "
     for change, match in (({"pue_overhead": 0.5}, "pue_overhead"),
                           ({"price_per_kwh": -1.0}, "price_per_kwh"),
                           ({"switch_power": no_core}, "missing roles"),
-                          ({"horizon_s": 0.0}, "horizon_s")):
+                          ({"horizon_s": 0.0}, "horizon_s"),
+                          ({"horizon_s": nan}, "^horizon_s" + finite),
+                          ({"pue_overhead": inf}, "^pue_overhead" + finite),
+                          ({"price_per_kwh": nan}, "^price_per_kwh" + finite),
+                          ({"workload": WorkloadSpec(class_mix=(nan, 0.0, 1.0))},
+                           "^workload.class_mix" + finite),
+                          ({"switch_power": hot_ports},
+                           "^switch_power.access.port_power_by_rate" + finite)):
         with pytest.raises(ConfigError, match=match):
             dataclasses.replace(cfg, **change)
 

@@ -286,14 +286,14 @@ def test_sleep_transition_draws_pre_transition_power(small_cfg):
     engine._apply_sleeps(state, [sid])
     assert state.class_power[0] == before          # still idle draw while falling asleep
     state.clock = TRANSITION_SECONDS
-    engine._handle_transition(state, 0, sid)
+    engine._handle_transition(state, sid)
     assert state.class_power[0] == pytest.approx(before - IDLE_W)
     assert state.nodes[sid].asleep
     # waking restores idle draw only after the wake transition completes
     engine._begin_wake(state, sid)
     assert state.class_power[0] == pytest.approx(before - IDLE_W)
     state.clock += TRANSITION_SECONDS
-    engine._handle_transition(state, 0, sid)
+    engine._handle_transition(state, sid)
     assert state.class_power[0] == pytest.approx(before)
 
 
@@ -316,17 +316,28 @@ def test_request_mid_transition_is_a_no_op(small_cfg):
 
 
 def test_wake_of_a_switch_mid_transition_pushes_nothing(small_cfg):
+    """A server's wake leaves its rack switch alone while the switch is
+    falling asleep or waking, and starts the switch's wake along with its
+    own when the switch is dormant."""
     state = SimState(small_cfg)
-    core = state.topology.core_ids[1]
-    engine._apply_sleeps(state, [core])
-    engine._wake_switch(state, core)          # falling asleep
-    assert _transitions_pushed(state) == 1
-    state.clock = TRANSITION_SECONDS
-    engine._handle_transition(state, 1, core)
-    engine._wake_switch(state, core)          # asleep: starts the wake
-    assert _transitions_pushed(state) == 2
-    engine._wake_switch(state, core)          # waking up
-    assert _transitions_pushed(state) == 2
+    acc = state.topology.access_ids.start
+    first, second = state.topology.servers_of_access(acc)
+    engine._apply_sleeps(state, [first, second])
+    _complete(state, [first, second])
+    engine._apply_sleeps(state, [acc])
+    assert _transitions_pushed(state) == 3
+    engine._begin_wake(state, first)          # falling asleep: the server only
+    assert _transitions_pushed(state) == 4
+    assert state.nodes[acc].falling_asleep()
+    _complete(state, [acc, first])
+    engine._apply_sleeps(state, [first])
+    _complete(state, [first])
+    assert _transitions_pushed(state) == 5
+    engine._begin_wake(state, second)         # dormant: the switch wakes too
+    assert _transitions_pushed(state) == 7
+    assert state.nodes[acc].asleep and state.nodes[acc].transition_until is not None
+    engine._begin_wake(state, first)          # waking up: the server only
+    assert _transitions_pushed(state) == 8
     assert state.dark_switches == 1
 
 
@@ -571,11 +582,11 @@ _TWO_PODS = {"kind": "three_tier", "core_count": 2, "agg_count": 4,
              "access_count": 4, "servers_per_access": 2}
 
 
-def _complete(state, comp, nids):
+def _complete(state, nids):
     """Move the clock on by one transition and end the nodes' transitions."""
     state.clock += TRANSITION_SECONDS
     for nid in nids:
-        engine._handle_transition(state, comp, nid)
+        engine._handle_transition(state, nid)
 
 
 def test_no_server_wakes_under_a_pod_spine_falling_asleep(make_cfg):
@@ -589,9 +600,9 @@ def test_no_server_wakes_under_a_pod_spine_falling_asleep(make_cfg):
     racks = list(topo.racks_of_pod(0))
     pod = [sid for acc in racks for sid in topo.servers_of_access(acc)]
     engine._apply_sleeps(state, pod)
-    _complete(state, 0, pod)
+    _complete(state, pod)
     engine._apply_sleeps(state, racks)
-    _complete(state, 1, racks)
+    _complete(state, racks)
     aggs = topo.aggs_of_pod(0)
     assert all(state.spine_sleep_ok(a) for a in aggs)
     engine._apply_sleeps(state, list(aggs))
@@ -603,7 +614,7 @@ def test_no_server_wakes_under_a_pod_spine_falling_asleep(make_cfg):
         return [sid for sid, _rate, wake in got if wake]
 
     assert offered(state.clock + 10.0) == []
-    _complete(state, 1, aggs)
+    _complete(state, aggs)
     assert offered(state.clock + 10.0) == pod
     engine._begin_wake(state, pod[0])
     assert sum(state.nodes[a].transition_until is not None for a in aggs) == 1
@@ -624,11 +635,11 @@ def test_switch_churn_never_puts_a_flow_over_a_down_link(make_cfg, monkeypatch, 
     seen = {}
     handle = engine._handle_transition
 
-    def counted(state, comp, nid):
-        if comp == 1:
+    def counted(state, nid):
+        if state.nodes[nid].cls != engine.CLS_SERVER:
             key = (state.topology.roles[nid], state.nodes[nid].asleep)
             seen[key] = seen.get(key, 0) + 1
-        handle(state, comp, nid)
+        handle(state, nid)
 
     monkeypatch.setattr(engine, "_handle_transition", counted)
     cfg = make_cfg(architecture=fabric, horizon_s=20.0, target_load=0.3, seed=seed,
@@ -683,7 +694,7 @@ def test_no_flow_crosses_a_down_link(make_cfg):
     dark, partner = topo.aggs_of_pod(0)
     engine._apply_sleeps(state, [dark])
     state.clock = TRANSITION_SECONDS
-    engine._handle_transition(state, 1, dark)
+    engine._handle_transition(state, dark)
     assert state.dark_switches == 1 and not all(state.net.link_up)
     src = topo.server_ids[0]
     jr = engine._JobRun(balanced_job(0, 0.0, 1.0, 100.0))
@@ -700,7 +711,7 @@ def test_no_flow_crosses_a_down_link(make_cfg):
     state.nodes[partner].transition_until = state.clock + TRANSITION_SECONDS
     state.clock += TRANSITION_SECONDS
     with pytest.raises(InternalInvariantViolation, match="goes down under a flow"):
-        engine._handle_transition(state, 1, partner)
+        engine._handle_transition(state, partner)
 
 
 @pytest.mark.parametrize("scheme", ["dvfs", "dvfs+dns"])
@@ -753,14 +764,14 @@ def test_link_back_up_is_trimmed_at_the_next_pass(make_cfg):
     net.remove(next(iter(net.flows)), state.clock)
     engine._apply_sleeps(state, [dark])
     state.clock = TRANSITION_SECONDS
-    engine._handle_transition(state, 1, dark)
+    engine._handle_transition(state, dark)
     engine._handle_tick(state)               # the dark switch's links are down
     link_of = {frozenset((ln.a, ln.b)): ln.id for ln in topo.links}
     trunk = link_of[frozenset(path.nodes[2:4])]
     assert not net.link_up[trunk] and net.link_tier_idx[trunk] == net.native_idx
-    engine._wake_switch(state, dark)
+    engine._begin_transition(state, dark)
     state.clock += TRANSITION_SECONDS
-    engine._handle_transition(state, 1, dark)
+    engine._handle_transition(state, dark)
     engine._handle_tick(state)
     assert set(net.link_tier_idx) == {0}
 

@@ -40,7 +40,7 @@ def test_sleeping_server_draws_sleep_power():
     sid = state.topology.server_ids.start
     engine._apply_sleeps(state, [sid])
     state.clock = TRANSITION_SECONDS
-    engine._handle_transition(state, 0, sid)
+    engine._handle_transition(state, sid)
     assert state.nodes[sid].power_w == 4.5
 
 

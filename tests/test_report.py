@@ -98,7 +98,7 @@ def test_report_json_and_timeseries_files(make_cfg, tmp_path):
 
 def test_experiment_matrix_and_table_writers(make_cfg, tmp_path):
     cfg = make_cfg(horizon_s=3.0)
-    pocket = {"three_tier": _POCKET_FABRICS["three_tier"]}
+    pocket = {"three_tier": cfg.architecture}
     results = run_experiment_matrix(experiment_cells(cfg, pocket, ["none", "dns"]))
     assert set(results) == {("three_tier", "none"), ("three_tier", "dns")}
 
@@ -121,7 +121,7 @@ def test_experiment_matrix_and_table_writers(make_cfg, tmp_path):
 
 def test_matrix_workers_agree_with_serial(make_cfg):
     cfg = make_cfg(horizon_s=3.0)
-    pocket = {"three_tier": _POCKET_FABRICS["three_tier"]}
+    pocket = {"three_tier": cfg.architecture}
     cells = experiment_cells(cfg, pocket, ["none", "dvfs"])
     serial = run_experiment_matrix(cells)
     parallel = run_experiment_matrix(cells, workers=2)

@@ -88,7 +88,7 @@ def test_placement_wakes_lowest_sleeping_server(state):
     engine._apply_sleeps(state, sids)
     state.clock = TRANSITION_SECONDS
     for s in sids:
-        engine._handle_transition(state, 0, s)
+        engine._handle_transition(state, s)
     # everything is asleep now; the next job must trigger a wake
     j = job(0, state.clock, 0.5, state.clock + 5.0)
     decision = place(j, state, state.policy)
@@ -106,7 +106,7 @@ def test_wake_latency_counts_against_deadline(state):
     engine._apply_sleeps(state, sids)
     state.clock = TRANSITION_SECONDS
     for s in sids:
-        engine._handle_transition(state, 0, s)
+        engine._handle_transition(state, s)
     # half the window disappears into the wake; density doubles and an
     # infeasible-once-woken job is turned away
     tight = job(1, state.clock, 2 * TRANSITION_SECONDS, state.clock + 2 * TRANSITION_SECONDS)
@@ -154,11 +154,11 @@ def test_dns_tick_access_switch_needs_whole_rack_asleep(state):
     rack = list(topo.servers_of_access(acc))
     engine._apply_sleeps(state, rack[:1])
     state.clock = TRANSITION_SECONDS
-    engine._handle_transition(state, 0, rack[0])
+    engine._handle_transition(state, rack[0])
     assert acc not in dns_tick(state, policy, now=1.0)
     engine._apply_sleeps(state, [rack[1]])
     state.clock += TRANSITION_SECONDS
-    engine._handle_transition(state, 0, rack[1])
+    engine._handle_transition(state, rack[1])
     assert acc in dns_tick(state, policy, now=1.0)
 
 
@@ -186,11 +186,11 @@ def test_spine_pair_can_sleep_once_pod_is_dark(state):
     engine._apply_sleeps(state, list(topo.server_ids))
     state.clock = TRANSITION_SECONDS
     for s in topo.server_ids:
-        engine._handle_transition(state, 0, s)
+        engine._handle_transition(state, s)
     engine._apply_sleeps(state, list(topo.access_ids))
     state.clock += TRANSITION_SECONDS
     for a in topo.access_ids:
-        engine._handle_transition(state, 1, a)
+        engine._handle_transition(state, a)
     # with zero active racks the partner rule no longer binds
     engine._apply_sleeps(state, spine_requests(state, policy, now=state.clock + 0.5))
     aggs_down = [a for a in topo.agg_ids

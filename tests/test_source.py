@@ -241,3 +241,79 @@ def test_flow_state_stays_in_the_network():
     assert "net" in state_attrs and not state_attrs & net_attrs, state_attrs & net_attrs
     flow_words = ("flow", "link", "dir_", "cap", "tier", "dvs")
     assert not [a for a in state_attrs if any(w in a for w in flow_words)]
+
+
+# the one sleep/wake path: a node's transition starts in _begin_transition
+# and completes in _handle_transition, and only those two (and the state's
+# constructor) move the mode indexes
+TRANSITION_WRITERS = {"engine._Node.__init__", "engine._begin_transition",
+                      "engine._handle_transition"}
+MODE_INDEXES = {"awake_ids", "sleeping", "waking_ids", "switch_live", "dark_switches"}
+INDEX_WRITERS = {"engine.SimState.__init__", "engine._begin_transition",
+                 "engine._handle_transition"}
+
+
+def _functions():
+    """(module.qualified name, def) for each module-level function and
+    method of the package; a nested function counts as its outer one's."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{path.stem}.{node.name}", node
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        yield f"{path.stem}.{node.name}.{item.name}", item
+
+
+def _target_attrs(target):
+    """Attribute names a store or del target changes, whole or by item."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return {a for elt in target.elts for a in _target_attrs(elt)}
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    return {target.attr} if isinstance(target, ast.Attribute) else set()
+
+
+def _changed_attrs(func):
+    """Attribute names func changes: by a del, an assignment or an augmented
+    assignment, by insort, or by calling .add or .discard on them."""
+    out = set()
+    for node in ast.walk(func):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "insort" and node.args:
+            targets = node.args[:1]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in ("add", "discard"):
+            targets = [node.func.value]
+        else:
+            continue
+        for target in targets:
+            out |= _target_attrs(target)
+    return out
+
+
+def test_one_sleep_wake_path():
+    """transition_until is set only where a node is built and where its
+    transition starts and completes; EV_TRANSITION is passed to a call
+    (a push) only where a transition starts; and the mode indexes change
+    only where SimState builds them and in those two functions."""
+    setters, pushers, index_writers = set(), set(), set()
+    for name, func in _functions():
+        changed = _changed_attrs(func)
+        if "transition_until" in changed:
+            setters.add(name)
+        if changed & MODE_INDEXES:
+            index_writers.add(name)
+        if any(isinstance(node, ast.Call)
+               and any(isinstance(n, ast.Name) and n.id == "EV_TRANSITION"
+                       for arg in node.args for n in ast.walk(arg))
+               for node in ast.walk(func)):
+            pushers.add(name)
+    assert setters == TRANSITION_WRITERS
+    assert pushers == {"engine._begin_transition"}
+    assert index_writers == INDEX_WRITERS
