@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Mapping
 
 from . import presets
-from .powermodel import ServerPowerParams, SwitchPowerParams
+from .powermodel import ReadOnlyDict, ServerPowerParams, SwitchPowerParams
 from .scheduler import SchedulerPolicy
 from .topology import ROLE_NAMES, ArchitectureSpec
 from .workload import WorkloadSpec, load_for_target
@@ -64,12 +64,13 @@ class ScenarioConfig:
     price_per_kwh: float = 0.10
 
     def __post_init__(self) -> None:
-        parts = {"": self, "architecture.": self.architecture, "workload.": self.workload,
+        object.__setattr__(self, "switch_power", ReadOnlyDict(self.switch_power))
+        # the workload refuses a non-finite number itself
+        parts = {"": self, "architecture.": self.architecture,
                  "policy.": self.policy, "server_power.": self.server_power}
         parts.update((f"switch_power.{role}.", p) for role, p in self.switch_power.items())
         values = [(prefix + name, getattr(part, name)) for prefix, part in parts.items()
                   for name in _number_fields(type(part))]
-        values += [("workload.class_mix", x) for x in self.workload.class_mix]
         values += [(f"switch_power.{role}.port_power_by_rate", x)
                    for role, p in self.switch_power.items()
                    for item in p.port_power_by_rate.items() for x in item]
@@ -261,8 +262,12 @@ def from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
 
 
 def to_dict(cfg: ScenarioConfig) -> dict:
-    """Plain-dictionary form of a scenario (JSON-serializable)."""
-    return asdict(cfg)
+    """Plain-dictionary form of a scenario (JSON-serializable), with the
+    read-only power tables as plain dicts."""
+    data = asdict(cfg)
+    data["switch_power"] = {role: {**p, "port_power_by_rate": dict(p["port_power_by_rate"])}
+                            for role, p in data["switch_power"].items()}
+    return data
 
 
 def scenario_preset(name: str) -> ScenarioConfig:

@@ -27,9 +27,9 @@ path picked by a hash of the job id; while any switch is dark the pick is
 made among the paths whose switches are all up.  Topology.pick_path reads
 either pick straight off the fabric's pod and index arithmetic (the live
 one in the same order as the full enumeration), with no search or per-root
-cache.  Placement routes only to test a data-intensive job's candidates for
-congestion and hands no path on: routing is pure, so a job that starts the
-moment it is placed gets the paths the test saw.
+cache.  Placement routes only in SimState.transfers_congested, to test a
+data-intensive job's candidates, and hands no path on: routing is pure, so
+a job that starts the moment it is placed gets the paths the test saw.
 
 No flow crosses a down link: an awake server's rack switch is live, a pod
 with a rack not dormant keeps an aggregation switch live or waking, the
@@ -239,27 +239,20 @@ class SimState:
                         total += watts[net.link_tier_idx[lid]]
         return total
 
-    def _refresh_links(self, nid: int) -> None:
-        """Re-evaluate up/down of a node's links after its mode flipped, and
-        price each flip."""
-        for nbr, lid in self.topology.adj[nid]:
-            up = not self.nodes[nid].asleep and not self.nodes[nbr].asleep
-            if self.net.set_link(lid, up):
-                sign = 1.0 if up else -1.0
-                idx = self.net.link_tier_idx[lid]
-                for end, watts in self._port_w[lid]:
-                    sw = self.nodes[end]
-                    if not sw.asleep:
-                        self._set_w(sw, sw.power_w + sign * watts[idx])
-
-    def _price_tiers(self, changes: list[tuple[int, int, int]]) -> None:
-        """Port power for the network's tier changes (link, old, new)."""
-        link_up = self.net.link_up
-        for lid, old_idx, new_idx in changes:
-            if link_up[lid]:
-                for end, watts in self._port_w[lid]:
-                    sw = self.nodes[end]
-                    delta = watts[new_idx] - watts[old_idx]
+    def _price_ports(self, changes: list[tuple[int, int | None, int | None]]) -> None:
+        """Port power for the network's link changes (link, old tier, new
+        tier), None standing for down; an end asleep draws none."""
+        nodes = self.nodes
+        for lid, old, new in changes:
+            for end, watts in self._port_w[lid]:
+                sw = nodes[end]
+                if not sw.asleep:
+                    if old is None:
+                        delta = watts[new]
+                    elif new is None:
+                        delta = -watts[old]
+                    else:
+                        delta = watts[new] - watts[old]
                     self._set_w(sw, sw.power_w + delta)
 
     # -- candidate list --------------------------------------------------------
@@ -347,6 +340,20 @@ class SimState:
         in placement's congestion test (a transfer's pick is live).  Pure."""
         return self.topology.pick_path(src, dst, splitmix64(salt),
                                        self.switch_live if self.dark_switches else None)
+
+    def transfers_congested(self, job: Job, server: int, threshold: float) -> bool:
+        """Whether the job's transfers from server, routed as _start_flows
+        routes them, would cross a direction over threshold of its capacity:
+        the internal one to internal_dst's peer, then the external one, not
+        routed once the internal one is congested."""
+        net = self.net
+        if job.comm_internal_bytes > 0.0:
+            dst = self.internal_dst(job.id, server)
+            if dst is not None and net.congested(self.route(server, dst, job.id * 2),
+                                                 threshold):
+                return True
+        return job.comm_external_bytes > 0.0 and net.congested(
+            self.route(server, self.topology.gateway, job.id * 2 + 1), threshold)
 
     def spine_sleep_ok(self, nid: int) -> bool:
         """Connectivity rule for powering down an aggregation or core
@@ -482,9 +489,7 @@ def _enqueue_compute(state: SimState, srv: _Server, jr: _JobRun, now: float) -> 
 # ---------------------------------------------------------------------------
 
 def _add_flow(state: SimState, jr: _JobRun, path: Path, nbytes: float) -> None:
-    changes = state.net.add(jr.job.id, path, nbytes, state.clock)
-    if changes:
-        state._price_tiers(changes)
+    state._price_ports(state.net.add(jr.job.id, path, nbytes, state.clock))
     table = state.nodes
     for nid in path.nodes:
         table[nid].flow_count += 1
@@ -559,7 +564,8 @@ def _handle_arrival(state: SimState, jid: int) -> None:
     jr.admitted = True
     jr.server = decision.server
     jr.r = decision.reserved_rate
-    jr.dst = decision.internal_dst
+    if jr.job.comm_internal_bytes > 0.0:
+        jr.dst = state.internal_dst(jid, decision.server)   # in the state place saw
     srv = state.nodes[decision.server]
     if decision.needs_wake:
         _begin_wake(state, decision.server)
@@ -659,7 +665,10 @@ def _handle_transition(state: SimState, nid: int) -> None:
         state.switch_live[nid] = True
     else:
         state._set_w(node, node.p_sleep_w)
-    state._refresh_links(nid)
+    nodes = state.nodes
+    flips = [flip for nbr, lid in state.topology.adj[nid]
+             if (flip := state.net.set_link(lid, not node.asleep and not nodes[nbr].asleep))]
+    state._price_ports(flips)
     if server and waking:
         pending, node.pending = node.pending, []
         for jid in pending:
@@ -684,9 +693,7 @@ def _handle_tick(state: SimState) -> None:
     policy = state.policy
     now = state.clock
     if policy.dvfs_enabled:
-        changes = state.net.trim(now)
-        if changes:
-            state._price_tiers(changes)
+        state._price_ports(state.net.trim(now))
         for sid in state.awake_ids:
             srv = state.nodes[sid]
             if srv.serving is not None:
@@ -716,9 +723,10 @@ def run(cfg: ScenarioConfig, jobs: list[Job] | None = None,
         topology: Topology | None = None, collect_jobs: bool = False):
     """Execute one simulation run and return its report.
 
-    jobs must come in arrival order with distinct ids and finite arrival
-    times from 0 on, as generate makes them; a job that breaks any of these
-    raises ValueError before the run starts.  Arrivals are taken from their
+    jobs must come in arrival order with distinct ids, finite arrival
+    times, demands and transfer sizes from 0 on and finite deadlines, as
+    generate makes them; a job that breaks any of these raises ValueError
+    before the run starts.  Arrivals are taken from their
     own list, latest first from its end, whenever the next one precedes the
     heap's head in (time, sequence) order; every arrival is before the
     horizon, so all of them are taken before SimEnd.  The energy step runs
@@ -730,11 +738,16 @@ def run(cfg: ScenarioConfig, jobs: list[Job] | None = None,
     if jobs is None:
         jobs = generate(cfg.effective_workload())
     runs = state.jobs
-    last = float("-inf")
+    inf = float("inf")
+    last = -inf
     for job in jobs:
-        if not 0.0 <= job.arrival < float("inf"):
+        if not 0.0 <= job.arrival < inf:
             raise ValueError(f"job {job.id} arrives at {job.arrival}, not a finite "
                              f"time from 0 on")
+        if not (0.0 <= job.compute_demand < inf and 0.0 <= job.comm_internal_bytes < inf
+                and 0.0 <= job.comm_external_bytes < inf and -inf < job.deadline < inf):
+            raise ValueError(f"job {job.id} has a demand or transfer size that is not a "
+                             f"finite number from 0 on, or a deadline that is not finite")
         if job.arrival < last:
             raise ValueError(f"job {job.id} arrives at {job.arrival}, "
                              f"before the job ahead of it ({last})")

@@ -22,7 +22,7 @@ flow is routed over it and is trimmed toward its offered load (with
 headroom) at the management tick, so idle ports pay only their scaled
 power; a rate that rises between ticks with no new flow on the link can
 meet its trimmed tier until the next trim.  The network reports each tier
-change; pricing it is the caller's.
+change and each link flip in one form; pricing them is the caller's.
 """
 
 from __future__ import annotations
@@ -241,17 +241,19 @@ class FlowNet:
         self.link_tier_idx[lid] = idx
         self.cap[2 * lid] = self.cap[2 * lid + 1] = self.link_tiers[lid][idx]
 
-    def set_link(self, lid: int, up: bool) -> bool:
-        """Mark a link up or down; whether that changed it.  A link carrying
-        a flow never goes down."""
+    def set_link(self, lid: int, up: bool) -> tuple[int, int | None, int | None] | None:
+        """Mark a link up or down; the flip as (link, old tier, new tier),
+        None standing for down, or None if the link already was.  A link
+        keeps its tier while down, and one carrying a flow never goes down."""
         if up == self.link_up[lid]:
-            return False
+            return None
         if up:
             self.dvs_pending.add(lid)
         elif self.dir_flows[2 * lid] or self.dir_flows[2 * lid + 1]:
             raise InternalInvariantViolation(f"link {lid} goes down under a flow")
         self.link_up[lid] = up
-        return True
+        tier = self.link_tier_idx[lid]
+        return (lid, None, tier) if up else (lid, tier, None)
 
     def trim(self, now: float) -> list[tuple[int, int, int]]:
         """Trim link rates toward offered load; returns the tier changes as

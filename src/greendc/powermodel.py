@@ -27,6 +27,21 @@ class UnknownRate(KeyError):
     pass
 
 
+class ReadOnlyDict(dict):
+    """A dict that refuses every change once built, so a power table checked
+    when its config was built stays as checked; a copy or an unpickled one
+    is built afresh from a plain dict."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} cannot be changed")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class ServerPowerParams:
     p_fixed_w: float = 171.0
@@ -59,6 +74,7 @@ class SwitchPowerParams:
     p_sleep_w: float = 0.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "port_power_by_rate", ReadOnlyDict(self.port_power_by_rate))
         if min(self.p_chassis_w, self.p_linecard_w, self.p_sleep_w, self.n_linecards,
                *self.port_power_by_rate.values()) < 0:
             raise ValueError("power terms and n_linecards must be non-negative")

@@ -8,9 +8,9 @@ rack switch or whole aggregation pair is falling asleep.  Load is the
 sum of admission-time rate reservations (compute demand over
 time-to-deadline), so a server's residual capacity is exactly what it can
 still promise.  The first listed server wins; data-intensive jobs skip
-servers whose transfers would be routed over a congested link.  The
-decision names the server, whether it must be woken and the internal
-transfer's peer, not paths: the engine routes each transfer when it starts.
+servers whose transfers would be routed over a congested link, a test
+that is one engine query.  The decision names the server and whether it
+must be woken, not peers or paths: the engine picks and routes them.
 When the job starts is not the decision's either: the engine holds it while
 the server is asleep or waking, and starts it when the wake completes.
 
@@ -78,7 +78,6 @@ class PlacementDecision:
     server: int | None = None
     reserved_rate: float = 0.0
     needs_wake: bool = False
-    internal_dst: int | None = None
     reason: str = "ok"
 
 
@@ -92,34 +91,23 @@ def dvfs_setpoint(server_load: float, headroom: float, f_min: float = 0.1) -> fl
 
 def place(job: Job, state: "SimState", policy: SchedulerPolicy) -> PlacementDecision:
     """The first server of the engine's placement order, skipping for a
-    data-intensive job those whose paths cross a congested link; or a
-    rejection, an SLA violation."""
+    data-intensive job those whose transfers would cross a congested link;
+    or a rejection, an SLA violation."""
     check = job.job_class == DIW
     threshold = policy.congestion_threshold
     for server, rate, needs_wake in state.placement_order(job.compute_demand, job.deadline):
-        dst = state.internal_dst(job.id, server) if job.comm_internal_bytes > 0 else None
-        if check and _congested(state, job, server, dst, threshold):
+        if check and state.transfers_congested(job, server, threshold):
             continue
-        return PlacementDecision(True, server, rate, needs_wake, dst)
+        return PlacementDecision(True, server, rate, needs_wake)
     return PlacementDecision(False, reason="no feasible server")
-
-
-def _congested(state: "SimState", job: Job, server: int, dst: int | None,
-               threshold: float) -> bool:
-    """Whether the paths the job's transfers would take from server cross a
-    congested link; the external one is not routed once the internal one is."""
-    if dst is not None and state.net.congested(state.route(server, dst, job.id * 2),
-                                               threshold):
-        return True
-    return job.comm_external_bytes > 0 and state.net.congested(
-        state.route(server, state.topology.gateway, job.id * 2 + 1), threshold)
 
 
 def dns_tick(state: "SimState", policy: SchedulerPolicy, now: float) -> list[int]:
     """Node ids due for a sleep request: servers idle past the timeout,
     access switches whose whole rack is asleep with no traffic, then
     aggregation switches and the cores but the gateway (core 0) idle past
-    the timeout and allowed by the engine's connectivity rule."""
+    the timeout.  The engine applies its connectivity rule to each request
+    as it starts the sleeps."""
     requests: list[int] = []
     cutoff = now - policy.idle_timeout_s
     nodes = state.nodes
@@ -138,7 +126,6 @@ def dns_tick(state: "SimState", policy: SchedulerPolicy, now: float) -> list[int
                 requests.append(acc)
     for nid in (*topo.core_ids[1:], *topo.agg_ids):
         sw = nodes[nid]
-        if (live[nid] and sw.flow_count == 0 and sw.idle_since <= cutoff
-                and state.spine_sleep_ok(nid)):
+        if live[nid] and sw.flow_count == 0 and sw.idle_since <= cutoff:
             requests.append(nid)
     return requests

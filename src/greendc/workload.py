@@ -15,6 +15,7 @@ sequences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -63,6 +64,12 @@ class WorkloadSpec:
     duration: float | None = None
 
     def __post_init__(self) -> None:
+        # a NaN passes every range test below, so finiteness comes first
+        values = (self.mean_interarrival, self.mean_compute, *self.class_mix,
+                  self.bytes_per_cpu_second, self.internal_fraction, self.deadline_slack,
+                  self.nic_rate_bps, self.seed, self.job_count, self.duration)
+        if not all(x is None or isinstance(x, int) or math.isfinite(x) for x in values):
+            raise ValueError("workload numbers must be finite")
         if self.mean_interarrival <= 0 or self.mean_compute <= 0:
             raise ValueError("mean_interarrival and mean_compute must be positive")
         if abs(sum(self.class_mix) - 1.0) > 1e-9 or min(self.class_mix) < 0:

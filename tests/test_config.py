@@ -1,7 +1,9 @@
 """Scenario parsing: strict keys, preset merging, seed authority, and
 scenarios that are valid by construction."""
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -129,7 +131,8 @@ def test_no_invalid_scenario_can_be_built():
     """A scenario checks itself when built, so dataclasses.replace cannot
     make one that from_dict would refuse.  A NaN fails every comparison, so
     a bound alone lets it through: every number of the scenario and of its
-    parts must be finite, with from_dict's message."""
+    parts must be finite, with from_dict's message.  A workload refuses a
+    non-finite number itself, so no scenario can be handed one."""
     cfg = from_dict(small_scenario())
     no_core = {role: p for role, p in cfg.switch_power.items() if role != "core"}
     nan, inf = float("nan"), float("inf")
@@ -144,12 +147,12 @@ def test_no_invalid_scenario_can_be_built():
                           ({"horizon_s": nan}, "^horizon_s" + finite),
                           ({"pue_overhead": inf}, "^pue_overhead" + finite),
                           ({"price_per_kwh": nan}, "^price_per_kwh" + finite),
-                          ({"workload": WorkloadSpec(class_mix=(nan, 0.0, 1.0))},
-                           "^workload.class_mix" + finite),
                           ({"switch_power": hot_ports},
                            "^switch_power.access.port_power_by_rate" + finite)):
         with pytest.raises(ConfigError, match=match):
             dataclasses.replace(cfg, **change)
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(cfg.workload, class_mix=(nan, 0.0, 1.0))
 
 
 def test_interval_bound_holds_at_the_limit():
@@ -188,6 +191,34 @@ def test_roundtrip_through_dict():
     again = from_dict(to_dict(cfg))
     assert again == cfg
     assert to_dict(again) == to_dict(cfg)
+
+
+def test_power_tables_cannot_change_once_built(small_cfg):
+    """switch_power and every port_power_by_rate refuse each change, so a
+    built scenario stays as its checks left it; replace, copies, pickles
+    (what --workers sends) and the round trip keep them read-only, and
+    to_dict still gives plain dicts."""
+    ports = small_cfg.switch_power["access"].port_power_by_rate
+    for table, key in ((small_cfg.switch_power, "core"), (ports, 1e9)):
+        before = dict(table)
+        for change in (lambda: table.__delitem__(key), lambda: table.__setitem__(key, None),
+                       lambda: table.pop(key), table.popitem, table.clear,
+                       lambda: table.update({key: None}), lambda: table.setdefault(0, 0),
+                       lambda: table.__ior__({key: None})):
+            with pytest.raises(TypeError, match="cannot be changed"):
+                change()
+        assert table == before
+    copies = (dataclasses.replace(small_cfg, seed=2), copy.deepcopy(small_cfg),
+              pickle.loads(pickle.dumps(small_cfg)), from_dict(to_dict(small_cfg)))
+    for cfg in copies:
+        assert cfg.switch_power == small_cfg.switch_power
+        with pytest.raises(TypeError):
+            del cfg.switch_power["core"]
+        with pytest.raises(TypeError):
+            del cfg.switch_power["access"].port_power_by_rate[1e9]
+    data = to_dict(small_cfg)
+    assert type(data["switch_power"]) is dict
+    assert all(type(p["port_power_by_rate"]) is dict for p in data["switch_power"].values())
 
 
 def test_scenario_presets_resolve():

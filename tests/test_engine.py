@@ -508,6 +508,22 @@ def test_jobs_arriving_at_no_valid_time_are_refused(make_cfg, arrival):
         engine.run(cfg, jobs=jobs)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("compute_demand", float("inf")), ("compute_demand", -1.0),
+    ("comm_internal_bytes", float("nan")), ("comm_external_bytes", float("inf")),
+    ("comm_external_bytes", -1.0), ("deadline", float("nan")), ("deadline", float("inf"))])
+def test_jobs_with_non_finite_sizes_or_deadlines_are_refused(make_cfg, field, value):
+    """An infinite demand put a non-finite key in the candidate list, and a
+    NaN deadline was rejected by every admission; a job whose demand or
+    transfer sizes are not finite numbers from 0 on, or whose deadline is
+    not finite, is refused before the run starts."""
+    cfg = make_cfg(horizon_s=4.0)
+    jobs = generate(cfg.effective_workload())
+    jobs[1] = jobs[1]._replace(**{field: value})
+    with pytest.raises(ValueError, match="not a finite number from 0 on"):
+        engine.run(cfg, jobs=jobs)
+
+
 # -- the placement query -------------------------------------------------------
 
 def _placement_reference(state, demand, deadline):
@@ -760,7 +776,7 @@ def test_link_back_up_is_trimmed_at_the_next_pass(make_cfg):
     path = next(p for k in range(topo.path_count(src, topo.gateway))
                 if dark in (p := topo.kth_path(src, topo.gateway, k)).nodes)
     # a flow raises the path to native and drains before any trim
-    state._price_tiers(net.add(0, path, 1e6, state.clock))
+    state._price_ports(net.add(0, path, 1e6, state.clock))
     net.remove(next(iter(net.flows)), state.clock)
     engine._apply_sleeps(state, [dark])
     state.clock = TRANSITION_SECONDS
@@ -820,6 +836,62 @@ def test_each_transfer_is_routed_once_at_its_start(make_cfg, monkeypatch):
     assert seen["flows"] > 100 and seen["wakes"] > 0 and seen["placing_diw"] > 0
     assert seen["outside"] == seen["flows"]
     assert seen["placing_other"] == 0
+
+
+def test_congestion_test_routes_the_paths_the_transfers_start_on(make_cfg, monkeypatch):
+    """For a data-intensive job started the moment it is placed, the paths
+    SimState.transfers_congested routed for the accepted server, the last
+    one it tested, are the paths the job's transfers start on, in order."""
+    tested, started, routing, arriving = {}, {}, [], []
+    congested, route = SimState.transfers_congested, SimState.route
+    handle_arrival, add_flow = engine._handle_arrival, engine._add_flow
+    seen = {"refused": 0, "dark": 0}
+
+    def recorded_congested(self, job, server, threshold):
+        routing.append([])
+        try:
+            hot = congested(self, job, server, threshold)
+        finally:
+            paths = routing.pop()
+        tested[job.id] = (server, paths)
+        seen["refused"] += hot
+        seen["dark"] += self.dark_switches > 0
+        return hot
+
+    def recorded_route(self, src, dst, salt):
+        path = route(self, src, dst, salt)
+        if routing:
+            routing[-1].append(path)
+        return path
+
+    def recorded_arrival(state, jid):
+        arriving.append(jid)
+        try:
+            handle_arrival(state, jid)
+        finally:
+            arriving.pop()
+
+    def recorded_add_flow(state, jr, path, nbytes):
+        if arriving and arriving[-1] == jr.job.id:
+            started.setdefault(jr.job.id, []).append(path)
+        add_flow(state, jr, path, nbytes)
+
+    monkeypatch.setattr(SimState, "transfers_congested", recorded_congested)
+    monkeypatch.setattr(SimState, "route", recorded_route)
+    monkeypatch.setattr(engine, "_handle_arrival", recorded_arrival)
+    monkeypatch.setattr(engine, "_add_flow", recorded_add_flow)
+    # one server per rack: every internal peer is across the fabric, where
+    # the transfer's salt picks among equal-cost paths
+    cfg = make_cfg(horizon_s=4.0, target_load=0.4,
+                   architecture=dict(_TWO_PODS, servers_per_access=1),
+                   policy={"scheme": "dvfs+dns", "idle_timeout_s": 0.1},
+                   workload={"class_mix": [0.0, 1.0, 0.0], "deadline_slack": 2.5,
+                             "mean_compute": 0.05})
+    rep = engine.run(cfg, collect_jobs=True)
+    server = {j["id"]: j["server"] for j in rep.jobs}
+    for jid, paths in started.items():
+        assert tested[jid] == (server[jid], paths), jid
+    assert len(started) > 100 and seen["refused"] and seen["dark"], (len(started), seen)
 
 
 @pytest.mark.parametrize("scheme", ["none", "dvfs", "dns", "dvfs+dns"])
@@ -896,8 +968,8 @@ def _dns_tick_reference(state, policy, now):
     """dns_tick's requests by brute force over the nodes: quiet servers idle
     past the timeout; fully-up rack switches with no flow whose wired
     servers are all dormant; then the non-gateway cores and the aggregation
-    switches, fully up, flowless, idle past the timeout and allowed by the
-    spine rule."""
+    switches, fully up, flowless and idle past the timeout.  The spine rule
+    is the engine's, applied as the sleeps start."""
     topo, cutoff = state.topology, now - policy.idle_timeout_s
     out = [s for s in topo.server_ids
            if not state.nodes[s].asleep and state.nodes[s].transition_until is None
@@ -908,8 +980,7 @@ def _dns_tick_reference(state, policy, now):
     out += [nid for nid in up if topo.roles[nid] == ROLE_ACCESS
             and all(_dormant(state.nodes[s]) for s in _neighbours(topo, nid, ROLE_SERVER))]
     return out + [nid for nid in up if topo.roles[nid] != ROLE_ACCESS and nid != topo.gateway
-                  and state.nodes[nid].idle_since <= cutoff
-                  and _spine_reference(state, nid)]
+                  and state.nodes[nid].idle_since <= cutoff]
 
 
 def test_sleep_rules_equal_brute_force_over_the_nodes(make_cfg, monkeypatch):

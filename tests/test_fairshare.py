@@ -367,13 +367,16 @@ class _FlowNetSteps(RuleBasedStateMachine):
 
     @rule(i=st.integers(0, 10 ** 4), up=st.booleans())
     def flip(self, i, up):
-        """Any link up, or a link carrying no flow down."""
+        """Any link up, or a link carrying no flow down; a flip comes back
+        as (link, old tier, new tier) with None for down, and keeps the
+        tier."""
         net = self.net
         lid = i % len(self.topo.links)
         if up or not (net.dir_flows[2 * lid] or net.dir_flows[2 * lid + 1]):
-            was = net.link_up[lid]
-            assert net.set_link(lid, up) == (was != up)
-            assert net.link_up[lid] == up
+            was, tier = net.link_up[lid], net.link_tier_idx[lid]
+            want = None if was == up else (lid, None, tier) if up else (lid, tier, None)
+            assert net.set_link(lid, up) == want
+            assert net.link_up[lid] == up and net.link_tier_idx[lid] == tier
 
     @precondition(lambda self: self.net.flows)
     @rule(i=st.integers(0, 99), j=st.integers(0, 9))

@@ -182,12 +182,12 @@ def test_every_imported_name_is_used():
 
 
 # what the placement and sleep policies may ask of the engine's state: the
-# placement query, peer choice, routing and the network's congestion query
-# for place; the awake servers, the node table (modes, flows and idle
-# stamps), the switches' liveness and the connectivity rule for dns_tick
+# placement query and the congestion query for place; the fabric, the awake
+# servers, the node table (modes, flows and idle stamps) and the switches'
+# liveness for dns_tick.  Peers, routes and the network are the engine's.
 SCHEDULER_READS = {
-    "placement_order", "internal_dst", "route", "net", "topology",
-    "awake_ids", "nodes", "switch_live", "spine_sleep_ok",
+    "placement_order", "transfers_congested", "topology",
+    "awake_ids", "nodes", "switch_live",
 }
 
 # the flow network's own state, which the engine and the scheduler reach
@@ -210,19 +210,18 @@ def _class(path, name):
 
 
 def test_scheduler_reads_the_engine_through_its_queries():
-    """scheduler.py reads only the allowed SimState attributes, only the
-    congestion query of the network, and none of the reservation or
-    transition bookkeeping that admission and release keep inside the
-    engine."""
+    """scheduler.py reads exactly the allowed SimState attributes, nothing
+    of the network, and none of the reservation or transition bookkeeping
+    that admission and release keep inside the engine."""
     tree = ast.parse((SRC / "scheduler.py").read_text())
     reads = {node.attr for node in ast.walk(tree)
              if isinstance(node, ast.Attribute)
              and isinstance(node.value, ast.Name) and node.value.id == "state"}
-    assert reads and reads <= SCHEDULER_READS, reads - SCHEDULER_READS
+    assert reads == SCHEDULER_READS, reads ^ SCHEDULER_READS
     net_reads = {node.attr for node in ast.walk(tree)
                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
                  and node.value.attr == "net"}
-    assert net_reads == {"congested"}
+    assert net_reads == set()
     attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not attrs & {"cands", "waking_ids", "sleeping", "committed", "transition_until"}
 
@@ -241,6 +240,28 @@ def test_flow_state_stays_in_the_network():
     assert "net" in state_attrs and not state_attrs & net_attrs, state_attrs & net_attrs
     flow_words = ("flow", "link", "dir_", "cap", "tier", "dvs")
     assert not [a for a in state_attrs if any(w in a for w in flow_words)]
+
+
+def test_ports_are_priced_from_the_changes_the_network_reports():
+    """engine.py reads the network's link up states and tiers only in
+    SimState._ports_w, the from-scratch sum a switch's draw starts from;
+    every later change is priced from the (link, old, new) changes that
+    FlowNet.add, trim and set_link return."""
+    readers = {name for name, func in _functions() if name.startswith("engine.")
+               and any(isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                       and node.attr in ("link_up", "link_tier_idx")
+                       for node in ast.walk(func))}
+    assert readers == {"engine.SimState._ports_w"}
+
+
+def test_only_the_engine_routes():
+    """Transfers are routed by the engine alone: .route( is called only in
+    engine.py, so the scheduler cannot re-derive a transfer's path."""
+    callers = {path.name for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "route"}
+    assert callers == {"engine.py"}
 
 
 # the one sleep/wake path: a node's transition starts in _begin_transition

@@ -133,6 +133,20 @@ def test_spec_validation_errors():
         WorkloadSpec(job_count=10, internal_fraction=1.2)
 
 
+@pytest.mark.parametrize("field", [{"mean_compute": float("inf")},
+                                   {"deadline_slack": float("nan")},
+                                   {"class_mix": (float("nan"), 0.0, 1.0)},
+                                   {"job_count": float("nan")}],
+                         ids=["infinite-compute", "nan-slack", "nan-mix", "nan-count"])
+def test_non_finite_numbers_are_refused(field):
+    """A NaN passes every range test, and an infinite mean draws infinite
+    demands; each is refused when the spec is built, so generate never
+    makes a non-finite job.  An integer of any size is finite."""
+    with pytest.raises(ValueError, match="finite"):
+        WorkloadSpec(**{"job_count": 3, **field})
+    assert WorkloadSpec(job_count=3, seed=10 ** 400).seed == 10 ** 400
+
+
 def _per_index_jobs(spec, arrivals, classes, compute):
     """The job stream built the way generate once built it from the same
     draws: whole-column arithmetic, then one numpy scalar at a time."""
