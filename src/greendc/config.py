@@ -8,8 +8,9 @@ left out falls back to the presets, so a scenario file only has to say
 what it changes.
 
 A scenario is valid by construction: each config class checks its own
-fields when built (a scenario raises ConfigError, a part ValueError), even
-through ``dataclasses.replace``, so nothing that takes one checks it again.
+fields when built, a NaN or an infinity included (a scenario raises
+ConfigError, a part ValueError), even through ``dataclasses.replace``, so
+nothing that takes one checks it again.
 
 The scenario seed is authoritative: it is stored as ``workload.seed`` when
 the scenario is built, so that replication seeding stays in one place and a
@@ -65,18 +66,11 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "switch_power", ReadOnlyDict(self.switch_power))
-        # the workload refuses a non-finite number itself
-        parts = {"": self, "architecture.": self.architecture,
-                 "policy.": self.policy, "server_power.": self.server_power}
-        parts.update((f"switch_power.{role}.", p) for role, p in self.switch_power.items())
-        values = [(prefix + name, getattr(part, name)) for prefix, part in parts.items()
-                  for name in _number_fields(type(part))]
-        values += [(f"switch_power.{role}.port_power_by_rate", x)
-                   for role, p in self.switch_power.items()
-                   for item in p.port_power_by_rate.items() for x in item]
-        for where, value in values:
+        # each part refuses a non-finite number itself
+        for name in _number_fields(ScenarioConfig):
+            value = getattr(self, name)
             if value is not None and not isinstance(value, numbers.Integral):
-                _finite(value, where)
+                _finite(value, name)
         missing = [r for r in SWITCH_ROLES if r not in self.switch_power]
         if missing:
             raise ConfigError(f"switch_power: missing roles {missing}")

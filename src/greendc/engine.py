@@ -27,9 +27,10 @@ path picked by a hash of the job id; while any switch is dark the pick is
 made among the paths whose switches are all up.  Topology.pick_path reads
 either pick straight off the fabric's pod and index arithmetic (the live
 one in the same order as the full enumeration), with no search or per-root
-cache.  Placement routes only in SimState.transfers_congested, to test a
-data-intensive job's candidates, and hands no path on: routing is pure, so
-a job that starts the moment it is placed gets the paths the test saw.
+cache.  SimState.transfers is the one list of a job's transfers: placement
+routes them only in SimState.transfers_congested, to test a data-intensive
+job's candidates, and hands no path on; routing is pure, so a job that
+starts the moment it is placed gets the paths the test saw.
 
 No flow crosses a down link: an awake server's rack switch is live, a pod
 with a rack not dormant keeps an aggregation switch live or waking, the
@@ -341,19 +342,27 @@ class SimState:
         return self.topology.pick_path(src, dst, splitmix64(salt),
                                        self.switch_live if self.dark_switches else None)
 
-    def transfers_congested(self, job: Job, server: int, threshold: float) -> bool:
-        """Whether the job's transfers from server, routed as _start_flows
-        routes them, would cross a direction over threshold of its capacity:
-        the internal one to internal_dst's peer, then the external one, not
-        routed once the internal one is congested."""
-        net = self.net
+    def transfers(self, job: Job, server: int, dst: int | None) -> Iterator[tuple[Path, float]]:
+        """The job's transfers from server as (path, bytes), routed lazily in
+        the order they start: the internal one to peer dst while it is awake,
+        else to the one internal_dst picks now, then the external one."""
         if job.comm_internal_bytes > 0.0:
-            dst = self.internal_dst(job.id, server)
-            if dst is not None and net.congested(self.route(server, dst, job.id * 2),
-                                                 threshold):
-                return True
-        return job.comm_external_bytes > 0.0 and net.congested(
-            self.route(server, self.topology.gateway, job.id * 2 + 1), threshold)
+            if (dst is None or (peer := self.nodes[dst]).asleep
+                    or peer.transition_until is not None):
+                dst = self.internal_dst(job.id, server)
+            # with no possible peer the exchange degenerates to a local copy
+            if dst is not None:
+                yield self.route(server, dst, job.id * 2), job.comm_internal_bytes
+        if job.comm_external_bytes > 0.0:
+            yield (self.route(server, self.topology.gateway, job.id * 2 + 1),
+                   job.comm_external_bytes)
+
+    def transfers_congested(self, job: Job, server: int, threshold: float) -> bool:
+        """Whether a transfer of the job from server would cross a direction
+        over threshold of its capacity; a transfer after a congested one is
+        not routed."""
+        return any(self.net.congested(path, threshold)
+                   for path, _ in self.transfers(job, server, None))
 
     def spine_sleep_ok(self, nid: int) -> bool:
         """Connectivity rule for powering down an aggregation or core
@@ -497,20 +506,10 @@ def _add_flow(state: SimState, jr: _JobRun, path: Path, nbytes: float) -> None:
 
 
 def _start_flows(state: SimState, jr: _JobRun) -> None:
-    """Route and start a job's transfers.  The internal peer is the one
-    placement chose while it stays awake, else one re-resolved now."""
-    job = jr.job
-    if job.comm_internal_bytes > 0.0:
-        dst = jr.dst
-        if dst is None or (peer := state.nodes[dst]).asleep or peer.transition_until is not None:
-            dst = state.internal_dst(job.id, jr.server)
-        if dst is not None:
-            _add_flow(state, jr, state.route(jr.server, dst, job.id * 2),
-                      job.comm_internal_bytes)
-        # with no possible peer the exchange degenerates to a local copy
-    if job.comm_external_bytes > 0.0:
-        _add_flow(state, jr, state.route(jr.server, state.topology.gateway, job.id * 2 + 1),
-                  job.comm_external_bytes)
+    """Route and start a job's transfers, to the internal peer chosen at
+    admission while it stays awake."""
+    for path, nbytes in state.transfers(jr.job, jr.server, jr.dst):
+        _add_flow(state, jr, path, nbytes)
 
 
 def _job_piece_done(state: SimState, jr: _JobRun) -> None:
@@ -564,8 +563,7 @@ def _handle_arrival(state: SimState, jid: int) -> None:
     jr.admitted = True
     jr.server = decision.server
     jr.r = decision.reserved_rate
-    if jr.job.comm_internal_bytes > 0.0:
-        jr.dst = state.internal_dst(jid, decision.server)   # in the state place saw
+    jr.dst = state.internal_dst(jid, decision.server)   # in the state place saw
     srv = state.nodes[decision.server]
     if decision.needs_wake:
         _begin_wake(state, decision.server)

@@ -12,7 +12,9 @@ draws its pre-transition power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import sys
+from dataclasses import astuple, dataclass, field
 from typing import Mapping, Sequence
 
 TRANSITION_SECONDS = 0.1
@@ -50,8 +52,8 @@ class ServerPowerParams:
     p_sleep_w: float = 0.0
 
     def __post_init__(self) -> None:
-        if min(self.p_fixed_w, self.p_f_w, self.p_idle_cpu_w, self.p_sleep_w) < 0:
-            raise ValueError("power terms must be non-negative")
+        if not all(0 <= x < math.inf for x in astuple(self)):
+            raise ValueError("power terms must be finite and non-negative")
 
     @property
     def idle_w(self) -> float:
@@ -75,9 +77,13 @@ class SwitchPowerParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "port_power_by_rate", ReadOnlyDict(self.port_power_by_rate))
-        if min(self.p_chassis_w, self.p_linecard_w, self.p_sleep_w, self.n_linecards,
-               *self.port_power_by_rate.values()) < 0:
-            raise ValueError("power terms and n_linecards must be non-negative")
+        terms = (self.p_chassis_w, self.p_linecard_w, self.p_sleep_w,
+                 *self.port_power_by_rate, *self.port_power_by_rate.values())
+        if not all(0 <= x < math.inf for x in terms):
+            raise ValueError("power terms and port rates must be finite and non-negative")
+        # a count past the float range cannot be multiplied by a wattage
+        if not 0 <= self.n_linecards <= sys.float_info.max or not self.base_w < math.inf:
+            raise ValueError("n_linecards must be >= 0 with a finite linecard draw")
 
     @property
     def base_w(self) -> float:

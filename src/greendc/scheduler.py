@@ -26,6 +26,7 @@ node's mode, flows and idle stamp off the engine's node table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -52,16 +53,17 @@ class SchedulerPolicy:
     stats_interval_s: float = 60.0
 
     def __post_init__(self) -> None:
+        # written so that a NaN fails each range test
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         if not 0.0 < self.congestion_threshold <= 1.0:
-            raise ValueError("congestion_threshold must be in (0, 1]")
-        if self.idle_timeout_s < 0 or self.dvfs_headroom < 0:
-            raise ValueError("idle_timeout_s and dvfs_headroom must be >= 0")
+            raise ValueError("congestion_threshold must be a finite number in (0, 1]")
+        if not (0.0 <= self.idle_timeout_s < math.inf and 0.0 <= self.dvfs_headroom < math.inf):
+            raise ValueError("idle_timeout_s and dvfs_headroom must be finite and >= 0")
         if not 0.0 < self.f_min <= 1.0:
-            raise ValueError("f_min must be in (0, 1]")
-        if self.tick_interval_s <= 0 or self.stats_interval_s <= 0:
-            raise ValueError("intervals must be positive")
+            raise ValueError("f_min must be a finite number in (0, 1]")
+        if not (0.0 < self.tick_interval_s < math.inf and 0.0 < self.stats_interval_s < math.inf):
+            raise ValueError("intervals must be finite and positive")
 
     @property
     def dvfs_enabled(self) -> bool:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import prod
+from math import inf, prod
 from typing import NamedTuple, Sequence
 
 TWO_TIER = "two_tier"
@@ -74,23 +74,22 @@ class ArchitectureSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise InvalidSpec(f"kind must be one of {KINDS}, got {self.kind!r}")
+        # written so that a NaN fails each range test
         for name in ("core_count", "access_count", "servers_per_access"):
-            if getattr(self, name) < 1:
-                raise InvalidSpec(f"{name} must be >= 1")
-        for name in ("server_rate_bps", "access_uplink_bps"):
-            if getattr(self, name) <= 0:
-                raise InvalidSpec(f"{name} must be positive")
+            if not 1 <= getattr(self, name) < inf:
+                raise InvalidSpec(f"{name} must be a finite count >= 1")
+        for name in ("server_rate_bps", "access_uplink_bps", "agg_core_bps", "core_mesh_bps"):
+            if not 0.0 < getattr(self, name) < inf:
+                raise InvalidSpec(f"{name} must be a finite positive number")
         if self.kind == TWO_TIER:
             if self.agg_count != 0:
                 raise InvalidSpec("agg_count must be 0 for a two_tier fabric")
         else:
-            if self.agg_count < 2 or self.agg_count % 2:
-                raise InvalidSpec("agg_count must be an even number >= 2")
+            if not (2 <= self.agg_count < inf and self.agg_count % 2 == 0):
+                raise InvalidSpec("agg_count must be a finite even number >= 2")
             if self.access_count < self.agg_count // 2:
                 raise InvalidSpec("access_count must be at least the number of "
                                   "aggregation pairs (agg_count // 2)")
-            if self.agg_core_bps <= 0:
-                raise InvalidSpec("agg_core_bps must be positive")
         c, x = self.core_count, self.access_count
         trunks = c * (c - 1) // 2 + x * c if self.kind == TWO_TIER else self.agg_count * c + 2 * x
         if trunks + self.server_count > MAX_LINKS:

@@ -64,30 +64,27 @@ class WorkloadSpec:
     duration: float | None = None
 
     def __post_init__(self) -> None:
-        # a NaN passes every range test below, so finiteness comes first
-        values = (self.mean_interarrival, self.mean_compute, *self.class_mix,
-                  self.bytes_per_cpu_second, self.internal_fraction, self.deadline_slack,
-                  self.nic_rate_bps, self.seed, self.job_count, self.duration)
-        if not all(x is None or isinstance(x, int) or math.isfinite(x) for x in values):
-            raise ValueError("workload numbers must be finite")
-        if self.mean_interarrival <= 0 or self.mean_compute <= 0:
-            raise ValueError("mean_interarrival and mean_compute must be positive")
-        if abs(sum(self.class_mix) - 1.0) > 1e-9 or min(self.class_mix) < 0:
-            raise ValueError("class_mix must be non-negative and sum to 1")
+        # written so that a NaN fails each range test
+        if not (0.0 < self.mean_interarrival < math.inf and 0.0 < self.mean_compute < math.inf):
+            raise ValueError("mean_interarrival and mean_compute must be finite and positive")
+        if not (abs(sum(self.class_mix) - 1.0) <= 1e-9 and min(self.class_mix) >= 0):
+            raise ValueError("class_mix must be finite, non-negative and sum to 1")
         if not 0.0 <= self.internal_fraction <= 1.0:
-            raise ValueError("internal_fraction must be in [0, 1]")
-        if self.deadline_slack <= 0:
-            raise ValueError("deadline_slack must be positive")
-        if self.nic_rate_bps <= 0:
-            raise ValueError("nic_rate_bps must be positive")
-        if self.bytes_per_cpu_second < 0:
-            raise ValueError("bytes_per_cpu_second must be non-negative")
+            raise ValueError("internal_fraction must be a finite number in [0, 1]")
+        if not 0.0 < self.deadline_slack < math.inf:
+            raise ValueError("deadline_slack must be finite and positive")
+        if not 0.0 < self.nic_rate_bps < math.inf:
+            raise ValueError("nic_rate_bps must be finite and positive")
+        if not 0.0 <= self.bytes_per_cpu_second < math.inf:
+            raise ValueError("bytes_per_cpu_second must be finite and non-negative")
+        if not 0 <= self.seed < math.inf:
+            raise ValueError("seed must be a finite number >= 0")
         if self.job_count is not None and self.duration is not None:
             raise ValueError("job_count and duration cannot both be set")
-        if self.job_count is not None and self.job_count < 1:
-            raise ValueError("job_count must be >= 1")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if self.job_count is not None and not 1 <= self.job_count < math.inf:
+            raise ValueError("job_count must be a finite count >= 1")
+        if self.duration is not None and not 0.0 < self.duration < math.inf:
+            raise ValueError("duration must be finite and positive")
         expected = (self.job_count if self.job_count is not None
                     else (self.duration or 0.0) / self.mean_interarrival)
         if expected > MAX_EXPECTED_JOBS:

@@ -413,16 +413,20 @@ def test_a_fabric_that_draws_nothing_runs(tmp_path, capsys):
 # -- any scenario document runs or is a one-line config error ------------------
 
 _WATTS = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3000.0))
+# link rates every port table below covers
+_LINK_RATES = {name: st.sampled_from([1e9, 1e10]) for name in (
+    "server_rate_bps", "access_uplink_bps", "agg_core_bps", "core_mesh_bps")}
 _VALID_DOCUMENTS = st.fixed_dictionaries({
     "architecture": st.one_of(
         st.fixed_dictionaries({
             "kind": st.sampled_from(["three_tier", "three_tier_hs"]),
             "core_count": st.integers(1, 3), "agg_count": st.sampled_from([2, 4]),
-            "access_count": st.integers(2, 5), "servers_per_access": st.integers(1, 3)}),
+            "access_count": st.integers(2, 5), "servers_per_access": st.integers(1, 3)},
+            optional=_LINK_RATES),
         st.fixed_dictionaries({
             "kind": st.just("two_tier"), "core_count": st.integers(1, 3),
             "agg_count": st.just(0), "access_count": st.integers(1, 5),
-            "servers_per_access": st.integers(1, 3)})),
+            "servers_per_access": st.integers(1, 3)}, optional=_LINK_RATES)),
     "horizon_s": st.floats(min_value=1e-3, max_value=1.0),
 }, optional={
     "seed": st.integers(0, 2**40),
@@ -491,6 +495,17 @@ _DOCUMENTS = st.one_of(_VALID_DOCUMENTS, _VALID_DOCUMENTS.flatmap(
 @example(doc={"architecture": {"kind": "two_tier", "core_count": 1e300, "agg_count": 0,
                                "access_count": 1, "servers_per_access": 1},
               "horizon_s": 1.0})
+# a zero core mesh rate, priced by a zero-rate port entry, divided by zero
+@example(doc={"architecture": {"kind": "two_tier", "core_count": 2, "agg_count": 0,
+                               "access_count": 2, "servers_per_access": 1,
+                               "core_mesh_bps": 0},
+              "horizon_s": 0.5,
+              "switch_power": {"core": {"port_power_by_rate": {"1e9": 0.4, "1e10": 1.0,
+                                                               "0": 1.0}}}})
+# a linecard count past the float range overflowed the switch's draw
+@example(doc={"architecture": {"kind": "two_tier", "core_count": 1, "agg_count": 0,
+                               "access_count": 1, "servers_per_access": 1},
+              "horizon_s": 0.5, "switch_power": {"core": {"n_linecards": 10 ** 400}}})
 def test_any_document_runs_or_is_a_config_error(doc):
     """validate and simulate exit 0 or 1 on any document over a pocket fabric
     and a horizon of at most a second, with at most one line on stderr and

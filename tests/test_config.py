@@ -3,6 +3,7 @@ scenarios that are valid by construction."""
 
 import copy
 import dataclasses
+import math
 import pickle
 
 import pytest
@@ -11,8 +12,9 @@ from greendc.config import (
     MAX_INTERVALS, MAX_REPLICATIONS, ConfigError, ScenarioConfig, from_dict, scenario_preset,
     to_dict,
 )
-from greendc.presets import ARCHITECTURES, SCENARIOS
+from greendc.presets import ARCHITECTURES, SCENARIOS, SERVER_POWER, SWITCH_POWER
 from greendc.engine import run
+from greendc.scheduler import SchedulerPolicy
 from greendc.workload import WorkloadSpec
 
 from conftest import small_scenario
@@ -130,15 +132,12 @@ def test_float_fields_reject_booleans_and_strings():
 def test_no_invalid_scenario_can_be_built():
     """A scenario checks itself when built, so dataclasses.replace cannot
     make one that from_dict would refuse.  A NaN fails every comparison, so
-    a bound alone lets it through: every number of the scenario and of its
-    parts must be finite, with from_dict's message.  A workload refuses a
-    non-finite number itself, so no scenario can be handed one."""
+    a bound alone lets it through: every number of the scenario must be
+    finite, with from_dict's message.  Each part refuses a non-finite number
+    itself, so no scenario can be handed one."""
     cfg = from_dict(small_scenario())
     no_core = {role: p for role, p in cfg.switch_power.items() if role != "core"}
     nan, inf = float("nan"), float("inf")
-    access = cfg.switch_power["access"]
-    hot_ports = dict(cfg.switch_power, access=dataclasses.replace(
-        access, port_power_by_rate={rate: inf for rate in access.port_power_by_rate}))
     finite = ": expected a finite number, got "
     for change, match in (({"pue_overhead": 0.5}, "pue_overhead"),
                           ({"price_per_kwh": -1.0}, "price_per_kwh"),
@@ -146,13 +145,42 @@ def test_no_invalid_scenario_can_be_built():
                           ({"horizon_s": 0.0}, "horizon_s"),
                           ({"horizon_s": nan}, "^horizon_s" + finite),
                           ({"pue_overhead": inf}, "^pue_overhead" + finite),
-                          ({"price_per_kwh": nan}, "^price_per_kwh" + finite),
-                          ({"switch_power": hot_ports},
-                           "^switch_power.access.port_power_by_rate" + finite)):
+                          ({"price_per_kwh": nan}, "^price_per_kwh" + finite)):
         with pytest.raises(ConfigError, match=match):
             dataclasses.replace(cfg, **change)
     with pytest.raises(ValueError, match="finite"):
         dataclasses.replace(cfg.workload, class_mix=(nan, 0.0, 1.0))
+
+
+def _part_numbers():
+    """(part, field, value maker) for every number field of each part class
+    but the workload: the link rates on every fabric, the counts, and one
+    rate and one wattage of a port table."""
+    rates = ("server_rate_bps", "access_uplink_bps", "agg_core_bps", "core_mesh_bps")
+    counts = ("core_count", "agg_count", "access_count", "servers_per_access")
+    for kind, arch in ARCHITECTURES.items():
+        for name in rates + (counts if kind == "three_tier" else ()):
+            yield pytest.param(arch, name, float, id=f"{kind}.{name}")
+    for part in (SchedulerPolicy(), SERVER_POWER, SWITCH_POWER["core"]):
+        for name in (f.name for f in dataclasses.fields(part)):
+            if name not in ("scheme", "port_power_by_rate"):
+                yield pytest.param(part, name, float, id=f"{type(part).__name__}.{name}")
+    access = SWITCH_POWER["access"]
+    yield pytest.param(access, "port_power_by_rate", lambda x: {x: 1.0}, id="port-rate")
+    yield pytest.param(access, "port_power_by_rate",
+                       lambda x: {rate: x for rate in access.port_power_by_rate},
+                       id="hot_ports")
+
+
+@pytest.mark.parametrize("part, name, value", _part_numbers())
+def test_each_part_refuses_non_finite_numbers(part, name, value):
+    """A NaN passes a range test written as x <= 0, so each part writes its
+    range tests so that a NaN fails them: a part built alone, as
+    dataclasses.replace builds it, refuses a NaN or an infinity in any of
+    its numbers and says the number must be finite."""
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(part, **{name: value(x)})
 
 
 def test_interval_bound_holds_at_the_limit():

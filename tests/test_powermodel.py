@@ -138,8 +138,13 @@ def test_port_power_scales_with_tier():
 
 
 def test_param_validation():
-    """Power parameters check themselves when built."""
+    """Power parameters check themselves when built.  A linecard count past
+    the float range, or one whose draw overflows, made base_w raise
+    OverflowError or give an infinity mid-run."""
     with pytest.raises(ValueError):
         ServerPowerParams(p_fixed_w=-1.0)
     with pytest.raises(ValueError):
         SwitchPowerParams(p_chassis_w=100.0, port_power_by_rate={1e9: -0.4})
+    for count, watts in ((10 ** 400, 0.0), (10 ** 300, 1e10)):
+        with pytest.raises(ValueError, match="finite linecard draw"):
+            SwitchPowerParams(p_chassis_w=100.0, p_linecard_w=watts, n_linecards=count)

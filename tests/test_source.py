@@ -255,13 +255,13 @@ def test_ports_are_priced_from_the_changes_the_network_reports():
 
 
 def test_only_the_engine_routes():
-    """Transfers are routed by the engine alone: .route( is called only in
-    engine.py, so the scheduler cannot re-derive a transfer's path."""
-    callers = {path.name for path in sorted(SRC.glob("*.py"))
-               for node in ast.walk(ast.parse(path.read_text()))
+    """A job's transfers are listed in one place: .route( is called only in
+    SimState.transfers, so neither placement nor a job's start can re-derive
+    a transfer's peer, salt or path."""
+    callers = {name for name, func in _functions() for node in ast.walk(func)
                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                and node.func.attr == "route"}
-    assert callers == {"engine.py"}
+    assert callers == {"engine.SimState.transfers"}
 
 
 # the one sleep/wake path: a node's transition starts in _begin_transition
