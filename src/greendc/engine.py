@@ -20,17 +20,26 @@ Reservations are the engine's: SimState.placement_order lists the servers
 that can take a job, in scan order, and _maybe_release returns them.  A
 job placed on a server that is asleep or waking waits in the server's
 pending list until the wake completes, even when it arrives at the very
-instant the wake ends; so a server carrying a flow is always awake.
+instant the wake ends; so a server carrying a flow is always awake.  The
+dormant servers placement may offer for a wake are indexed by id in
+SimState.wakeable: those whose rack switch, and whose pod's whole
+aggregation pair, is not falling asleep.  Only _begin_transition and
+_handle_transition change it, each replacing the one slice a transition
+can move: the server's own entry, or a rack's or a pod's servers, which are
+contiguous ids.
 
 Each transfer is routed once, when it starts.  Its path is an equal-cost
 path picked by a hash of the job id; while any switch is dark the pick is
 made among the paths whose switches are all up.  Topology.pick_path reads
 either pick straight off the fabric's pod and index arithmetic (the live
-one in the same order as the full enumeration), with no search or per-root
-cache.  SimState.transfers is the one list of a job's transfers: placement
-routes them only in SimState.transfers_congested, to test a data-intensive
-job's candidates, and hands no path on; routing is pure, so a job that
-starts the moment it is placed gets the paths the test saw.
+one in the same order as the full enumeration), with no search.  A pick
+made while every switch is up is kept, per endpoint pair and path index,
+and the same Path handed out again; one among the live paths is decoded
+afresh each time.  SimState.transfers is the one list of a job's
+transfers: placement routes them only in SimState.transfers_congested, to
+test a data-intensive job's candidates, and hands no path on; routing is
+pure, so a job that starts the moment it is placed gets the paths the test
+saw.
 
 No flow crosses a down link: an awake server's rack switch is live, a pod
 with a rack not dormant keeps an aggregation switch live or waking, the
@@ -179,8 +188,9 @@ class SimState:
             self.nodes.append(_Switch(_ROLE_TO_CLS[role], params.base_w, params.p_sleep_w))
         self.nodes += [_Server(s) for s in topo.server_ids]
         self.awake_ids: list[int] = list(topo.server_ids)
-        self.sleeping: list[int] = []
         self.waking_ids: set[int] = set()
+        # dormant servers that a wake could take, by id (see _wakeable_span)
+        self.wakeable: list[int] = []
         self.cands: list[tuple[float, int]] = sorted(self.nodes[s].key for s in topo.server_ids)
 
         # the flows and the links they share; pushes go through self.push
@@ -302,16 +312,47 @@ class SimState:
         window = deadline - (now + TRANSITION_SECONDS)
         if window <= 0 or demand / window > 1.0 + _EPS:
             return
-        topo = self.topology
-        for sid in self.sleeping:
-            acc = topo.access_of_server(sid)
-            if nodes[acc].falling_asleep():
-                continue
-            if topo.pod_count:
-                a, b = topo.aggs_of_pod(topo.pod_of_access(acc))
-                if nodes[a].falling_asleep() and nodes[b].falling_asleep():
-                    continue
+        for sid in self.wakeable:
             yield sid, demand / window, True
+
+    def _wakeable_span(self, nid: int) -> tuple[int, int, list[int]]:
+        """The slice of wakeable that a transition of node nid can change,
+        as (start, stop, the servers it holds now).  A dormant server may be
+        offered for a wake unless its rack switch, or its pod's whole
+        aggregation pair, is falling asleep: it could not be woken with
+        them.  So the slice is the server itself, a rack switch's servers,
+        or an aggregation switch's pod's servers when its partner is falling
+        asleep (else the pair's state is the same either side of the
+        transition); a rack's or a pod's servers are contiguous ids."""
+        topo, nodes = self.topology, self.nodes
+        role = topo.roles[nid]
+        if role == ROLE_SERVER:
+            servers = range(nid, nid + 1)
+        elif role == ROLE_ACCESS:
+            servers = topo.servers_of_access(nid)
+        elif role == ROLE_AGG:
+            pod = topo.pod_of_agg(nid)
+            a, b = topo.aggs_of_pod(pod)
+            if not nodes[b if nid == a else a].falling_asleep():
+                return 0, 0, []
+            racks = topo.racks_of_pod(pod)
+            servers = range(topo.servers_of_access(racks.start).start,
+                            topo.servers_of_access(racks.stop - 1).stop)
+        else:
+            return 0, 0, []
+        offered = []
+        for sid in servers:
+            if nodes[sid].dormant():
+                acc = topo.access_of_server(sid)
+                if nodes[acc].falling_asleep():
+                    continue
+                if topo.pod_count:
+                    a, b = topo.aggs_of_pod(topo.pod_of_access(acc))
+                    if nodes[a].falling_asleep() and nodes[b].falling_asleep():
+                        continue
+                offered.append(sid)
+        ids = self.wakeable
+        return bisect_left(ids, servers.start), bisect_left(ids, servers.stop), offered
 
     def internal_dst(self, job_id: int, src: int) -> int | None:
         """Peer for an internal transfer: a rack sibling when one is awake
@@ -498,7 +539,9 @@ def _enqueue_compute(state: SimState, srv: _Server, jr: _JobRun, now: float) -> 
 # ---------------------------------------------------------------------------
 
 def _add_flow(state: SimState, jr: _JobRun, path: Path, nbytes: float) -> None:
-    state._price_ports(state.net.add(jr.job.id, path, nbytes, state.clock))
+    raised = state.net.add(jr.job.id, path, nbytes, state.clock)
+    if raised:
+        state._price_ports(raised)
     table = state.nodes
     for nid in path.nodes:
         table[nid].flow_count += 1
@@ -525,7 +568,6 @@ def _begin_transition(state: SimState, nid: int) -> None:
     server = node.cls == CLS_SERVER
     if node.asleep:
         if server:
-            del state.sleeping[bisect_left(state.sleeping, nid)]
             state.waking_ids.add(nid)
     elif server:
         del state.awake_ids[bisect_left(state.awake_ids, nid)]
@@ -533,6 +575,10 @@ def _begin_transition(state: SimState, nid: int) -> None:
     else:
         state.dark_switches += 1
         state.switch_live[nid] = False
+    if server == node.asleep:
+        # a server's wake or a switch's sleep: the starts that move wakeable
+        i, j, ids = state._wakeable_span(nid)
+        state.wakeable[i:j] = ids
     state.push(node.transition_until, EV_TRANSITION, 0 if server else 1, nid)
 
 
@@ -656,13 +702,16 @@ def _handle_transition(state: SimState, nid: int) -> None:
             state._cand_insert(node)
         else:
             state._set_w(node, state.sparams.p_sleep_w)
-            insort(state.sleeping, nid)
     elif waking:
         state._set_w(node, node.base_w)
         state.dark_switches -= 1
         state.switch_live[nid] = True
     else:
         state._set_w(node, node.p_sleep_w)
+    if not waking:
+        # a server turns dormant, a switch stops barring the wakes under it
+        i, j, ids = state._wakeable_span(nid)
+        state.wakeable[i:j] = ids
     nodes = state.nodes
     flips = [flip for nbr, lid in state.topology.adj[nid]
              if (flip := state.net.set_link(lid, not node.asleep and not nodes[nbr].asleep))]

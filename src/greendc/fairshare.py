@@ -15,9 +15,12 @@ all resources in id order, to the bit.
 
 FlowNet holds one fabric's flows and what they share: per-direction
 capacities, rate sums and flow sets, link up states and rate tiers.  A
-change re-fills only the component of flows sharing links with it.  End
-events are provisional: a rate drop leaves one in place to re-arm when it
-pops, a rise pushes an earlier one.  A link jumps to native rate when a
+flow's directed links come with its path (Path.dirs).  A change re-fills
+only the component of flows sharing links with it; a flow added on links
+no other flow crosses is its own component, and takes the fill's one-flow
+rate, the smallest capacity on its path, with no walk.  End events are
+provisional: a rate drop leaves one in place to re-arm when it pops, a
+rise pushes an earlier one.  A link jumps to native rate when a
 flow is routed over it and is trimmed toward its offered load (with
 headroom) at the management tick, so idle ports pay only their scaled
 power; a rate that rises between ticks with no new flow on the link can
@@ -125,6 +128,17 @@ class _Flow:
         self.stamp = now
         self.end_t = float("inf")
 
+    def advance(self, now: float) -> None:
+        """Move the flow's bytes on to now at its current rate."""
+        dt = now - self.stamp
+        if dt > 0.0:
+            delta = self.rate * dt * 0.125  # bits/s * s -> bytes
+            if delta > self.bytes_left:
+                delta = self.bytes_left
+            self.bytes_left -= delta
+            self.done_bytes += delta
+        self.stamp = now
+
 
 class FlowNet:
     """The flows over one fabric's links, their max-min rates, and the
@@ -165,10 +179,8 @@ class FlowNet:
             raise InternalInvariantViolation(f"job {jid}'s transfer routed over a down link")
         fid = self.next_id
         self.next_id += 1
-        nodes = path.nodes
-        res = tuple([2 * lid + (1 if u > v else 0)
-                     for u, v, lid in zip(nodes, nodes[1:], path.links)])
-        self.flows[fid] = _Flow(jid, res, nodes, nbytes, now)
+        res = path.dirs
+        self.flows[fid] = _Flow(jid, res, path.nodes, nbytes, now)
         tier_idx = self.link_tier_idx
         native = self.native_idx
         pending = self.dvs_pending
@@ -179,14 +191,17 @@ class FlowNet:
                 raised.append((lid, tier_idx[lid], native))
                 self._set_tier(lid, native)
             pending.add(lid)
+        shared = False
         for d in res:
             fids = dir_flows[d]
             if fids is None:
                 dir_flows[d] = {fid}
             else:
+                if fids:
+                    shared = True
                 fids.add(fid)
         self.bytes_offered += nbytes
-        self._recompute(res, now)
+        self._recompute(res, now, None if shared else fid)
         return raised
 
     def remove(self, fid: int, now: float) -> _Flow:
@@ -206,7 +221,7 @@ class FlowNet:
         """A flow's end event: the flow, removed, when its bytes are done;
         else None, its end re-armed at its current rate."""
         fl = self.flows[fid]
-        self._advance((fid,), now)
+        fl.advance(now)
         if fl.bytes_left > 1e-6:
             # the rate dropped since this event was scheduled
             fl.end_t = now + fl.bytes_left * 8.0 / fl.rate
@@ -218,24 +233,10 @@ class FlowNet:
 
     def settle(self, now: float) -> None:
         """Bring every flow up to now and total the bytes done and left."""
-        self._advance(self.flows, now)
         for fl in self.flows.values():
+            fl.advance(now)
             self.bytes_done += fl.done_bytes
             self.bytes_left += fl.bytes_left
-
-    def _advance(self, fids: Iterable[int], now: float) -> None:
-        """Move each flow's bytes on to now at its current rate."""
-        flows = self.flows
-        for fid in fids:
-            fl = flows[fid]
-            dt = now - fl.stamp
-            if dt > 0.0:
-                delta = fl.rate * dt * 0.125  # bits/s * s -> bytes
-                if delta > fl.bytes_left:
-                    delta = fl.bytes_left
-                fl.bytes_left -= delta
-                fl.done_bytes += delta
-            fl.stamp = now
 
     def _set_tier(self, lid: int, idx: int) -> None:
         self.link_tier_idx[lid] = idx
@@ -290,45 +291,50 @@ class FlowNet:
 
     def congested(self, path: Path, threshold: float) -> bool:
         """Whether a direction on the path carries over threshold of its capacity."""
-        nodes = path.nodes
-        for u, v, lid in zip(nodes, nodes[1:], path.links):
-            dk = 2 * lid + (1 if u > v else 0)
-            if self.dir_sum[dk] > threshold * self.cap[dk]:
+        dir_sum, cap = self.dir_sum, self.cap
+        for d in path.dirs:
+            if dir_sum[d] > threshold * cap[d]:
                 return True
         return False
 
-    def _recompute(self, seed_dirs: Iterable[int], now: float) -> None:
+    def _recompute(self, seed_dirs: Iterable[int], now: float, lone: int | None = None) -> None:
         """Max-min re-allocation over the affected component, with rescheduling.
 
-        The component (every flow and directed link reachable from the seeds
+        lone is a flow just added whose directions, the seeds, hold no other
+        flow: it is the whole component, so nothing is walked.  Otherwise the
+        component (every flow and directed link reachable from the seeds
         through shared links) is walked once, breadth first, building the
-        fill's records as it goes, and its flows are advanced to now.  A lone
-        flow skips the fill: its rate is the fill's single step, 0.0 + the
-        smallest capacity on its path.  New rates are applied and rescheduled
-        in id order, then checked against the component's capacities."""
+        fill's records as it goes.  A component of one flow skips the fill:
+        its rate is the fill's single step, 0.0 + the smallest capacity on
+        its path.  New rates are applied and rescheduled in id order, each
+        flow first advanced to now at its old rate, and then every direction
+        rated is checked against its capacity."""
         flows = self.flows
-        dir_flows = self.dir_flows
         cap = self.cap
-        records: dict[int, list] = {}   # directed link -> [residual, unfrozen, members]
-        queue: list[set[int]] = []
-        for d in seed_dirs:
-            fids = dir_flows[d]
-            if fids and d not in records:
-                records[d] = [cap[d], len(fids), fids]
-                queue.append(fids)
-        if not queue:
-            return
-        members: dict[int, tuple[int, ...]] = {}   # flow -> its directed links
-        for fids in queue:   # queue grows while it is walked, breadth first
-            for fid in fids:
-                if fid not in members:
-                    res = members[fid] = flows[fid].res
-                    for d2 in res:
-                        if d2 not in records:
-                            f2 = dir_flows[d2]
-                            records[d2] = [cap[d2], len(f2), f2]
-                            queue.append(f2)
-        self._advance(members, now)
+        if lone is not None:
+            members = {lone: seed_dirs}
+            records = seed_dirs   # only its directions are checked below
+        else:
+            dir_flows = self.dir_flows
+            records: dict[int, list] = {}   # directed link -> [residual, unfrozen, members]
+            queue: list[set[int]] = []
+            for d in seed_dirs:
+                fids = dir_flows[d]
+                if fids and d not in records:
+                    records[d] = [cap[d], len(fids), fids]
+                    queue.append(fids)
+            if not queue:
+                return
+            members = {}   # flow -> its directed links
+            for fids in queue:   # queue grows while it is walked, breadth first
+                for fid in fids:
+                    if fid not in members:
+                        res = members[fid] = flows[fid].res
+                        for d2 in res:
+                            if d2 not in records:
+                                f2 = dir_flows[d2]
+                                records[d2] = [cap[d2], len(f2), f2]
+                                queue.append(f2)
         if len(members) == 1:
             (fid, res), = members.items()
             order = (fid,)
@@ -339,6 +345,16 @@ class FlowNet:
         dir_sum = self.dir_sum
         for fid in order:
             fl = flows[fid]
+            # _Flow.advance, inline in this hot loop; it reads only the
+            # flow's own rate and stamp, so the flows' order does not matter
+            dt = now - fl.stamp
+            if dt > 0.0:
+                delta = fl.rate * dt * 0.125
+                if delta > fl.bytes_left:
+                    delta = fl.bytes_left
+                fl.bytes_left -= delta
+                fl.done_bytes += delta
+            fl.stamp = now
             new = rates[fid]
             if new != fl.rate:
                 diff = new - fl.rate

@@ -54,6 +54,9 @@ class ServerPowerParams:
     def __post_init__(self) -> None:
         if not all(0 <= x < math.inf for x in astuple(self)):
             raise ValueError("power terms must be finite and non-negative")
+        # finite terms can still sum past the float range
+        if not (self.idle_w < math.inf and self.busy_w(1.0) < math.inf):
+            raise ValueError("idle and full-speed draws must be finite")
 
     @property
     def idle_w(self) -> float:

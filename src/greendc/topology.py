@@ -19,7 +19,9 @@ switch on the destination's side, core, aggregation switch on the source's
 side), the k-th path is k read as a mixed-radix number over those choices,
 and link ids come from the build order.  Paths that avoid dark switches are
 the same product over each tier's live switches, so they keep their order
-in the full enumeration.  Nothing is searched or cached per root.
+in the full enumeration.  Nothing is searched or cached per root; a pick
+with every switch up is kept, per endpoint pair and path index, and handed
+out again (Topology.pick_path).
 """
 
 from __future__ import annotations
@@ -120,11 +122,13 @@ class Link(NamedTuple):
     rate_bps: float
 
 
-@dataclass(frozen=True)
-class Path:
-    """A loop-free route as a node sequence plus the link ids joining it."""
+class Path(NamedTuple):
+    """A loop-free route as a node sequence, the link ids joining it and
+    the directed links it takes: 2 * link id, plus 1 where the hop runs
+    from the link's higher node id to its lower one."""
     nodes: tuple[int, ...]
     links: tuple[int, ...]
+    dirs: tuple[int, ...]
 
 
 class Topology:
@@ -176,6 +180,9 @@ class Topology:
         # dict stays because bench/run.py reports its length as
         # topology.bfs_sources
         self._sp_cache: dict = {}
+        # the picks made with every switch up: (src, dst) -> (path count,
+        # {path index: path}, then _tiers(src, dst) for decoding the rest)
+        self._picks: dict[tuple[int, int], tuple] = {}
 
     # -- construction -----------------------------------------------------
 
@@ -289,8 +296,9 @@ class Topology:
         if b != dst:
             nodes.append(dst)
         base, off = self._link_base, self._link_off
-        return Path(tuple(nodes), tuple([base[v] + off[u] if u < v else base[u] + off[v]
-                                         for u, v in zip(nodes, nodes[1:])]))
+        dirs = [2 * (base[v] + off[u]) if u < v else 2 * (base[u] + off[v]) + 1
+                for u, v in zip(nodes, nodes[1:])]
+        return Path(tuple(nodes), tuple([d >> 1 for d in dirs]), tuple(dirs))
 
     @staticmethod
     def _live_tiers(a: int, b: int, tiers, live: Sequence[bool]):
@@ -319,12 +327,25 @@ class Topology:
         some of the equal-cost paths have all their switches live
         (live[switch id] true), the (k mod m)-th of those m, which keep their
         order in the full enumeration; else the (k mod n)-th of all n paths.
-        Checks the endpoints and decodes once."""
+        Checks the endpoints and decodes once.  With live None the pick is
+        kept and the same Path handed out for (src, dst, k mod n) again;
+        _path reads only k's low mixed-radix digits, so it is the path a
+        decode would give.  A pick under live is decoded afresh each time."""
+        if live is None:
+            entry = self._picks.get((src, dst))
+            if entry is None:
+                a, b, tiers = self._tiers(src, dst)
+                entry = self._picks[src, dst] = (prod(map(len, tiers)), {}, a, b, tiers)
+            n, paths, a, b, tiers = entry
+            j = k % n
+            path = paths.get(j)
+            if path is None:
+                path = paths[j] = self._path(src, dst, a, b, tiers, j)
+            return path
         a, b, tiers = self._tiers(src, dst)
-        if live is not None:
-            up = self._live_tiers(a, b, tiers, live)
-            if up is not None:
-                tiers = up
+        up = self._live_tiers(a, b, tiers, live)
+        if up is not None:
+            tiers = up
         return self._path(src, dst, a, b, tiers, k)
 
     # -- export ------------------------------------------------------------

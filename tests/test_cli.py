@@ -275,12 +275,17 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, text, command):
     {"server_power": {"f_max": 1.0}},
     {"architecture": {"preset": "two_tier", "link_delay_s": 1e-8}},
     {"architecture": {"preset": "three_tier", "uplinks_per_access": 2}},
+    # finite wattages whose sum, the idle draw, overflows to an infinity
+    {"architecture": {"kind": "two_tier", "core_count": 2, "agg_count": 0,
+                      "access_count": 2, "servers_per_access": 2},
+     "switch_power": {"core": {"port_power_by_rate": {"1e9": 0.4, "1e10": 1.0}}},
+     "server_power": {"p_fixed_w": 1e308, "p_idle_cpu_w": 1e308}},
 ], ids=["fractional-seed", "negative-seed", "fractional-replications",
         "fewer-racks-than-pods", "rate-without-port-power", "negative-chassis-power",
         "negative-linecard-power", "negative-sleep-power", "negative-linecards",
         "negative-port-power", "zero-nic-rate", "negative-bytes-per-cpu-second",
         "too-many-links", "removed-f_max", "removed-link_delay_s",
-        "removed-uplinks_per_access"])
+        "removed-uplinks_per_access", "overflowing-server-draw"])
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 def test_documents_that_cannot_run_are_config_errors(tmp_path, capsys, doc, command):
     path = tmp_path / "doc.json"

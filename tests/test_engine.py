@@ -370,6 +370,7 @@ def _check_derived_state(state, seen):
                                 if srv.asleep and srv.transition_until is not None}
     assert state.awake_ids == [srv.id for srv in servers
                                if not srv.asleep and srv.transition_until is None]
+    assert state.wakeable == _wakeable_reference(state)
     seen["waking"] += len(state.waking_ids)
     for srv in servers:
         assert srv.asleep or not srv.pending, srv.id
@@ -538,11 +539,6 @@ def _placement_reference(state, demand, deadline):
     ranked = []
     for sid in state.topology.server_ids:
         srv = state.nodes[sid]
-        rack_id = state.topology.access_of_server(sid)
-        rack = state.nodes[rack_id]
-        # the aggregation switches wired to the rack; a two-tier rack has none
-        aggs = [state.nodes[a] for a in _neighbours(state.topology, rack_id, ROLE_AGG)]
-        dark_uplink = _falling_asleep(rack) or (aggs and all(map(_falling_asleep, aggs)))
         if not srv.asleep and srv.transition_until is None:
             window = deadline - now
             if window > 0 and srv.committed <= 1.0 - demand / window + eps:
@@ -552,11 +548,25 @@ def _placement_reference(state, demand, deadline):
             if (deadline > now and window > 0
                     and srv.committed + demand / window <= 1.0 + eps):
                 ranked.append(((1, -srv.committed, sid), (sid, demand / window, False)))
-        elif srv.asleep and not dark_uplink:
+        elif srv.asleep and not _dark_uplink(state, sid):
             window = deadline - (now + TRANSITION_SECONDS)
             if window > 0 and demand / window <= 1.0 + eps:
                 ranked.append(((2, 0.0, sid), (sid, demand / window, True)))
     return [entry for _key, entry in sorted(ranked)]
+
+
+def _dark_uplink(state, sid):
+    """Whether the server's rack switch, or every aggregation switch wired
+    to that rack (a two-tier rack has none), is falling asleep."""
+    rack_id = state.topology.access_of_server(sid)
+    aggs = [state.nodes[a] for a in _neighbours(state.topology, rack_id, ROLE_AGG)]
+    return _falling_asleep(state.nodes[rack_id]) or bool(aggs and all(map(_falling_asleep, aggs)))
+
+
+def _wakeable_reference(state):
+    """The dormant servers placement may offer for a wake, by id."""
+    return [sid for sid in state.topology.server_ids
+            if _dormant(state.nodes[sid]) and not _dark_uplink(state, sid)]
 
 
 def test_placement_order_is_the_documented_sort(make_cfg, monkeypatch):
@@ -636,6 +646,38 @@ def test_no_server_wakes_under_a_pod_spine_falling_asleep(make_cfg):
     assert sum(state.nodes[a].transition_until is not None for a in aggs) == 1
 
 
+def test_no_server_wakes_under_a_rack_switch_falling_asleep(make_cfg):
+    """Once a rack's servers are dormant its rack switch may start to sleep.
+    While every sleeping server's rack switch is in that transition no
+    server is offered for a wake: its rack switch could not be woken with
+    it.  As each rack switch's sleep completes its servers are offered
+    again, every offered server in id order."""
+    state = SimState(make_cfg(architecture=_TWO_PODS, policy={"scheme": "dns"}))
+    topo = state.topology
+    # the first rack of each pod
+    racks = [topo.racks_of_pod(0).start, topo.racks_of_pod(1).start]
+    servers = [sid for acc in racks for sid in topo.servers_of_access(acc)]
+    engine._apply_sleeps(state, servers)
+    _complete(state, servers)
+
+    def offered(deadline):
+        got = list(state.placement_order(0.1, deadline))
+        assert got == _placement_reference(state, 0.1, deadline)
+        return [sid for sid, _rate, wake in got if wake]
+
+    assert offered(state.clock + 10.0) == servers
+    engine._apply_sleeps(state, racks)
+    assert all(state.nodes[acc].transition_until is not None for acc in racks)
+    assert offered(state.clock + 10.0) == []
+    # the later rack completes first: its servers come back on their own
+    state.clock += TRANSITION_SECONDS
+    engine._handle_transition(state, racks[1])
+    assert offered(state.clock + 10.0) == list(topo.servers_of_access(racks[1]))
+    engine._handle_transition(state, racks[0])
+    assert offered(state.clock + 10.0) == servers
+    assert state.wakeable == servers
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("fabric", [
     {"kind": kind, "core_count": 2, "agg_count": aggs, "access_count": 8,
@@ -652,6 +694,7 @@ def test_switch_churn_never_puts_a_flow_over_a_down_link(make_cfg, monkeypatch, 
     handle = engine._handle_transition
 
     def counted(state, nid):
+        assert state.wakeable == _wakeable_reference(state)
         if state.nodes[nid].cls != engine.CLS_SERVER:
             key = (state.topology.roles[nid], state.nodes[nid].asleep)
             seen[key] = seen.get(key, 0) + 1
@@ -676,16 +719,18 @@ def test_switch_churn_never_puts_a_flow_over_a_down_link(make_cfg, monkeypatch, 
 @pytest.fixture
 def checked_recompute(monkeypatch):
     """Wrap FlowNet._recompute: after each call, every flow of the component
-    must hold exactly fairshare.allocate's rate over the component."""
-    seen = {"calls": 0, "single": 0, "multi": 0}
+    must hold exactly fairshare.allocate's rate over the component, a flow
+    rated alone among them."""
+    seen = {"calls": 0, "single": 0, "multi": 0, "lone": 0}
     original = fairshare.FlowNet._recompute
 
-    def checked(net, seed_dirs, now):
-        original(net, seed_dirs, now)
+    def checked(net, seed_dirs, now, lone=None):
+        original(net, seed_dirs, now, lone)
         comp = check_fill(net, seed_dirs)
         seen["calls"] += 1
         seen["single"] += len(comp) == 1
         seen["multi"] += len(comp) > 1
+        seen["lone"] += lone is not None
 
     monkeypatch.setattr(fairshare.FlowNet, "_recompute", checked)
     return seen
@@ -698,6 +743,7 @@ def test_recompute_rates_equal_the_fill_over_each_component(make_cfg, checked_re
                              "mean_compute": 0.1})
     engine.run(cfg)
     assert checked_recompute["calls"] > 100 and checked_recompute["multi"] > 100
+    assert checked_recompute["lone"] > 100
     assert checked_recompute["single"] > 100
 
 

@@ -308,8 +308,10 @@ class _FlowNetSteps(RuleBasedStateMachine):
         self.filled = {}   # flow -> its rate and its links' capacities at its last refill
         refill = net._recompute
 
-        def checked(seed_dirs, now):
-            refill(seed_dirs, now)
+        def checked(seed_dirs, now, lone=None):
+            # a flow rated alone is the only one on its directions
+            assert lone is None or all(net.dir_flows[d] == {lone} for d in seed_dirs)
+            refill(seed_dirs, now, lone)
             for fid in check_fill(net, seed_dirs):
                 fl = net.flows[fid]
                 self.filled[fid] = (fl.rate, [net.cap[d] for d in fl.res])

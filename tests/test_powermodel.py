@@ -143,6 +143,10 @@ def test_param_validation():
     OverflowError or give an infinity mid-run."""
     with pytest.raises(ValueError):
         ServerPowerParams(p_fixed_w=-1.0)
+    # finite terms whose idle or full-speed sum overflows
+    for over in ({"p_idle_cpu_w": 1e308}, {"p_f_w": 1e308}):
+        with pytest.raises(ValueError, match="finite"):
+            ServerPowerParams(p_fixed_w=1e308, **over)
     with pytest.raises(ValueError):
         SwitchPowerParams(p_chassis_w=100.0, port_power_by_rate={1e9: -0.4})
     for count, watts in ((10 ** 400, 0.0), (10 ** 300, 1e10)):

@@ -223,7 +223,7 @@ def test_scheduler_reads_the_engine_through_its_queries():
                  and node.value.attr == "net"}
     assert net_reads == set()
     attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert not attrs & {"cands", "waking_ids", "sleeping", "committed", "transition_until"}
+    assert not attrs & {"cands", "waking_ids", "wakeable", "committed", "transition_until"}
 
 
 def test_flow_state_stays_in_the_network():
@@ -269,7 +269,7 @@ def test_only_the_engine_routes():
 # constructor) move the mode indexes
 TRANSITION_WRITERS = {"engine._Node.__init__", "engine._begin_transition",
                       "engine._handle_transition"}
-MODE_INDEXES = {"awake_ids", "sleeping", "waking_ids", "switch_live", "dark_switches"}
+MODE_INDEXES = {"awake_ids", "waking_ids", "wakeable", "switch_live", "dark_switches"}
 INDEX_WRITERS = {"engine.SimState.__init__", "engine._begin_transition",
                  "engine._handle_transition"}
 

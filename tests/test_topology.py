@@ -220,7 +220,10 @@ class BfsReference:
             if root != src:
                 nodes.append(src)
                 links.append(self.trunks + src - topo.server_ids.start)
-            out.append(Path(tuple(reversed(nodes)), tuple(reversed(links))))
+            nodes, links = tuple(reversed(nodes)), tuple(reversed(links))
+            # directed link 2 * id runs from the lower node id to the higher
+            dirs = tuple(2 * lid + (u > v) for u, v, lid in zip(nodes, nodes[1:], links))
+            out.append(Path(nodes, links, dirs))
         return out
 
 
@@ -331,6 +334,37 @@ def test_live_path_with_every_switch_up_is_kth_path():
     n = topo.path_count(src, dst)
     for k in range(3 * n):
         assert topo.pick_path(src, dst, k, live) == topo.kth_path(src, dst, k % n)
+
+
+def test_a_pick_with_every_switch_up_is_kept_and_one_under_live_is_not():
+    """A repeated pick with no live filter hands out the path kept from the
+    first, equal to a fresh decode of its index mod n; a pick under a live
+    filter, every switch up or not, is decoded afresh and kept nowhere."""
+    for spec in POCKET_FABRICS.values():
+        topo = build_topology(spec)   # nothing kept yet
+        ends = [*topo.server_ids, topo.gateway]
+        n_switches = topo.server_ids.start
+        live = [True] * n_switches
+        dark = [w != topo.core_ids[-1] for w in range(n_switches)]
+        for src in ends:
+            for dst in ends:
+                if src == dst:
+                    continue
+                n = topo.path_count(src, dst)
+                for k in (0, 7, 2**64 - 1):
+                    first = topo.pick_path(src, dst, k)
+                    assert first == topo._path(src, dst, *topo._tiers(src, dst), k % n)
+                    assert first == topo.kth_path(src, dst, k % n)
+                    assert topo.pick_path(src, dst, k + n) is first
+                    kept = len(topo._picks), sum(len(e[1]) for e in topo._picks.values())
+                    for filt in (live, dark):
+                        got = topo.pick_path(src, dst, k, filt)
+                        assert got is not first
+                        assert all(got is not p for e in topo._picks.values()
+                                   for p in e[1].values())
+                    assert (len(topo._picks),
+                            sum(len(e[1]) for e in topo._picks.values())) == kept
+                    assert topo.pick_path(src, dst, k, live) == first
 
 
 def test_preset_path_counts():
