@@ -93,6 +93,20 @@ class ScenarioConfig:
             raise ConfigError("pue_overhead must be >= 1 (facility/IT ratio)")
         if self.price_per_kwh < 0:
             raise ConfigError("price_per_kwh must be non-negative")
+        from .report import annualize_cost
+        # finite draws can still sum, or mount up, past the float range
+        arch, srv, sw = self.architecture, self.server_power, self.switch_power
+        draw = (arch.server_count * max(srv.idle_w, srv.busy_w(1.0), srv.p_sleep_w)
+                + sum(n * max(sw[role].base_w, sw[role].p_sleep_w) for role, n in zip(
+                    SWITCH_ROLES, (arch.core_count, arch.agg_count, arch.access_count)))
+                + 2 * arch.link_count * max(w for p in sw.values()
+                                            for w in p.port_power_by_rate.values()))
+        joules = draw * self.horizon_s
+        cost = annualize_cost(joules / 3600.0, self.horizon_s, self.price_per_kwh,
+                              self.pue_overhead)
+        if not (math.isfinite(joules) and math.isfinite(cost)):
+            raise ConfigError("the fleet's largest draw over the horizon, or its annual "
+                              "cost, is not finite")
         if self.target_load is not None and not 0 < self.target_load <= 1:
             raise ConfigError("target_load must be in (0, 1]")
         try:

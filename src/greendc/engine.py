@@ -23,9 +23,9 @@ pending list until the wake completes, even when it arrives at the very
 instant the wake ends; so a server carrying a flow is always awake.  The
 dormant servers placement may offer for a wake are indexed by id in
 SimState.wakeable: those whose rack switch, and whose pod's whole
-aggregation pair, is not falling asleep.  Only _begin_transition and
-_handle_transition change it, each replacing the one slice a transition
-can move: the server's own entry, or a rack's or a pod's servers, which are
+aggregation pair, is not falling asleep.  Every transition, as it starts
+and as it completes, replaces the one slice of it that the transition can
+move: the server's own entry, or a rack's or a pod's servers, which are
 contiguous ids.
 
 Each transfer is routed once, when it starts.  Its path is an equal-cost
@@ -317,13 +317,14 @@ class SimState:
 
     def _wakeable_span(self, nid: int) -> tuple[int, int, list[int]]:
         """The slice of wakeable that a transition of node nid can change,
-        as (start, stop, the servers it holds now).  A dormant server may be
-        offered for a wake unless its rack switch, or its pod's whole
-        aggregation pair, is falling asleep: it could not be woken with
-        them.  So the slice is the server itself, a rack switch's servers,
-        or an aggregation switch's pod's servers when its partner is falling
-        asleep (else the pair's state is the same either side of the
-        transition); a rack's or a pod's servers are contiguous ids."""
+        as (start, stop, the servers it holds now); every transition start
+        and completion replaces it.  A dormant server may be offered for a
+        wake unless its rack switch, or its pod's whole aggregation pair, is
+        falling asleep: it could not be woken with them.  The slice is the
+        server itself, a rack switch's servers, or an aggregation switch's
+        pod's servers while its partner is falling asleep (else the pair's
+        state is the same either side of the transition); a rack's or a
+        pod's servers are contiguous ids."""
         topo, nodes = self.topology, self.nodes
         role = topo.roles[nid]
         if role == ROLE_SERVER:
@@ -331,11 +332,10 @@ class SimState:
         elif role == ROLE_ACCESS:
             servers = topo.servers_of_access(nid)
         elif role == ROLE_AGG:
-            pod = topo.pod_of_agg(nid)
-            a, b = topo.aggs_of_pod(pod)
+            racks = topo.racks_of_pod(topo.pod_of_agg(nid))
+            a, b = topo.pair_of(racks.start)
             if not nodes[b if nid == a else a].falling_asleep():
                 return 0, 0, []
-            racks = topo.racks_of_pod(pod)
             servers = range(topo.servers_of_access(racks.start).start,
                             topo.servers_of_access(racks.stop - 1).stop)
         else:
@@ -344,13 +344,10 @@ class SimState:
         for sid in servers:
             if nodes[sid].dormant():
                 acc = topo.access_of_server(sid)
-                if nodes[acc].falling_asleep():
-                    continue
-                if topo.pod_count:
-                    a, b = topo.aggs_of_pod(topo.pod_of_access(acc))
-                    if nodes[a].falling_asleep() and nodes[b].falling_asleep():
-                        continue
-                offered.append(sid)
+                pair = topo.pair_of(acc)
+                if not (nodes[acc].falling_asleep() or pair and nodes[pair[0]].falling_asleep()
+                        and nodes[pair[1]].falling_asleep()):
+                    offered.append(sid)
         ids = self.wakeable
         return bisect_left(ids, servers.start), bisect_left(ids, servers.stop), offered
 
@@ -561,8 +558,9 @@ def _job_piece_done(state: SimState, jr: _JobRun) -> None:
 
 
 def _begin_transition(state: SimState, nid: int) -> None:
-    """Start a node's sleep when it is fully awake, its wake when dormant; a
-    switch's wake moves its routing indexes only when it completes."""
+    """Start a node's sleep when it is fully awake, its wake when dormant,
+    and refresh its slice of wakeable; a switch's wake moves its routing
+    indexes only when it completes."""
     node = state.nodes[nid]
     node.transition_until = state.clock + TRANSITION_SECONDS
     server = node.cls == CLS_SERVER
@@ -575,10 +573,8 @@ def _begin_transition(state: SimState, nid: int) -> None:
     else:
         state.dark_switches += 1
         state.switch_live[nid] = False
-    if server == node.asleep:
-        # a server's wake or a switch's sleep: the starts that move wakeable
-        i, j, ids = state._wakeable_span(nid)
-        state.wakeable[i:j] = ids
+    i, j, ids = state._wakeable_span(nid)
+    state.wakeable[i:j] = ids
     state.push(node.transition_until, EV_TRANSITION, 0 if server else 1, nid)
 
 
@@ -587,16 +583,14 @@ def _begin_wake(state: SimState, sid: int) -> None:
     pod spine has gone fully dark, one aggregation switch.  The switch
     transitions are pushed first so that, on simultaneous completion, the
     uplink path is up before the server's flows start."""
-    topo = state.topology
-    acc = topo.access_of_server(sid)
-    if state.nodes[acc].dormant():
+    nodes = state.nodes
+    acc = state.topology.access_of_server(sid)
+    if nodes[acc].dormant():
         _begin_transition(state, acc)
-    if topo.pod_count:
-        # placement_order keeps one of the pair out of a sleep transition
-        pair = [a for a in topo.aggs_of_pod(topo.pod_of_access(acc))
-                if not state.nodes[a].falling_asleep()]
-        if all(state.nodes[a].dormant() for a in pair):
-            _begin_transition(state, pair[0])
+    # placement_order keeps one of the pair out of a sleep transition
+    pair = [g for g in state.topology.pair_of(acc) if not nodes[g].falling_asleep()]
+    if pair and all(nodes[g].dormant() for g in pair):
+        _begin_transition(state, pair[0])
     _begin_transition(state, sid)
 
 
@@ -708,10 +702,8 @@ def _handle_transition(state: SimState, nid: int) -> None:
         state.switch_live[nid] = True
     else:
         state._set_w(node, node.p_sleep_w)
-    if not waking:
-        # a server turns dormant, a switch stops barring the wakes under it
-        i, j, ids = state._wakeable_span(nid)
-        state.wakeable[i:j] = ids
+    i, j, ids = state._wakeable_span(nid)
+    state.wakeable[i:j] = ids
     nodes = state.nodes
     flips = [flip for nbr, lid in state.topology.adj[nid]
              if (flip := state.net.set_link(lid, not node.asleep and not nodes[nbr].asleep))]

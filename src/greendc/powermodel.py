@@ -25,10 +25,6 @@ DVS_TIER_FRACTIONS = (0.01, 0.1, 1.0)
 DVS_HEADROOM = 1.25
 
 
-class UnknownRate(KeyError):
-    pass
-
-
 class ReadOnlyDict(dict):
     """A dict that refuses every change once built, so a power table checked
     when its config was built stays as checked; a copy or an unpickled one
@@ -131,10 +127,8 @@ def port_power_at_tier(native_rate_bps: float, tier_bps: float,
     """Transceiver draw when a port runs below its native rate.
 
     Sub-native tiers scale the native transceiver power linearly with the
-    selected rate.
+    selected rate.  The table covers every native rate of a fabric's ports:
+    ScenarioConfig refuses one that does not when it is built.
     """
-    base = port_power_by_rate.get(native_rate_bps)
-    if base is None:
-        raise UnknownRate(f"no port power configured for rate {native_rate_bps:g} b/s")
-    return base * (tier_bps / native_rate_bps)
+    return port_power_by_rate[native_rate_bps] * (tier_bps / native_rate_bps)
 

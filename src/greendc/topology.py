@@ -12,16 +12,16 @@ External traffic terminates at the gateway, which is core switch 0.
 
 Equal-cost paths follow from pod and index arithmetic, because each fabric
 is regular: a three-tier rack switch is dual-homed onto its pod's
-aggregation pair and every aggregation switch is wired to every core; a
-two-tier rack switch is wired to every core.  So the minimum-hop paths
-between two endpoints are one choice per tier between them (aggregation
-switch on the destination's side, core, aggregation switch on the source's
-side), the k-th path is k read as a mixed-radix number over those choices,
-and link ids come from the build order.  Paths that avoid dark switches are
-the same product over each tier's live switches, so they keep their order
-in the full enumeration.  Nothing is searched or cached per root; a pick
-with every switch up is kept, per endpoint pair and path index, and handed
-out again (Topology.pick_path).
+aggregation pair (Topology.pair_of) and every aggregation switch is wired
+to every core; a two-tier rack switch is wired to every core.  So the
+minimum-hop paths between two endpoints are one choice per tier between
+them (aggregation switch on the destination's side, core, aggregation
+switch on the source's side), the k-th path is k read as a mixed-radix
+number over those choices, and link ids come from the build order.  Paths
+that avoid dark switches are the same product over each tier's live
+switches, so they keep their order in the full enumeration.  Nothing is
+searched or cached per root; a pick with every switch up is kept, per
+endpoint pair and path index, and handed out again (Topology.pick_path).
 """
 
 from __future__ import annotations
@@ -92,9 +92,7 @@ class ArchitectureSpec:
             if self.access_count < self.agg_count // 2:
                 raise InvalidSpec("access_count must be at least the number of "
                                   "aggregation pairs (agg_count // 2)")
-        c, x = self.core_count, self.access_count
-        trunks = c * (c - 1) // 2 + x * c if self.kind == TWO_TIER else self.agg_count * c + 2 * x
-        if trunks + self.server_count > MAX_LINKS:
+        if self.link_count > MAX_LINKS:
             raise InvalidSpec(f"the fabric has more than the {MAX_LINKS:,} links a run may hold")
 
     def port_rates(self) -> set[tuple[float, int]]:
@@ -113,6 +111,13 @@ class ArchitectureSpec:
     @property
     def server_count(self) -> int:
         return self.access_count * self.servers_per_access
+
+    @property
+    def link_count(self) -> int:
+        """Trunks plus server links."""
+        c, x = self.core_count, self.access_count
+        trunks = c * (c - 1) // 2 + x * c if self.kind == TWO_TIER else self.agg_count * c + 2 * x
+        return trunks + self.server_count
 
 
 class Link(NamedTuple):
@@ -195,13 +200,11 @@ class Topology:
                         for acc in self.access_ids for ci in self.core_ids]
         else:
             triples = [(agg, ci, s.agg_core_bps) for agg in self.agg_ids for ci in self.core_ids]
-            pair_count = s.agg_count // 2
-            pod_size = s.access_count // pair_count
-            pods = [self.aggs_of_pod(p) for p in range(pair_count)]
-            for k, acc in enumerate(self.access_ids):
+            pods = [self.aggs_of_pod(p) for p in range(self.pod_count)]
+            for acc in self.access_ids:
                 # contiguous pods: each block of racks dual-homes onto one
                 # aggregation pair, so consolidation by id stays podwise
-                pair = pods[min(k // pod_size, pair_count - 1)]
+                pair = pods[self.pod_of_access(acc)]
                 triples += [(acc, pair[0], s.access_uplink_bps),
                             (acc, pair[1], s.access_uplink_bps)]
                 self._pair_of_rack.append(pair)
@@ -242,6 +245,11 @@ class Topology:
         size, acc = self.spec.access_count // self.pod_count, self.access_ids
         last = pod == self.pod_count - 1
         return range(acc.start + pod * size, acc.stop if last else acc.start + (pod + 1) * size)
+
+    def pair_of(self, access: int) -> tuple[int, ...]:
+        """The aggregation pair a rack switch is wired to; () on two-tier."""
+        pairs = self._pair_of_rack
+        return pairs[access - self.access_ids.start] if pairs else ()
 
     def pod_of_agg(self, agg: int) -> int:
         return (agg - self.agg_ids.start) // 2

@@ -280,12 +280,17 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, text, command):
                       "access_count": 2, "servers_per_access": 2},
      "switch_power": {"core": {"port_power_by_rate": {"1e9": 0.4, "1e10": 1.0}}},
      "server_power": {"p_fixed_w": 1e308, "p_idle_cpu_w": 1e308}},
+    # finite draws whose sum over the fleet, or whose annual cost, overflows
+    {"server_power": {"p_fixed_w": 1e306}, "horizon_s": 0.2},
+    {"price_per_kwh": 1e305, "horizon_s": 0.2},
+    {"pue_overhead": 1e306, "horizon_s": 0.2},
 ], ids=["fractional-seed", "negative-seed", "fractional-replications",
         "fewer-racks-than-pods", "rate-without-port-power", "negative-chassis-power",
         "negative-linecard-power", "negative-sleep-power", "negative-linecards",
         "negative-port-power", "zero-nic-rate", "negative-bytes-per-cpu-second",
         "too-many-links", "removed-f_max", "removed-link_delay_s",
-        "removed-uplinks_per_access", "overflowing-server-draw"])
+        "removed-uplinks_per_access", "overflowing-server-draw", "overflowing-fleet-draw",
+        "overflowing-price", "overflowing-pue"])
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 def test_documents_that_cannot_run_are_config_errors(tmp_path, capsys, doc, command):
     path = tmp_path / "doc.json"

@@ -10,7 +10,7 @@ from greendc import config, engine
 from greendc.engine import SimState
 from greendc.powermodel import (
     DEFAULT_PORT_POWER_W, TRANSITION_SECONDS, ServerPowerParams, SwitchPowerParams,
-    DVS_HEADROOM, UnknownRate, dvs_rate_tiers, dvs_tier_index, port_power_at_tier,
+    DVS_HEADROOM, dvs_rate_tiers, dvs_tier_index, port_power_at_tier,
 )
 
 from conftest import small_scenario
@@ -133,8 +133,6 @@ def test_port_power_scales_with_tier():
         pytest.approx(0.004)
     assert port_power_at_tier(1e10, 1e9, DEFAULT_PORT_POWER_W) == \
         pytest.approx(0.1)
-    with pytest.raises(UnknownRate):
-        port_power_at_tier(2.5e9, 1e9, DEFAULT_PORT_POWER_W)
 
 
 def test_param_validation():

@@ -91,12 +91,17 @@ def test_rack_and_pod_lookups():
         assert uplinks == pair
 
 
-@pytest.mark.parametrize("aggs, racks", [(2, 4), (4, 6), (6, 7), (8, 3 * 4 + 3)])
+@pytest.mark.parametrize("aggs, racks", [(0, 4), (2, 4), (4, 6), (6, 7), (8, 3 * 4 + 3)])
 def test_pod_closed_forms_invert_the_wiring(aggs, racks):
-    """racks_of_pod and pod_of_agg agree with the links: a pod's racks are
-    exactly the rack switches wired to its aggregation pair."""
-    topo = build_topology(ArchitectureSpec(kind=THREE_TIER, core_count=2, agg_count=aggs,
-                                           access_count=racks, servers_per_access=1))
+    """racks_of_pod, pod_of_agg and pair_of agree with the links: a pod's
+    racks are exactly the rack switches wired to its aggregation pair, and
+    pair_of gives each rack's aggregation neighbours (none on two-tier)."""
+    topo = build_topology(ArchitectureSpec(kind=THREE_TIER if aggs else TWO_TIER, core_count=2,
+                                           agg_count=aggs, access_count=racks,
+                                           servers_per_access=1))
+    for acc in topo.access_ids:
+        assert topo.pair_of(acc) == tuple(nbr for nbr, _lid in topo.adj[acc]
+                                          if nbr in topo.agg_ids)
     covered = []
     for pod in range(topo.pod_count):
         pair = topo.aggs_of_pod(pod)
@@ -105,7 +110,7 @@ def test_pod_closed_forms_invert_the_wiring(aggs, racks):
         assert list(topo.racks_of_pod(pod)) == wired
         assert all(topo.pod_of_access(acc) == pod for acc in wired)
         covered += wired
-    assert covered == list(topo.access_ids)
+    assert covered == (list(topo.access_ids) if aggs else [])
 
 
 def test_two_tier_has_no_pods():
