@@ -39,7 +39,8 @@ afresh each time.  SimState.transfers is the one list of a job's
 transfers: placement routes them only in SimState.transfers_congested, to
 test a data-intensive job's candidates, and hands no path on; routing is
 pure, so a job that starts the moment it is placed gets the paths the test
-saw.
+saw.  A job's transfers start as one step: _start_flows hands them all to
+FlowNet.add, which fills their component once.
 
 No flow crosses a down link: an awake server's rack switch is live, a pod
 with a rack not dormant keeps an aggregation switch live or waking, the
@@ -535,21 +536,16 @@ def _enqueue_compute(state: SimState, srv: _Server, jr: _JobRun, now: float) -> 
 # job lifecycle
 # ---------------------------------------------------------------------------
 
-def _add_flow(state: SimState, jr: _JobRun, path: Path, nbytes: float) -> None:
-    raised = state.net.add(jr.job.id, path, nbytes, state.clock)
-    if raised:
-        state._price_ports(raised)
-    table = state.nodes
-    for nid in path.nodes:
-        table[nid].flow_count += 1
-    jr.flows_left += 1
-
-
 def _start_flows(state: SimState, jr: _JobRun) -> None:
     """Route and start a job's transfers, to the internal peer chosen at
-    admission while it stays awake."""
-    for path, nbytes in state.transfers(jr.job, jr.server, jr.dst):
-        _add_flow(state, jr, path, nbytes)
+    admission while it stays awake, as one step of the flow network."""
+    transfers = list(state.transfers(jr.job, jr.server, jr.dst))
+    state._price_ports(state.net.add(jr.job.id, transfers, state.clock))
+    table = state.nodes
+    for path, _ in transfers:
+        for nid in path.nodes:
+            table[nid].flow_count += 1
+    jr.flows_left += len(transfers)
 
 
 def _job_piece_done(state: SimState, jr: _JobRun) -> None:

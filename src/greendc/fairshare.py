@@ -16,16 +16,18 @@ all resources in id order, to the bit.
 FlowNet holds one fabric's flows and what they share: per-direction
 capacities, rate sums and flow sets, link up states and rate tiers.  A
 flow's directed links come with its path (Path.dirs).  A change re-fills
-only the component of flows sharing links with it; a flow added on links
-no other flow crosses is its own component, and takes the fill's one-flow
-rate, the smallest capacity on its path, with no walk.  End events are
-provisional: a rate drop leaves one in place to re-arm when it pops, a
-rise pushes an earlier one.  A link jumps to native rate when a
-flow is routed over it and is trimmed toward its offered load (with
-headroom) at the management tick, so idle ports pay only their scaled
-power; a rate that rises between ticks with no new flow on the link can
-meet its trimmed tier until the next trim.  The network reports each tier
-change and each link flip in one form; pricing them is the caller's.
+only the component of flows sharing links with it; a component of one
+flow takes the fill's one-flow rate, the smallest capacity on its path.
+A job's transfers start together, in one refill, so none has an end
+pushed at a rate it holds for no time.  End events are provisional: a
+rate drop leaves one in place to re-arm when it pops, a rise pushes an
+earlier one.  A link jumps to native rate when a transfer is routed over
+it, and that refill covers the flows going either way over it; it is
+trimmed toward its offered load (with headroom) at the management tick,
+so idle ports pay only their scaled power.  A rate that rises between
+ticks with no new transfer on the link can meet its trimmed tier until
+the next trim.  The network reports each tier change and each link flip
+in one form; pricing them is the caller's.
 """
 
 from __future__ import annotations
@@ -170,38 +172,43 @@ class FlowNet:
         self._push = push
         self._end_kind = end_kind
 
-    def add(self, jid: int, path: Path, nbytes: float, now: float) -> list[tuple[int, int, int]]:
-        """Start job jid's transfer of nbytes along path and fill its
-        component again.  Demand brings each scaled-down link of the path straight
-        back to native rate; returns those tier changes as (link, old, new)."""
+    def add(self, jid: int, transfers: Sequence[tuple[Path, float]],
+            now: float) -> list[tuple[int, int, int]]:
+        """Start job jid's transfers, given as (path, bytes) in the order
+        they start, and fill their component again once.  Demand brings each
+        scaled-down link of the paths straight back to native rate; returns
+        those tier changes as (link, old, new).  A path over a down link is
+        refused before anything changes."""
         link_up = self.link_up
-        if not all([link_up[lid] for lid in path.links]):
+        if not all([link_up[lid] for path, _ in transfers for lid in path.links]):
             raise InternalInvariantViolation(f"job {jid}'s transfer routed over a down link")
-        fid = self.next_id
-        self.next_id += 1
-        res = path.dirs
-        self.flows[fid] = _Flow(jid, res, path.nodes, nbytes, now)
         tier_idx = self.link_tier_idx
         native = self.native_idx
         pending = self.dvs_pending
         dir_flows = self.dir_flows
         raised = []
-        for lid in path.links:
-            if tier_idx[lid] != native:
-                raised.append((lid, tier_idx[lid], native))
-                self._set_tier(lid, native)
-            pending.add(lid)
-        shared = False
-        for d in res:
-            fids = dir_flows[d]
-            if fids is None:
-                dir_flows[d] = {fid}
-            else:
-                if fids:
-                    shared = True
-                fids.add(fid)
-        self.bytes_offered += nbytes
-        self._recompute(res, now, None if shared else fid)
+        seeds: list[int] = []
+        for path, nbytes in transfers:
+            fid = self.next_id
+            self.next_id += 1
+            res = path.dirs
+            self.flows[fid] = _Flow(jid, res, path.nodes, nbytes, now)
+            for lid in path.links:
+                if tier_idx[lid] != native:
+                    raised.append((lid, tier_idx[lid], native))
+                    self._set_tier(lid, native)
+                    # flows going the other way gain the capacity too
+                    seeds += (2 * lid, 2 * lid + 1)
+                pending.add(lid)
+            for d in res:
+                fids = dir_flows[d]
+                if fids is None:
+                    dir_flows[d] = {fid}
+                else:
+                    fids.add(fid)
+            seeds += res
+            self.bytes_offered += nbytes
+        self._recompute(seeds, now)
         return raised
 
     def remove(self, fid: int, now: float) -> _Flow:
@@ -297,12 +304,10 @@ class FlowNet:
                 return True
         return False
 
-    def _recompute(self, seed_dirs: Iterable[int], now: float, lone: int | None = None) -> None:
+    def _recompute(self, seed_dirs: Iterable[int], now: float) -> None:
         """Max-min re-allocation over the affected component, with rescheduling.
 
-        lone is a flow just added whose directions, the seeds, hold no other
-        flow: it is the whole component, so nothing is walked.  Otherwise the
-        component (every flow and directed link reachable from the seeds
+        The component (every flow and directed link reachable from the seeds
         through shared links) is walked once, breadth first, building the
         fill's records as it goes.  A component of one flow skips the fill:
         its rate is the fill's single step, 0.0 + the smallest capacity on
@@ -311,30 +316,26 @@ class FlowNet:
         rated is checked against its capacity."""
         flows = self.flows
         cap = self.cap
-        if lone is not None:
-            members = {lone: seed_dirs}
-            records = seed_dirs   # only its directions are checked below
-        else:
-            dir_flows = self.dir_flows
-            records: dict[int, list] = {}   # directed link -> [residual, unfrozen, members]
-            queue: list[set[int]] = []
-            for d in seed_dirs:
-                fids = dir_flows[d]
-                if fids and d not in records:
-                    records[d] = [cap[d], len(fids), fids]
-                    queue.append(fids)
-            if not queue:
-                return
-            members = {}   # flow -> its directed links
-            for fids in queue:   # queue grows while it is walked, breadth first
-                for fid in fids:
-                    if fid not in members:
-                        res = members[fid] = flows[fid].res
-                        for d2 in res:
-                            if d2 not in records:
-                                f2 = dir_flows[d2]
-                                records[d2] = [cap[d2], len(f2), f2]
-                                queue.append(f2)
+        dir_flows = self.dir_flows
+        records: dict[int, list] = {}   # directed link -> [residual, unfrozen, members]
+        queue: list[set[int]] = []
+        for d in seed_dirs:
+            fids = dir_flows[d]
+            if fids and d not in records:
+                records[d] = [cap[d], len(fids), fids]
+                queue.append(fids)
+        if not queue:
+            return
+        members = {}   # flow -> its directed links
+        for fids in queue:   # queue grows while it is walked, breadth first
+            for fid in fids:
+                if fid not in members:
+                    res = members[fid] = flows[fid].res
+                    for d2 in res:
+                        if d2 not in records:
+                            f2 = dir_flows[d2]
+                            records[d2] = [cap[d2], len(f2), f2]
+                            queue.append(f2)
         if len(members) == 1:
             (fid, res), = members.items()
             order = (fid,)

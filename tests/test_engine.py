@@ -719,18 +719,16 @@ def test_switch_churn_never_puts_a_flow_over_a_down_link(make_cfg, monkeypatch, 
 @pytest.fixture
 def checked_recompute(monkeypatch):
     """Wrap FlowNet._recompute: after each call, every flow of the component
-    must hold exactly fairshare.allocate's rate over the component, a flow
-    rated alone among them."""
-    seen = {"calls": 0, "single": 0, "multi": 0, "lone": 0}
+    must hold exactly fairshare.allocate's rate over the component."""
+    seen = {"calls": 0, "single": 0, "multi": 0}
     original = fairshare.FlowNet._recompute
 
-    def checked(net, seed_dirs, now, lone=None):
-        original(net, seed_dirs, now, lone)
+    def checked(net, seed_dirs, now):
+        original(net, seed_dirs, now)
         comp = check_fill(net, seed_dirs)
         seen["calls"] += 1
         seen["single"] += len(comp) == 1
         seen["multi"] += len(comp) > 1
-        seen["lone"] += lone is not None
 
     monkeypatch.setattr(fairshare.FlowNet, "_recompute", checked)
     return seen
@@ -743,8 +741,41 @@ def test_recompute_rates_equal_the_fill_over_each_component(make_cfg, checked_re
                              "mean_compute": 0.1})
     engine.run(cfg)
     assert checked_recompute["calls"] > 100 and checked_recompute["multi"] > 100
-    assert checked_recompute["lone"] > 100
     assert checked_recompute["single"] > 100
+
+
+def test_a_job_starts_its_transfers_in_one_refill(make_cfg, monkeypatch):
+    """A job with both transfers costs one refill as it starts, and its
+    internal transfer's end is pushed once, at the rate it runs at while
+    the external one shares its server's link: the end pops with the
+    transfer done, not to re-arm."""
+    state = SimState(make_cfg())
+    net = state.net
+    refills, ends = [], []
+    recompute, push = fairshare.FlowNet._recompute, net._push
+
+    def counted(net, seed_dirs, now):
+        refills.append(now)
+        recompute(net, seed_dirs, now)
+
+    def recorded(t, kind, fid, b):
+        ends.append((t, fid))
+        push(t, kind, fid, b)
+
+    monkeypatch.setattr(fairshare.FlowNet, "_recompute", counted)
+    net._push = recorded
+    src, peer = state.topology.server_ids[:2]
+    # 25 MB at half a gigabit is 0.4 s; the 125 MB external copy lasts longer
+    jr = engine._JobRun(balanced_job(0, 0.0, 1.0, 100.0, internal=25e6, external=125e6))
+    jr.server, jr.dst = src, peer
+    engine._start_flows(state, jr)
+    assert refills == [0.0] and jr.flows_left == 2
+    internal, external = net.flows[0], net.flows[1]
+    assert internal.nodes[-1] == peer and internal.rate == external.rate == 0.5e9
+    assert [t for t, fid in ends if fid == 0] == [internal.end_t] == [0.4]
+    state.clock = internal.end_t
+    assert net.finish(0, state.clock) is internal and internal.bytes_left == 0.0
+    assert [t for t, fid in ends if fid == 0] == [0.4]
 
 
 def test_no_flow_crosses_a_down_link(make_cfg):
@@ -758,16 +789,19 @@ def test_no_flow_crosses_a_down_link(make_cfg):
     state.clock = TRANSITION_SECONDS
     engine._handle_transition(state, dark)
     assert state.dark_switches == 1 and not all(state.net.link_up)
+    net = state.net
     src = topo.server_ids[0]
-    jr = engine._JobRun(balanced_job(0, 0.0, 1.0, 100.0))
     assert all(dark not in state.route(src, topo.gateway, salt).nodes for salt in range(8))
     path = next(p for k in range(topo.path_count(src, topo.gateway))
                 if dark in (p := topo.kth_path(src, topo.gateway, k)).nodes)
+    live = state.route(src, topo.gateway, 1)
+    tiers = list(net.link_tier_idx)
+    # a job whose second transfer crosses the down link starts neither
     with pytest.raises(InternalInvariantViolation, match="down link"):
-        engine._add_flow(state, jr, path, 1e6)
-    assert not state.net.flows
-    engine._add_flow(state, jr, state.route(src, topo.gateway, 1), 1e6)
-    (fl,) = state.net.flows.values()
+        net.add(0, [(live, 1e6), (path, 1e6)], state.clock)
+    assert not net.flows and net.next_id == 0 and net.link_tier_idx == tiers
+    net.add(0, [(live, 1e6)], state.clock)
+    (fl,) = net.flows.values()
     assert partner in fl.nodes and fl.rate > 0.0
     # a sleep started under the flow, which dns_tick never asks for
     state.nodes[partner].transition_until = state.clock + TRANSITION_SECONDS
@@ -822,7 +856,7 @@ def test_link_back_up_is_trimmed_at_the_next_pass(make_cfg):
     path = next(p for k in range(topo.path_count(src, topo.gateway))
                 if dark in (p := topo.kth_path(src, topo.gateway, k)).nodes)
     # a flow raises the path to native and drains before any trim
-    state._price_ports(net.add(0, path, 1e6, state.clock))
+    state._price_ports(net.add(0, [(path, 1e6)], state.clock))
     net.remove(next(iter(net.flows)), state.clock)
     engine._apply_sleeps(state, [dark])
     state.clock = TRANSITION_SECONDS
@@ -847,7 +881,7 @@ def test_each_transfer_is_routed_once_at_its_start(make_cfg, monkeypatch):
     congestion test."""
     seen = {"outside": 0, "placing_diw": 0, "placing_other": 0, "flows": 0, "wakes": 0}
     placing = []
-    route, place, add_flow = SimState.route, engine.place, engine._add_flow
+    route, place, add = SimState.route, engine.place, fairshare.FlowNet.add
 
     def counted_route(self, src, dst, salt):
         if not placing:
@@ -867,13 +901,13 @@ def test_each_transfer_is_routed_once_at_its_start(make_cfg, monkeypatch):
         seen["wakes"] += decision.needs_wake
         return decision
 
-    def counted_add_flow(*args):
-        seen["flows"] += 1
-        add_flow(*args)
+    def counted_add(net, jid, transfers, now):
+        seen["flows"] += len(transfers)
+        return add(net, jid, transfers, now)
 
     monkeypatch.setattr(SimState, "route", counted_route)
     monkeypatch.setattr(engine, "place", flagged_place)
-    monkeypatch.setattr(engine, "_add_flow", counted_add_flow)
+    monkeypatch.setattr(fairshare.FlowNet, "add", counted_add)
     cfg = make_cfg(horizon_s=6.0, target_load=0.4,
                    policy={"scheme": "dvfs+dns", "idle_timeout_s": 0.1},
                    workload={"class_mix": [0.0, 0.5, 0.5], "deadline_slack": 2.5,
@@ -890,7 +924,7 @@ def test_congestion_test_routes_the_paths_the_transfers_start_on(make_cfg, monke
     one it tested, are the paths the job's transfers start on, in order."""
     tested, started, routing, arriving = {}, {}, [], []
     congested, route = SimState.transfers_congested, SimState.route
-    handle_arrival, add_flow = engine._handle_arrival, engine._add_flow
+    handle_arrival, add = engine._handle_arrival, fairshare.FlowNet.add
     seen = {"refused": 0, "dark": 0}
 
     def recorded_congested(self, job, server, threshold):
@@ -917,15 +951,15 @@ def test_congestion_test_routes_the_paths_the_transfers_start_on(make_cfg, monke
         finally:
             arriving.pop()
 
-    def recorded_add_flow(state, jr, path, nbytes):
-        if arriving and arriving[-1] == jr.job.id:
-            started.setdefault(jr.job.id, []).append(path)
-        add_flow(state, jr, path, nbytes)
+    def recorded_add(net, jid, transfers, now):
+        if arriving and arriving[-1] == jid:
+            started.setdefault(jid, []).extend(path for path, _ in transfers)
+        return add(net, jid, transfers, now)
 
     monkeypatch.setattr(SimState, "transfers_congested", recorded_congested)
     monkeypatch.setattr(SimState, "route", recorded_route)
     monkeypatch.setattr(engine, "_handle_arrival", recorded_arrival)
-    monkeypatch.setattr(engine, "_add_flow", recorded_add_flow)
+    monkeypatch.setattr(fairshare.FlowNet, "add", recorded_add)
     # one server per rack: every internal peer is across the fabric, where
     # the transfer's salt picks among equal-cost paths
     cfg = make_cfg(horizon_s=4.0, target_load=0.4,

@@ -9,10 +9,11 @@ exactly its floats, because the rates feed event times and the trace.
 The network hands `fill` its records in the order its component walk met
 them, so `fill` must give those floats over any record order.
 
-FlowNet is driven by a stateful test over two pocket fabrics: random adds,
-removes, finishes, rate trims and links going down and up, with every
-refill checked bit for bit against `allocate` over the component it walked,
-and every flow over a down link, or link going down under a flow, refused.
+FlowNet is driven by a stateful test over two pocket fabrics: random job
+starts of one or two transfers, removes, finishes, rate trims and links
+going down and up, with every refill checked bit for bit against
+`allocate` over the component it walked, and every flow over a down link,
+or link going down under a flow, refused.
 """
 
 import random
@@ -289,13 +290,38 @@ def check_fill(net, seed_dirs):
     return comp
 
 
+def test_a_raised_link_refills_the_flows_going_the_other_way():
+    """A transfer that raises a trimmed link to native rate refills the
+    flows crossing that link the other way too, to allocate's rates over
+    the new capacities."""
+    topo = build_topology(ArchitectureSpec("three_tier", core_count=2, agg_count=4,
+                                           access_count=4, servers_per_access=2))
+    net = FlowNet(topo, lambda t, kind, fid, _b: None, 3)
+    s1, s2 = topo.server_ids[:2]
+    into_s1 = topo.pick_path(s2, s1, 0)
+    # twelve more transfers out of s2 hold the one into s1 at a thirteenth
+    # of a gigabit, so the trim takes s1's link down to 100 Mb/s
+    net.add(0, [(into_s1, 1e9)] + [(topo.pick_path(s2, topo.gateway, 0), 1e9)] * 12, 0.0)
+    net.trim(0.0)
+    lid = into_s1.links[-1]
+    assert net.link_tier_idx[lid] == 1
+    for fid in range(1, 13):
+        net.remove(fid, 0.0)
+    assert net.flows[0].rate == 1e8      # held by s1's trimmed link
+    raised = net.add(1, [(topo.pick_path(s1, topo.gateway, 0), 1e9)], 0.0)
+    assert (lid, 1, net.native_idx) in raised
+    assert check_fill(net, net.flows[0].res) == {0}
+    assert net.flows[0].rate == 1e9
+
+
 class _FlowNetSteps(RuleBasedStateMachine):
     """Random steps on one pocket fabric's network.  Every refill is checked
     as it happens, and a flow over a down link or a link going down under a
     flow is refused with the network unchanged; after every step, each flow
-    crosses only up links, still holds the rate of its last refill with no
-    capacity of its path lowered since and has its end pushed no later than
-    its bytes run out, and no direction is over its capacity."""
+    crosses only up links, still holds the rate of its last refill with
+    every capacity of its path as that refill saw it and has its end pushed
+    no later than its bytes run out, and no direction is over its
+    capacity."""
     spec: ArchitectureSpec
 
     def __init__(self):
@@ -308,10 +334,8 @@ class _FlowNetSteps(RuleBasedStateMachine):
         self.filled = {}   # flow -> its rate and its links' capacities at its last refill
         refill = net._recompute
 
-        def checked(seed_dirs, now, lone=None):
-            # a flow rated alone is the only one on its directions
-            assert lone is None or all(net.dir_flows[d] == {lone} for d in seed_dirs)
-            refill(seed_dirs, now, lone)
+        def checked(seed_dirs, now):
+            refill(seed_dirs, now)
             for fid in check_fill(net, seed_dirs):
                 fl = net.flows[fid]
                 self.filled[fid] = (fl.rate, [net.cap[d] for d in fl.res])
@@ -321,24 +345,28 @@ class _FlowNetSteps(RuleBasedStateMachine):
     def _pick(self, i):
         return sorted(self.net.flows)[i % len(self.net.flows)]
 
-    @rule(a=st.integers(0, 99), b=st.integers(1, 99), k=st.integers(0, 2 ** 32),
-          nbytes=st.floats(1e3, 1e8))
-    def add(self, a, b, k, nbytes):
+    @rule(a=st.integers(0, 99), peers=st.lists(st.integers(1, 99), min_size=1, max_size=2),
+          k=st.integers(0, 2 ** 32), nbytes=st.floats(1e3, 1e8))
+    def add(self, a, peers, k, nbytes):
+        """One job's one or two transfers from the same end, as a job's
+        internal and external transfers start."""
         n = len(self.ends_at)
         src = a % n
-        dst = (src + 1 + b % (n - 1)) % n   # any end but src
-        path = self.topo.pick_path(self.ends_at[src], self.ends_at[dst], k)
+        dsts = [(src + 1 + b % (n - 1)) % n for b in peers]   # any ends but src
+        transfers = [(self.topo.pick_path(self.ends_at[src], self.ends_at[dst], k + i),
+                      nbytes * (i + 1)) for i, dst in enumerate(dsts)]
         before = list(self.net.link_tier_idx)
-        if not all(self.net.link_up[lid] for lid in path.links):
+        lids = list(dict.fromkeys(lid for path, _ in transfers for lid in path.links))
+        if not all(self.net.link_up[lid] for lid in lids):
             n_flows, next_id = len(self.net.flows), self.net.next_id
             with pytest.raises(InternalInvariantViolation):
-                self.net.add(0, path, nbytes, self.now)
+                self.net.add(0, transfers, self.now)
             assert (len(self.net.flows), self.net.next_id) == (n_flows, next_id)
             assert self.net.link_tier_idx == before
             return
-        raised = self.net.add(0, path, nbytes, self.now)
+        raised = self.net.add(0, transfers, self.now)
         native = self.net.native_idx
-        assert raised == [(lid, before[lid], native) for lid in path.links if before[lid] != native]
+        assert raised == [(lid, before[lid], native) for lid in lids if before[lid] != native]
 
     @precondition(lambda self: self.net.flows)
     @rule(i=st.integers(0, 99))
@@ -396,9 +424,7 @@ class _FlowNetSteps(RuleBasedStateMachine):
         for fid, fl in net.flows.items():
             rate, caps = self.filled[fid]
             assert fl.rate == rate, fid
-            # a flow raising a link to native refills only its own direction,
-            # so the other one may see more capacity than its last refill did
-            assert all(net.cap[d] >= c for d, c in zip(fl.res, caps)), fid
+            assert all(net.cap[d] == c for d, c in zip(fl.res, caps)), fid
             assert all(net.link_up[d >> 1] for d in fl.res), fid
             assert fl.rate > 0.0 and (fl.end_t, fid) in self.ends, fid
             assert fl.end_t <= fl.stamp + fl.bytes_left * 8.0 / fl.rate * (1 + 1e-9)

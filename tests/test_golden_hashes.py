@@ -22,34 +22,34 @@ from greendc.report import write_report_json, write_timeseries_csv
 # report.json, sha256 of timeseries.csv)
 GOLDEN = {
     ("reference-30", "none", "three_tier", 2.0): (
-        "0e06e2e59c0c0212fa1313e278a87b16ef6c8ade1dbee15c81f65bea606194bf",
-        "2204ca4b8b9ebfba29a9354c2a4570a98579ed2de991fa69026b5046057fc1ec",
+        "b360fcb62a3f73fcdeb0f59e88a2f8152fa9cea063b033fa2712cd205e21657e",
+        "9048a56a92828206e78d61f379ad8312ba749b30c8da3eb226428da3eb72c631",
         "727a59f2e56ef8633088a07e4503fe275cc6904a35adb1be6ea8b2685e7cd0ce"),
     ("reference-30", "none", "two_tier", 2.0): (
-        "3b6e34eb4a9fdcd0a1c8d4ef04c4a0a286dd9c1f149e412e880ba6df17243c42",
-        "d6037b969defd6b77788314b64ea8a79adcdd161162a9e9e240e25aeb6049228",
+        "d7695ab3e38e39976c86006040e0f3a1c2ee5f65a912e1f7c7bf0bf7901adb32",
+        "9b65f9260e29ef3ff7a13e8e9a5c4337184a4944f6125e757eb211c71fe26f82",
         "f5bf40e2de67f9ae6915accc55883efe4e036c53fa86ad2ca05baed7c5e037c0"),
     ("reference-30", "none", "three_tier_hs", 2.0): (
-        "9daec1c0c8f999314fbb9b58fcd5ed67180fda9d99413dda8574705bd6474bd4",
-        "3b0878bf38c73be1b1fe370322ff4eda100736a1e12ca7c97e7bdb1630cfce31",
+        "4acf9dd286ef69d681131f92674509a4ca2c1ba15e6a5a22f4fd7677e6604538",
+        "a7ded4c33c8598d6cad4cb0eb0f5923f0881a4366d4fb528bcea2cee9ec5b36f",
         "1cb60ddc23da218378e9a7a812dcd1653da440979236d6164bb9d8be97c40ce1"),
     ("reference-30", "dvfs+dns", "three_tier", 2.0): (
-        "d9f18b31995a076b377fcf797799ff6d68a7c732fb31717f8c354ca2de4c2960",
-        "817f398d80b20394225dd9d23bd9dae4eed03c58b1c68ef55440e626f9e7fa19",
+        "13ccbd25b7e22e7befdf4e205df8d0c97d97836e4f94250cdf3fdefd811839e7",
+        "83accd0714ce49ec42d1b1bf5cd8a1603c11066cd3875978ee12a2fcca854236",
         "66407fc5758a04762d25f9b093a39304e94990e3da840b83a04901d1b418783f"),
     ("reference-30", "dvfs+dns", "two_tier", 2.0): (
-        "854ac10ced413cd384ba8491f3cd7637b3e45df63e14825985e2a88ad9b83d6f",
-        "f7b1b5488048f9efa2b0dfa0f7d0f43501a95e7a353d6998fd644c3f9ac6edc5",
+        "9730c05c68178a839daf1d700e8b66f04592d6328312fc5608073f0920f95600",
+        "790b2044e29b0ee4f9609014382174eae1f5b1f0211fe172998ccc5daa5783bf",
         "1d485e47a7e5bcb48d16ae675863212980ef38396edde35ac8b429d617440d8f"),
     ("reference-30", "dvfs+dns", "three_tier_hs", 2.0): (
-        "7694e0b9525af5e87035dc67d7e4fcc935e8e052671896016ac1ce8820327910",
-        "6ab37c2d6aae4cda266befeb464c147afc89a2730c26524e5e916f016ed57295",
+        "bfa36fff25cf7ed4ee75ed1288a88ae79078ac5dd88360ebdf889eb1d3e376ff",
+        "6779075b4b2a8bae441308246967e7867c3c1adc42f4d047ba078cacead3382d",
         "a8e85e6924841fddd9142d1d2fcd6b28cbdcb9cab3e2652659b680cbf3f50901"),
     # data-intensive placement routes every candidate server around dark
     # switches, so this case pins the live-path choice hardest
     ("diw-30", "dvfs+dns", "three_tier", 2.0): (
-        "39158140cd988135939d82d18764d9369a959ec760e9dcee4cfe06ed206079d5",
-        "c6afbeaa224f40f240b38be3d95944e735f7005a9c4d7d527f08fc5b1936b9c5",
+        "3e5795233ec478384af0fe22ec573552406f701e023e2f44bd1130e4cafb38f0",
+        "2fc01cb86d278453412dd5b4bed0e4ca9f093751dbb3354cbf4cd971023e46dd",
         "8152ef6b46bdc49edbf972adb4cf4ab2b82f7428a4a0fe37fb793a1e9e777458"),
 }
 

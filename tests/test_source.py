@@ -264,6 +264,16 @@ def test_only_the_engine_routes():
     assert callers == {"engine.SimState.transfers"}
 
 
+def test_only_the_job_start_adds_flows():
+    """A job's transfers start as one step: net.add( is called only in
+    engine._start_flows, with all the job's transfers, so no caller can
+    start them one by one and refill between them."""
+    callers = {name for name, func in _functions() for node in ast.walk(func)
+               if isinstance(node, ast.Call)
+               and ast.unparse(node.func).split(".")[-2:] == ["net", "add"]}
+    assert callers == {"engine._start_flows"}
+
+
 # the one sleep/wake path: a node's transition starts in _begin_transition
 # and completes in _handle_transition, and only those two (and the state's
 # constructor) move the mode indexes
