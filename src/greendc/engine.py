@@ -39,8 +39,8 @@ afresh each time.  SimState.transfers is the one list of a job's
 transfers: placement routes them only in SimState.transfers_congested, to
 test a data-intensive job's candidates, and hands no path on; routing is
 pure, so a job that starts the moment it is placed gets the paths the test
-saw.  A job's transfers start as one step: _start_flows hands them all to
-FlowNet.add, which fills their component once.
+saw.  Jobs start as one step, an arrival's or all those a wake held:
+_start_jobs queues them and hands their transfers to one FlowNet.add.
 
 No flow crosses a down link: an awake server's rack switch is live, a pod
 with a rack not dormant keeps an aggregation switch live or waking, the
@@ -52,6 +52,10 @@ Compute completion events are provisional, as the network's flow ends
 are: a frequency drop leaves the scheduled event in place and the pop
 re-arms from live state, while a rise pushes an earlier event.  Stale
 entries are skipped.
+
+The heap holds model events only: the run loop samples the time series
+itself every stats_interval_s, each sample before the first event after its
+time, so sampling moves neither the trace nor the event count.
 
 Power levels change only at events, so integrating per-component power
 between events is exact.  The run loop does it as each event is taken, in
@@ -81,14 +85,11 @@ from .workload import Job, generate
 CLS_SERVER, CLS_CORE, CLS_AGG, CLS_ACCESS = range(4)
 _ROLE_TO_CLS = {ROLE_CORE: CLS_CORE, ROLE_AGG: CLS_AGG, ROLE_ACCESS: CLS_ACCESS}
 
-# event kinds, in trace order.  Kind numbers are hashed into the trace, so
-# EV_RECOMPUTE keeps its slot although nothing pushes it any more: a flow
-# rate change is recomputed inside the event that causes it.
-(EV_ARRIVAL, EV_COMPUTE_END, EV_RECOMPUTE, EV_FLOW_END, EV_TRANSITION,
- EV_TICK, EV_STATS, EV_RELEASE, EV_END) = range(9)
-EVENT_NAMES = ("JobArrival", "ComputePhaseEnd", "FlowRateRecompute",
-               "TransferEnd", "TransitionComplete", "DnsTick", "StatsSample",
-               "ReservationRelease", "SimEnd")
+# event kinds, hashed into the trace; the time series is sampled outside the heap
+(EV_ARRIVAL, EV_COMPUTE_END, EV_FLOW_END, EV_TRANSITION, EV_TICK, EV_RELEASE,
+ EV_END) = range(7)
+EVENT_NAMES = ("JobArrival", "ComputePhaseEnd", "TransferEnd", "TransitionComplete",
+               "DnsTick", "ReservationRelease", "SimEnd")
 
 _EPS = 1e-12
 
@@ -536,16 +537,20 @@ def _enqueue_compute(state: SimState, srv: _Server, jr: _JobRun, now: float) -> 
 # job lifecycle
 # ---------------------------------------------------------------------------
 
-def _start_flows(state: SimState, jr: _JobRun) -> None:
-    """Route and start a job's transfers, to the internal peer chosen at
+def _start_jobs(state: SimState, srv: _Server, jrs: list[_JobRun]) -> None:
+    """Start jobs on an awake server: queue each one's compute, then route
+    and start all their transfers, each to the internal peer chosen at its
     admission while it stays awake, as one step of the flow network."""
-    transfers = list(state.transfers(jr.job, jr.server, jr.dst))
-    state._price_ports(state.net.add(jr.job.id, transfers, state.clock))
-    table = state.nodes
-    for path, _ in transfers:
+    for jr in jrs:
+        _enqueue_compute(state, srv, jr, state.clock)
+    transfers = [(jr.job.id, path, nbytes) for jr in jrs
+                 for path, nbytes in state.transfers(jr.job, jr.server, jr.dst)]
+    state._price_ports(state.net.add(transfers, state.clock))
+    table, jobs = state.nodes, state.jobs
+    for jid, path, _ in transfers:
         for nid in path.nodes:
             table[nid].flow_count += 1
-    jr.flows_left += len(transfers)
+        jobs[jid].flows_left += 1
 
 
 def _job_piece_done(state: SimState, jr: _JobRun) -> None:
@@ -612,8 +617,7 @@ def _handle_arrival(state: SimState, jid: int) -> None:
         # when it arrives at the very instant the wake ends
         srv.pending.append(jid)
         return
-    _enqueue_compute(state, srv, jr, state.clock)
-    _start_flows(state, jr)
+    _start_jobs(state, srv, [jr])
 
 
 def _maybe_release(state: SimState, srv: _Server, jr: _JobRun) -> None:
@@ -706,10 +710,7 @@ def _handle_transition(state: SimState, nid: int) -> None:
     state._price_ports(flips)
     if server and waking:
         pending, node.pending = node.pending, []
-        for jid in pending:
-            jr = state.jobs[jid]
-            _enqueue_compute(state, node, jr, state.clock)
-            _start_flows(state, jr)
+        _start_jobs(state, node, [state.jobs[jid] for jid in pending])
 
 
 def _apply_sleeps(state: SimState, requests: list[int]) -> None:
@@ -737,9 +738,12 @@ def _handle_tick(state: SimState) -> None:
         _apply_sleeps(state, dns_tick(state, policy, now))
 
 
-def _sample_stats(state: SimState) -> None:
+def _sample_stats(state: SimState, t: float) -> None:
+    """Append the row stamped t: the state after every event at or before t,
+    the state the instant leaves, where a sample pushed as an event would
+    show only the events at t pushed before it, an accident of push order."""
     state.timeseries.append({
-        "t": state.clock,
+        "t": t,
         "servers_w": state.class_power[CLS_SERVER],
         "core_w": state.class_power[CLS_CORE],
         "aggregation_w": state.class_power[CLS_AGG],
@@ -761,12 +765,9 @@ def run(cfg: ScenarioConfig, jobs: list[Job] | None = None,
     jobs must come in arrival order with distinct ids, finite arrival
     times, demands and transfer sizes from 0 on and finite deadlines, as
     generate makes them; a job that breaks any of these raises ValueError
-    before the run starts.  Arrivals are taken from their
-    own list, latest first from its end, whenever the next one precedes the
-    heap's head in (time, sequence) order; every arrival is before the
-    horizon, so all of them are taken before SimEnd.  The energy step runs
-    in the loop: its sums live in locals and are written back to the state
-    when the loop ends."""
+    before the run starts.  Arrivals, all before the horizon, are popped
+    from the end of their own list, so all are taken before SimEnd; the loop
+    also samples the time series and integrates energy, in locals."""
     from .report import build_report
 
     state = SimState(cfg, topology)
@@ -800,8 +801,7 @@ def run(cfg: ScenarioConfig, jobs: list[Job] | None = None,
     state.push(horizon, EV_END, 0, 0)
     if cfg.policy.scheme != "none":
         state.push(0.0, EV_TICK, 0, 0)
-    state.push(cfg.policy.stats_interval_s, EV_STATS, 0, 0)
-    _sample_stats(state)
+    _sample_stats(state, 0.0)
 
     heap = state.heap
     heappop = heapq.heappop
@@ -812,6 +812,7 @@ def run(cfg: ScenarioConfig, jobs: list[Job] | None = None,
     warmup = state.warmup
     tick_s = cfg.policy.tick_interval_s
     stats_s = cfg.policy.stats_interval_s
+    sample_t = stats_s   # the next sample time; only those below the horizon are taken
     clock = state.clock
     # the energy ledger: a compensated (Kahan) sum of watts * dt per class
     l0, l1, l2, l3 = state.ledger_j
@@ -836,6 +837,9 @@ def run(cfg: ScenarioConfig, jobs: list[Job] | None = None,
             elif kind == EV_RELEASE:
                 if runs[b].released:
                     continue
+        while t > sample_t < horizon:
+            _sample_stats(state, sample_t)
+            sample_t += stats_s
         dt = t - clock
         if dt > 0.0:
             # power changes only at events, so each interval adds power * dt
@@ -877,11 +881,6 @@ def run(cfg: ScenarioConfig, jobs: list[Job] | None = None,
             nxt = t + tick_s
             if nxt < horizon:
                 state.push(nxt, EV_TICK, 0, 0)
-        elif kind == EV_STATS:
-            _sample_stats(state)
-            nxt = t + stats_s
-            if nxt < horizon:
-                state.push(nxt, EV_STATS, 0, 0)
         elif kind == EV_RELEASE:
             _maybe_release(state, nodes[a], runs[b])
         elif kind == EV_END:
@@ -898,5 +897,5 @@ def run(cfg: ScenarioConfig, jobs: list[Job] | None = None,
         if srv.serving is not None:
             _advance_serving(state, srv, state.clock)
     state.net.settle(state.clock)
-    _sample_stats(state)
+    _sample_stats(state, state.clock)
     return build_report(cfg, state, collect_jobs)

@@ -172,23 +172,24 @@ class FlowNet:
         self._push = push
         self._end_kind = end_kind
 
-    def add(self, jid: int, transfers: Sequence[tuple[Path, float]],
+    def add(self, transfers: Sequence[tuple[int, Path, float]],
             now: float) -> list[tuple[int, int, int]]:
-        """Start job jid's transfers, given as (path, bytes) in the order
-        they start, and fill their component again once.  Demand brings each
+        """Start transfers, given as (job id, path, bytes) in the order they
+        start, and fill their component again once.  Demand brings each
         scaled-down link of the paths straight back to native rate; returns
         those tier changes as (link, old, new).  A path over a down link is
         refused before anything changes."""
         link_up = self.link_up
-        if not all([link_up[lid] for path, _ in transfers for lid in path.links]):
-            raise InternalInvariantViolation(f"job {jid}'s transfer routed over a down link")
+        for jid, path, _ in transfers:
+            if not all([link_up[lid] for lid in path.links]):
+                raise InternalInvariantViolation(f"job {jid}'s transfer routed over a down link")
         tier_idx = self.link_tier_idx
         native = self.native_idx
         pending = self.dvs_pending
         dir_flows = self.dir_flows
         raised = []
         seeds: list[int] = []
-        for path, nbytes in transfers:
+        for jid, path, nbytes in transfers:
             fid = self.next_id
             self.next_id += 1
             res = path.dirs

@@ -227,8 +227,8 @@ def summarize(values) -> dict:
     mean = sum(xs) / n
     if n == 1:
         return {"n": 1, "mean": mean, "stddev": 0.0, "ci95_half_width": 0.0}
-    var = sum((x - mean) ** 2 for x in xs) / (n - 1)
-    sd = math.sqrt(var)
+    # hypot scales as it sums, so no square of a large deviation overflows
+    sd = math.hypot(*(x - mean for x in xs)) / math.sqrt(n - 1)
     half = t_quantile_95(n - 1) * sd / math.sqrt(n)
     return {"n": n, "mean": mean, "stddev": sd, "ci95_half_width": half}
 

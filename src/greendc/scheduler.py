@@ -50,7 +50,7 @@ class SchedulerPolicy:
     dvfs_headroom: float = 0.1
     f_min: float = 0.1
     tick_interval_s: float = 0.25
-    stats_interval_s: float = 60.0
+    stats_interval_s: float = 1.0
 
     def __post_init__(self) -> None:
         # written so that a NaN fails each range test

@@ -192,6 +192,10 @@ def test_interval_bound_holds_at_the_limit():
     for name in ("tick_interval_s", "stats_interval_s"):
         with pytest.raises(ConfigError, match=f"policy.{name}"):
             from_dict({"horizon_s": 100.0, "policy": {name: 1e-5}})
+    # the default 1 s samples bound only a run past 1,000,000 s with ticks over 1 s
+    assert from_dict({"horizon_s": 1e6, "policy": {"tick_interval_s": 2.0}})
+    with pytest.raises(ConfigError, match="policy.stats_interval_s"):
+        from_dict({"horizon_s": 2e6, "policy": {"tick_interval_s": 2.0}})
 
 
 def test_effective_workload_checks_only_the_spec_it_returns():

@@ -198,15 +198,28 @@ def test_arrival_at_the_instant_a_wake_ends_waits_for_the_wake(make_cfg):
     assert finish_of(rep, 0) < finish_of(rep, 1)
 
 
-def test_arrival_is_taken_before_a_heap_event_at_the_same_instant(make_cfg):
+def test_arrival_is_taken_before_a_heap_event_at_the_same_instant(make_cfg, monkeypatch):
     """Arrivals hold the lowest sequence numbers, so at a tie in time the
-    arrival comes first: the stats sample at t=1.0 sees the job that arrives
-    at 1.0 already being served."""
-    cfg = make_cfg(horizon_s=4.0, policy={"scheme": "none", "stats_interval_s": 1.0})
+    arrival comes first: the management tick at t=1.0 sees the job that
+    arrives at 1.0 already being served."""
+    handled = []
+    arrival, tick = engine._handle_arrival, engine._handle_tick
+
+    def recorded_arrival(state, jid):
+        arrival(state, jid)
+        handled.append((state.clock, "arrival", state.n_serving))
+
+    def recorded_tick(state):
+        handled.append((state.clock, "tick", state.n_serving))
+        tick(state)
+
+    monkeypatch.setattr(engine, "_handle_arrival", recorded_arrival)
+    monkeypatch.setattr(engine, "_handle_tick", recorded_tick)
+    cfg = make_cfg(horizon_s=4.0, policy={"scheme": "dvfs", "stats_interval_s": 1.0})
     rep = engine.run(cfg, jobs=[balanced_job(0, 1.0, 0.5, 3.0)], collect_jobs=True)
+    assert [h for h in handled if h[0] == 1.0] == [(1.0, "arrival", 1), (1.0, "tick", 1)]
     rows = {row["t"]: row["serving_servers"] for row in rep.timeseries}
-    assert rows[0.0] == 0 and rows[1.0] == 1 and rows[2.0] == 0
-    assert finish_of(rep, 0) == 1.5
+    assert rows[0.0] == 0 and rows[1.0] == 1 and finish_of(rep, 0) > 1.0
 
 
 # -- invariants and reproducibility -------------------------------------------
@@ -251,8 +264,8 @@ def test_different_seed_changes_trace(make_cfg):
 
 
 def test_event_names_cover_all_kinds():
-    assert len(EVENT_NAMES) == 9
-    assert len(set(EVENT_NAMES)) == 9
+    assert len(EVENT_NAMES) == 7
+    assert len(set(EVENT_NAMES)) == 7
 
 
 # -- direct state manipulation -------------------------------------------------
@@ -768,7 +781,8 @@ def test_a_job_starts_its_transfers_in_one_refill(make_cfg, monkeypatch):
     # 25 MB at half a gigabit is 0.4 s; the 125 MB external copy lasts longer
     jr = engine._JobRun(balanced_job(0, 0.0, 1.0, 100.0, internal=25e6, external=125e6))
     jr.server, jr.dst = src, peer
-    engine._start_flows(state, jr)
+    state.jobs[0] = jr
+    engine._start_jobs(state, state.nodes[src], [jr])
     assert refills == [0.0] and jr.flows_left == 2
     internal, external = net.flows[0], net.flows[1]
     assert internal.nodes[-1] == peer and internal.rate == external.rate == 0.5e9
@@ -776,6 +790,37 @@ def test_a_job_starts_its_transfers_in_one_refill(make_cfg, monkeypatch):
     state.clock = internal.end_t
     assert net.finish(0, state.clock) is internal and internal.bytes_left == 0.0
     assert [t for t, fid in ends if fid == 0] == [0.4]
+
+
+def test_a_wake_starts_its_pending_jobs_in_one_step(make_cfg, monkeypatch):
+    """The jobs placed on a server while it woke start together when the
+    wake completes: their compute is queued, and all their transfers go to
+    one FlowNet.add, which fills their shared component once."""
+    state = SimState(make_cfg(policy={"scheme": "dns"}))
+    adds = []
+    add = fairshare.FlowNet.add
+
+    def counted(net, transfers, now):
+        adds.append([jid for jid, _, _ in transfers])
+        return add(net, transfers, now)
+
+    monkeypatch.setattr(fairshare.FlowNet, "add", counted)
+    src, peer = state.topology.server_ids[:2]
+    engine._apply_sleeps(state, [src])
+    state.clock = TRANSITION_SECONDS
+    engine._handle_transition(state, src)
+    engine._begin_transition(state, src)
+    srv = state.nodes[src]
+    for jid in (0, 1):
+        jr = state.jobs[jid] = engine._JobRun(
+            balanced_job(jid, 0.0, 0.1, 100.0, internal=25e6, external=125e6))
+        jr.server, jr.dst = src, peer
+        srv.pending.append(jid)
+    state.clock = srv.transition_until
+    engine._handle_transition(state, src)
+    assert adds == [[0, 0, 1, 1]] and not srv.pending
+    assert srv.serving == 0 and [jid for _, jid in srv.queue] == [1]
+    assert [state.jobs[jid].flows_left for jid in (0, 1)] == [2, 2]
 
 
 def test_no_flow_crosses_a_down_link(make_cfg):
@@ -798,9 +843,9 @@ def test_no_flow_crosses_a_down_link(make_cfg):
     tiers = list(net.link_tier_idx)
     # a job whose second transfer crosses the down link starts neither
     with pytest.raises(InternalInvariantViolation, match="down link"):
-        net.add(0, [(live, 1e6), (path, 1e6)], state.clock)
+        net.add([(0, live, 1e6), (0, path, 1e6)], state.clock)
     assert not net.flows and net.next_id == 0 and net.link_tier_idx == tiers
-    net.add(0, [(live, 1e6)], state.clock)
+    net.add([(0, live, 1e6)], state.clock)
     (fl,) = net.flows.values()
     assert partner in fl.nodes and fl.rate > 0.0
     # a sleep started under the flow, which dns_tick never asks for
@@ -856,7 +901,7 @@ def test_link_back_up_is_trimmed_at_the_next_pass(make_cfg):
     path = next(p for k in range(topo.path_count(src, topo.gateway))
                 if dark in (p := topo.kth_path(src, topo.gateway, k)).nodes)
     # a flow raises the path to native and drains before any trim
-    state._price_ports(net.add(0, [(path, 1e6)], state.clock))
+    state._price_ports(net.add([(0, path, 1e6)], state.clock))
     net.remove(next(iter(net.flows)), state.clock)
     engine._apply_sleeps(state, [dark])
     state.clock = TRANSITION_SECONDS
@@ -901,9 +946,9 @@ def test_each_transfer_is_routed_once_at_its_start(make_cfg, monkeypatch):
         seen["wakes"] += decision.needs_wake
         return decision
 
-    def counted_add(net, jid, transfers, now):
+    def counted_add(net, transfers, now):
         seen["flows"] += len(transfers)
-        return add(net, jid, transfers, now)
+        return add(net, transfers, now)
 
     monkeypatch.setattr(SimState, "route", counted_route)
     monkeypatch.setattr(engine, "place", flagged_place)
@@ -951,10 +996,11 @@ def test_congestion_test_routes_the_paths_the_transfers_start_on(make_cfg, monke
         finally:
             arriving.pop()
 
-    def recorded_add(net, jid, transfers, now):
-        if arriving and arriving[-1] == jid:
-            started.setdefault(jid, []).extend(path for path, _ in transfers)
-        return add(net, jid, transfers, now)
+    def recorded_add(net, transfers, now):
+        for jid, path, _ in transfers:
+            if arriving and arriving[-1] == jid:
+                started.setdefault(jid, []).append(path)
+        return add(net, transfers, now)
 
     monkeypatch.setattr(SimState, "transfers_congested", recorded_congested)
     monkeypatch.setattr(SimState, "route", recorded_route)

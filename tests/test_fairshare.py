@@ -301,14 +301,14 @@ def test_a_raised_link_refills_the_flows_going_the_other_way():
     into_s1 = topo.pick_path(s2, s1, 0)
     # twelve more transfers out of s2 hold the one into s1 at a thirteenth
     # of a gigabit, so the trim takes s1's link down to 100 Mb/s
-    net.add(0, [(into_s1, 1e9)] + [(topo.pick_path(s2, topo.gateway, 0), 1e9)] * 12, 0.0)
+    net.add([(0, into_s1, 1e9)] + [(0, topo.pick_path(s2, topo.gateway, 0), 1e9)] * 12, 0.0)
     net.trim(0.0)
     lid = into_s1.links[-1]
     assert net.link_tier_idx[lid] == 1
     for fid in range(1, 13):
         net.remove(fid, 0.0)
     assert net.flows[0].rate == 1e8      # held by s1's trimmed link
-    raised = net.add(1, [(topo.pick_path(s1, topo.gateway, 0), 1e9)], 0.0)
+    raised = net.add([(1, topo.pick_path(s1, topo.gateway, 0), 1e9)], 0.0)
     assert (lid, 1, net.native_idx) in raised
     assert check_fill(net, net.flows[0].res) == {0}
     assert net.flows[0].rate == 1e9
@@ -353,18 +353,18 @@ class _FlowNetSteps(RuleBasedStateMachine):
         n = len(self.ends_at)
         src = a % n
         dsts = [(src + 1 + b % (n - 1)) % n for b in peers]   # any ends but src
-        transfers = [(self.topo.pick_path(self.ends_at[src], self.ends_at[dst], k + i),
+        transfers = [(0, self.topo.pick_path(self.ends_at[src], self.ends_at[dst], k + i),
                       nbytes * (i + 1)) for i, dst in enumerate(dsts)]
         before = list(self.net.link_tier_idx)
-        lids = list(dict.fromkeys(lid for path, _ in transfers for lid in path.links))
+        lids = list(dict.fromkeys(lid for _, path, _ in transfers for lid in path.links))
         if not all(self.net.link_up[lid] for lid in lids):
             n_flows, next_id = len(self.net.flows), self.net.next_id
             with pytest.raises(InternalInvariantViolation):
-                self.net.add(0, transfers, self.now)
+                self.net.add(transfers, self.now)
             assert (len(self.net.flows), self.net.next_id) == (n_flows, next_id)
             assert self.net.link_tier_idx == before
             return
-        raised = self.net.add(0, transfers, self.now)
+        raised = self.net.add(transfers, self.now)
         native = self.net.native_idx
         assert raised == [(lid, before[lid], native) for lid in lids if before[lid] != native]
 

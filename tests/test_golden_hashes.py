@@ -22,35 +22,35 @@ from greendc.report import write_report_json, write_timeseries_csv
 # report.json, sha256 of timeseries.csv)
 GOLDEN = {
     ("reference-30", "none", "three_tier", 2.0): (
-        "b360fcb62a3f73fcdeb0f59e88a2f8152fa9cea063b033fa2712cd205e21657e",
-        "9048a56a92828206e78d61f379ad8312ba749b30c8da3eb226428da3eb72c631",
-        "727a59f2e56ef8633088a07e4503fe275cc6904a35adb1be6ea8b2685e7cd0ce"),
+        "eeb0c54311d916abb84075b298a590ea8012947db7400629dbbc169656d7cf49",
+        "391e8e54691a1413efafae8c666451dc04298b237fb880e107850c22fa2f6397",
+        "6ed78297e93da9d627e9481d9672f33401069521e7a104a7b2ec794cf9b5c36c"),
     ("reference-30", "none", "two_tier", 2.0): (
-        "d7695ab3e38e39976c86006040e0f3a1c2ee5f65a912e1f7c7bf0bf7901adb32",
-        "9b65f9260e29ef3ff7a13e8e9a5c4337184a4944f6125e757eb211c71fe26f82",
-        "f5bf40e2de67f9ae6915accc55883efe4e036c53fa86ad2ca05baed7c5e037c0"),
+        "fa3a44265997fbc0fb24835eeac8aeb25e94d90af0ca05cc584df505c8fa632a",
+        "d9022bd5a67ea7cb176cdc25ed7a1dc58c47f38de8e26e722b0c8f2f60e7f18b",
+        "b152ae40d3b227f88e88f56db01b10c7fb3490e13eb011fcf56c5fafa20f57cf"),
     ("reference-30", "none", "three_tier_hs", 2.0): (
-        "4acf9dd286ef69d681131f92674509a4ca2c1ba15e6a5a22f4fd7677e6604538",
-        "a7ded4c33c8598d6cad4cb0eb0f5923f0881a4366d4fb528bcea2cee9ec5b36f",
-        "1cb60ddc23da218378e9a7a812dcd1653da440979236d6164bb9d8be97c40ce1"),
+        "77cb93e531c899cc331fb0eb516133e20cca76e503949bf2e3fbec0d8b3cd3d3",
+        "4cc1ba04d95d2f94f0ebbc690465b22523050f97ad423009d7b981bf55acd446",
+        "e9a2eb5415cbe73ae2b0d0138db6d74c74fc703de6b599cf948b5fab665c42ba"),
     ("reference-30", "dvfs+dns", "three_tier", 2.0): (
-        "13ccbd25b7e22e7befdf4e205df8d0c97d97836e4f94250cdf3fdefd811839e7",
-        "83accd0714ce49ec42d1b1bf5cd8a1603c11066cd3875978ee12a2fcca854236",
-        "66407fc5758a04762d25f9b093a39304e94990e3da840b83a04901d1b418783f"),
+        "fc51cc4a9137813217ba0f3d5cd6c28b6f42afabd054322f9a8645470f62b3d6",
+        "2e99645047f8129bf6aed77ef53951e589742efaeb97a42b728ade4a3c054b43",
+        "8d94429af4ae5d8f8020b75f98ca3525d1a8fb9224a0bcf567f76d04b3fa3480"),
     ("reference-30", "dvfs+dns", "two_tier", 2.0): (
-        "9730c05c68178a839daf1d700e8b66f04592d6328312fc5608073f0920f95600",
-        "790b2044e29b0ee4f9609014382174eae1f5b1f0211fe172998ccc5daa5783bf",
-        "1d485e47a7e5bcb48d16ae675863212980ef38396edde35ac8b429d617440d8f"),
+        "2399741859a515c1f06ca176e361096564887a5dac91a426a1fb11f1c1762d54",
+        "cd1d6b4327aa2e38cf6777a4ed7e034557c471aaf6191c493567504ea433021d",
+        "615f84d7506d09e4911d50e27019615184fc0626e1f8ab39487b21ce2fcc2c6a"),
     ("reference-30", "dvfs+dns", "three_tier_hs", 2.0): (
-        "bfa36fff25cf7ed4ee75ed1288a88ae79078ac5dd88360ebdf889eb1d3e376ff",
-        "6779075b4b2a8bae441308246967e7867c3c1adc42f4d047ba078cacead3382d",
-        "a8e85e6924841fddd9142d1d2fcd6b28cbdcb9cab3e2652659b680cbf3f50901"),
+        "c6ebf1224efce25a672c7aca6ce6605f503986cc9d7e3abce3326f5757137cf9",
+        "7e14b6012824e3281bcb713935a3f1e06722e173d1fda8e0282b01cf43b139f4",
+        "363ff64c1624201d2230555ce1ffbf71dec3e7891973bcca748ebb901decc21e"),
     # data-intensive placement routes every candidate server around dark
     # switches, so this case pins the live-path choice hardest
     ("diw-30", "dvfs+dns", "three_tier", 2.0): (
-        "3e5795233ec478384af0fe22ec573552406f701e023e2f44bd1130e4cafb38f0",
-        "2fc01cb86d278453412dd5b4bed0e4ca9f093751dbb3354cbf4cd971023e46dd",
-        "8152ef6b46bdc49edbf972adb4cf4ab2b82f7428a4a0fe37fb793a1e9e777458"),
+        "ca27b4a71968eb816fa03e0a03c1aec4dc47b218f562adb2cec5ca5a8bb30902",
+        "1378099859ec977ae42299c28fb3aa52b11d2465c0fe4788ae38a7a81aad162f",
+        "d62816e7c879ad3cd54d067d9027b2f0622c3340a389b18487d1815db62964b8"),
 }
 
 

@@ -45,6 +45,8 @@ def test_summarize_basic_stats():
     assert s["ci95_half_width"] == pytest.approx(
         t_quantile_95(2) * 2.0 / math.sqrt(3))
     assert summarize([5.0])["ci95_half_width"] == 0.0
+    # no deviation's square overflows
+    assert summarize([1e300, 3e300])["stddev"] == pytest.approx(math.sqrt(2) * 1e300)
     with pytest.raises(ValueError):
         summarize([])
     with pytest.raises(ValueError):
@@ -212,3 +214,30 @@ def test_jobs_at_or_after_the_horizon_change_nothing(scheme):
     assert more.energy == base.energy and more.sla == base.sla
     assert (dict(more.as_dict(), timeseries=more.timeseries)
             == dict(base.as_dict(), timeseries=base.timeseries))
+
+
+@pytest.mark.parametrize("arch", sorted(_POCKET_FABRICS))
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_the_sampling_interval_changes_only_the_time_series(scheme, arch):
+    """The time series is sampled outside the event heap: a run's trace,
+    event count, energy, SLA counts, conservation and fractions are the
+    same at any stats_interval_s, and the series holds one row at each
+    sample time below the horizon, then the row at the horizon."""
+    data = _pocket(scheme, arch)
+    reports = {}
+    for interval in (60.0, 1.0, 0.1):
+        rep = engine.run(config.from_dict(
+            dict(data, policy=dict(data["policy"], stats_interval_s=interval))))
+        times, t = [], 0.0
+        while t < rep.horizon_s:
+            times.append(t)
+            t += interval
+        assert [row["t"] for row in rep.timeseries] == times + [rep.horizon_s]
+        reports[interval] = rep
+    base = reports[60.0]
+    assert base.sla["admitted"] > 0 and base.energy.total_wh > 0
+    for rep in reports.values():
+        assert rep.timeseries[0] == base.timeseries[0]
+        assert rep.timeseries[-1] == base.timeseries[-1]
+        assert ({k: v for k, v in rep.as_dict().items() if k != "scenario"}
+                == {k: v for k, v in base.as_dict().items() if k != "scenario"})

@@ -4,6 +4,7 @@ import ast
 import pathlib
 
 import greendc
+from greendc import engine
 
 SRC = pathlib.Path(greendc.__file__).parent
 TESTS = pathlib.Path(__file__).parent
@@ -265,13 +266,13 @@ def test_only_the_engine_routes():
 
 
 def test_only_the_job_start_adds_flows():
-    """A job's transfers start as one step: net.add( is called only in
-    engine._start_flows, with all the job's transfers, so no caller can
-    start them one by one and refill between them."""
+    """Jobs start as one step: net.add( is called only in engine._start_jobs,
+    with all the transfers of the jobs starting, so no caller can start them
+    one by one and refill between them."""
     callers = {name for name, func in _functions() for node in ast.walk(func)
                if isinstance(node, ast.Call)
                and ast.unparse(node.func).split(".")[-2:] == ["net", "add"]}
-    assert callers == {"engine._start_flows"}
+    assert callers == {"engine._start_jobs"}
 
 
 # the one sleep/wake path: a node's transition starts in _begin_transition
@@ -348,3 +349,26 @@ def test_one_sleep_wake_path():
     assert setters == TRANSITION_WRITERS
     assert pushers == {"engine._begin_transition"}
     assert index_writers == INDEX_WRITERS
+
+
+def test_every_event_kind_is_produced_and_dispatched():
+    """Each EV_* kind engine.py defines is produced, loaded somewhere other
+    than in a comparison (a push, the arrival list, the flow network's end
+    kind), and dispatched by a `kind == EV_...` branch in run, and
+    EVENT_NAMES names each one: a kind nothing pushes keeps no slot."""
+    tree = ast.parse((SRC / "engine.py").read_text())
+    kinds = {t.id for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets for t in ast.walk(target)
+             if isinstance(t, ast.Name) and t.id.startswith("EV_")}
+    compared = {id(n) for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                for n in ast.walk(node)}
+    produced = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load) and id(n) not in compared}
+    run = dict(_functions())["engine.run"]
+    dispatched = {test.comparators[0].id for node in ast.walk(run) if isinstance(node, ast.If)
+                  and isinstance(test := node.test, ast.Compare)
+                  and isinstance(test.left, ast.Name) and test.left.id == "kind"
+                  and isinstance(test.ops[0], ast.Eq) and isinstance(test.comparators[0], ast.Name)}
+    assert kinds, "no event kinds found; is the source path right?"
+    assert sorted(kinds - produced) == [] and sorted(kinds - dispatched) == []
+    assert len(engine.EVENT_NAMES) == len(kinds)
