@@ -54,8 +54,7 @@ re-arms from live state, while a rise pushes an earlier event.  Stale
 entries are skipped.
 
 The heap holds model events only: the run loop samples the time series
-itself every stats_interval_s, each sample before the first event after its
-time, so sampling moves neither the trace nor the event count.
+itself, so sampling moves neither the trace nor the event count.
 
 Power levels change only at events, so integrating per-component power
 between events is exact.  The run loop does it as each event is taken, in
@@ -382,19 +381,20 @@ class SimState:
         return self.topology.pick_path(src, dst, splitmix64(salt),
                                        self.switch_live if self.dark_switches else None)
 
-    def transfers(self, job: Job, server: int, dst: int | None) -> Iterator[tuple[Path, float]]:
-        """The job's transfers from server as (path, bytes), routed lazily in
-        the order they start: the internal one to peer dst while it is awake,
-        else to the one internal_dst picks now, then the external one."""
+    def transfers(self, job: Job, server: int,
+                  dst: int | None) -> Iterator[tuple[int, Path, float]]:
+        """The job's transfers from server as (job id, path, bytes), routed
+        lazily in start order: the internal one to peer dst while it is
+        awake, else to the one internal_dst picks now, then the external one."""
         if job.comm_internal_bytes > 0.0:
             if (dst is None or (peer := self.nodes[dst]).asleep
                     or peer.transition_until is not None):
                 dst = self.internal_dst(job.id, server)
             # with no possible peer the exchange degenerates to a local copy
             if dst is not None:
-                yield self.route(server, dst, job.id * 2), job.comm_internal_bytes
+                yield job.id, self.route(server, dst, job.id * 2), job.comm_internal_bytes
         if job.comm_external_bytes > 0.0:
-            yield (self.route(server, self.topology.gateway, job.id * 2 + 1),
+            yield (job.id, self.route(server, self.topology.gateway, job.id * 2 + 1),
                    job.comm_external_bytes)
 
     def transfers_congested(self, job: Job, server: int, threshold: float) -> bool:
@@ -402,7 +402,7 @@ class SimState:
         over threshold of its capacity; a transfer after a congested one is
         not routed."""
         return any(self.net.congested(path, threshold)
-                   for path, _ in self.transfers(job, server, None))
+                   for _, path, _ in self.transfers(job, server, None))
 
     def spine_sleep_ok(self, nid: int) -> bool:
         """Connectivity rule for powering down an aggregation or core
@@ -537,20 +537,20 @@ def _enqueue_compute(state: SimState, srv: _Server, jr: _JobRun, now: float) -> 
 # job lifecycle
 # ---------------------------------------------------------------------------
 
-def _start_jobs(state: SimState, srv: _Server, jrs: list[_JobRun]) -> None:
-    """Start jobs on an awake server: queue each one's compute, then route
-    and start all their transfers, each to the internal peer chosen at its
-    admission while it stays awake, as one step of the flow network."""
+def _start_jobs(state: SimState, jrs: list[_JobRun]) -> None:
+    """Start jobs on their awake server: queue each one's compute, then
+    route and start all their transfers as one step of the flow network."""
+    table, transfers = state.nodes, []
     for jr in jrs:
-        _enqueue_compute(state, srv, jr, state.clock)
-    transfers = [(jr.job.id, path, nbytes) for jr in jrs
-                 for path, nbytes in state.transfers(jr.job, jr.server, jr.dst)]
+        _enqueue_compute(state, table[jr.server], jr, state.clock)
+    for jr in jrs:
+        started = list(state.transfers(jr.job, jr.server, jr.dst))
+        jr.flows_left += len(started)
+        transfers += started
     state._price_ports(state.net.add(transfers, state.clock))
-    table, jobs = state.nodes, state.jobs
-    for jid, path, _ in transfers:
+    for _, path, _ in transfers:
         for nid in path.nodes:
             table[nid].flow_count += 1
-        jobs[jid].flows_left += 1
 
 
 def _job_piece_done(state: SimState, jr: _JobRun) -> None:
@@ -617,7 +617,7 @@ def _handle_arrival(state: SimState, jid: int) -> None:
         # when it arrives at the very instant the wake ends
         srv.pending.append(jid)
         return
-    _start_jobs(state, srv, [jr])
+    _start_jobs(state, [jr])
 
 
 def _maybe_release(state: SimState, srv: _Server, jr: _JobRun) -> None:
@@ -710,7 +710,7 @@ def _handle_transition(state: SimState, nid: int) -> None:
     state._price_ports(flips)
     if server and waking:
         pending, node.pending = node.pending, []
-        _start_jobs(state, node, [state.jobs[jid] for jid in pending])
+        _start_jobs(state, [state.jobs[jid] for jid in pending])
 
 
 def _apply_sleeps(state: SimState, requests: list[int]) -> None:
@@ -812,7 +812,7 @@ def run(cfg: ScenarioConfig, jobs: list[Job] | None = None,
     warmup = state.warmup
     tick_s = cfg.policy.tick_interval_s
     stats_s = cfg.policy.stats_interval_s
-    sample_t = stats_s   # the next sample time; only those below the horizon are taken
+    sample_t = stats_s   # the next sample time
     clock = state.clock
     # the energy ledger: a compensated (Kahan) sum of watts * dt per class
     l0, l1, l2, l3 = state.ledger_j
@@ -837,7 +837,7 @@ def run(cfg: ScenarioConfig, jobs: list[Job] | None = None,
             elif kind == EV_RELEASE:
                 if runs[b].released:
                     continue
-        while t > sample_t < horizon:
+        while t > sample_t:   # t never passes the horizon
             _sample_stats(state, sample_t)
             sample_t += stats_s
         dt = t - clock

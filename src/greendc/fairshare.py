@@ -180,9 +180,9 @@ class FlowNet:
         those tier changes as (link, old, new).  A path over a down link is
         refused before anything changes."""
         link_up = self.link_up
-        for jid, path, _ in transfers:
-            if not all([link_up[lid] for lid in path.links]):
-                raise InternalInvariantViolation(f"job {jid}'s transfer routed over a down link")
+        if not all([link_up[lid] for _, path, _ in transfers for lid in path.links]):
+            jid = next(j for j, p, _ in transfers if not all(link_up[lid] for lid in p.links))
+            raise InternalInvariantViolation(f"job {jid}'s transfer routed over a down link")
         tier_idx = self.link_tier_idx
         native = self.native_idx
         pending = self.dvs_pending

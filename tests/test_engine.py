@@ -201,7 +201,14 @@ def test_arrival_at_the_instant_a_wake_ends_waits_for_the_wake(make_cfg):
 def test_arrival_is_taken_before_a_heap_event_at_the_same_instant(make_cfg, monkeypatch):
     """Arrivals hold the lowest sequence numbers, so at a tie in time the
     arrival comes first: the management tick at t=1.0 sees the job that
-    arrives at 1.0 already being served."""
+    arrives at 1.0 already being served.  The row stamped 1.0 shows the
+    state after every event at 1.0, with or without a tick there."""
+    cfg = make_cfg(horizon_s=4.0, policy={"scheme": "none", "stats_interval_s": 1.0})
+    rep = engine.run(cfg, jobs=[balanced_job(0, 1.0, 0.5, 3.0)], collect_jobs=True)
+    rows = {row["t"]: row["serving_servers"] for row in rep.timeseries}
+    assert rows[0.0] == 0 and rows[1.0] == 1 and rows[2.0] == 0
+    assert finish_of(rep, 0) == 1.5
+
     handled = []
     arrival, tick = engine._handle_arrival, engine._handle_tick
 
@@ -219,7 +226,10 @@ def test_arrival_is_taken_before_a_heap_event_at_the_same_instant(make_cfg, monk
     rep = engine.run(cfg, jobs=[balanced_job(0, 1.0, 0.5, 3.0)], collect_jobs=True)
     assert [h for h in handled if h[0] == 1.0] == [(1.0, "arrival", 1), (1.0, "tick", 1)]
     rows = {row["t"]: row["serving_servers"] for row in rep.timeseries}
-    assert rows[0.0] == 0 and rows[1.0] == 1 and finish_of(rep, 0) > 1.0
+    assert [rows[t] for t in (0.0, 1.0, 2.0, 3.0)] == [0, 1, 1, 0]
+    # the tick at 1.0 sets the frequency for the job already served, which
+    # stretches its 0.5 s of work; any other tie order moves this finish
+    assert finish_of(rep, 0) == 2.677839556277056
 
 
 # -- invariants and reproducibility -------------------------------------------
@@ -781,8 +791,8 @@ def test_a_job_starts_its_transfers_in_one_refill(make_cfg, monkeypatch):
     # 25 MB at half a gigabit is 0.4 s; the 125 MB external copy lasts longer
     jr = engine._JobRun(balanced_job(0, 0.0, 1.0, 100.0, internal=25e6, external=125e6))
     jr.server, jr.dst = src, peer
-    state.jobs[0] = jr
-    engine._start_jobs(state, state.nodes[src], [jr])
+    state.jobs[0] = jr   # its compute is queued too
+    engine._start_jobs(state, [jr])
     assert refills == [0.0] and jr.flows_left == 2
     internal, external = net.flows[0], net.flows[1]
     assert internal.nodes[-1] == peer and internal.rate == external.rate == 0.5e9
